@@ -24,7 +24,7 @@ from repro.analysis.rules import ALL_RULES, get_rules
 from repro.analysis.sarif import as_sarif
 
 #: Bump when the --json payload shape changes.
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,15 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also report inline allows that matched no "
                              "finding (requires the full rule set); any "
                              "unused allow fails the run")
-    parser.add_argument("--smp-report", metavar="PATH", nargs="?",
-                        const="docs/SMP_READINESS.md",
-                        help="regenerate the SMP001 shared-state report "
-                             "(default: docs/SMP_READINESS.md) and exit")
     parser.add_argument("--sanitize-run", metavar="WORKLOAD",
                         help="replay a benchmark workload with the "
-                             "dynamic STATE001/MMU001 sanitizer and the "
-                             "Eraser-style lockset checker attached and "
-                             "differentially compare with the static "
+                             "dynamic STATE001/MMU001 sanitizer attached "
+                             "and differentially compare with the static "
                              "verdict (workloads: mb-suite)")
     return parser
 
@@ -128,9 +123,6 @@ def _as_json(report: Report, rule_ids: List[str]) -> dict:
                 "message": f.message,
                 "snippet": f.snippet,
                 "fingerprint": f.fingerprint,
-                # schema v3: interprocedural witness chain (LOCK001
-                # cycles); empty for single-site findings.
-                "witness": list(f.trace),
             }
             for f in report.findings
         ],
@@ -187,9 +179,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                      else config.resolved_baseline())
     analyzer = Analyzer(rules)
 
-    if args.smp_report is not None:
-        return _write_smp_report(paths, config, args.smp_report, out)
-
     if args.migrate_baseline:
         return _migrate_baseline(analyzer, paths, config, baseline_path, out)
 
@@ -233,35 +222,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         _print_human(report, out)
     ok = report.clean and not report.unused_suppressions
     return 0 if ok else 1
-
-
-def _write_smp_report(paths, config, destination: str, out) -> int:
-    """Regenerate docs/SMP_READINESS.md from the current tree."""
-    from repro.analysis.engine import ModuleInfo, _display_path
-    from repro.analysis.flow import ProjectContext
-    from repro.analysis.rules.smp_audit import build_inventory, render_report
-
-    analyzer = Analyzer([])
-    modules = []
-    for file_path in analyzer.discover([Path(p) for p in paths]):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-            modules.append(ModuleInfo(
-                file_path, _display_path(file_path, config.root), source))
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            print(f"error: cannot parse {file_path}: {exc}", file=out)
-            return 2
-    project = ProjectContext(modules)
-    items = []
-    for mod in modules:
-        items.extend(build_inventory(mod, project))
-    target = Path(destination)
-    if not target.is_absolute() and config.root is not None:
-        target = config.root / target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(render_report(items) + "\n", encoding="utf-8")
-    print(f"wrote {len(items)} item(s) to {target}", file=out)
-    return 0
 
 
 def _migrate_baseline(analyzer: Analyzer, paths, config,

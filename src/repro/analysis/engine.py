@@ -44,12 +44,6 @@ class Finding:
     message: str
     context: str  # enclosing qualname, e.g. "CloakEngine._encrypt"
     snippet: str = ""  # whitespace-normalized source of the finding line
-    #: Witness chain for interprocedural findings (LOCK001 deadlock
-    #: cycles): one human-readable step per entry, in order.  Rendered
-    #: as a SARIF codeFlow and the JSON "witness" field; deliberately
-    #: excluded from the fingerprint so a cycle rotating through an
-    #: equivalent witness keeps its baseline identity.
-    trace: Tuple[str, ...] = ()
 
     @property
     def fingerprint(self) -> str:

@@ -1,14 +1,10 @@
 """Abstract interpretation over :mod:`repro.analysis.flow.cfg` graphs.
 
-Three layers, each usable on its own:
+Two layers, each usable on its own:
 
-* :func:`solve_forward` / :func:`solve_backward` — generic worklist
-  fixpoint over a CFG, parameterized by init/transfer/join and (for
-  the forward solver) an optional per-edge refinement hook that can
-  also prune statically infeasible branches.
-* :class:`ReachingDefinitions` and :class:`LiveVariables` — the two
-  classic set problems, used by tests as executable documentation of
-  the solver contract.
+* :func:`solve_forward` — generic worklist fixpoint over a CFG,
+  parameterized by init/transfer/join and an optional per-edge
+  refinement hook that can also prune statically infeasible branches.
 * :class:`AttrStateAnalysis` — a path-sensitive finite-lattice tracker
   for enum-valued attributes (``md.state``), the engine under
   STATE001.  It follows branch guards like ``if md.state is
@@ -69,123 +65,6 @@ def solve_forward(cfg: CFG, init, transfer, join,
                     in_states[succ] = merged
                     work.append(succ)
     return in_states
-
-
-def solve_backward(cfg: CFG, init, transfer, join) -> Dict[int, object]:
-    """Backward fixpoint: returns the out-state of every block that
-    reaches the exit.  ``transfer(block_index, stmt, state)`` maps a
-    block's out-state to its in-state."""
-    out_states: Dict[int, object] = {cfg.exit: init}
-    work: List[int] = [cfg.exit]
-    while work:
-        index = work.pop()
-        block = cfg.blocks[index]
-        in_state = transfer(index, block.stmt, out_states[index])
-        for pred, _label in block.preds:
-            if pred not in out_states:
-                out_states[pred] = in_state
-                work.append(pred)
-            else:
-                merged = join(out_states[pred], in_state)
-                if merged != out_states[pred]:
-                    out_states[pred] = merged
-                    work.append(pred)
-    return out_states
-
-
-# ----------------------------------------------------------------------
-# classic set problems
-# ----------------------------------------------------------------------
-
-def _assigned_names(stmt: ast.stmt) -> Set[str]:
-    names: Set[str] = set()
-    if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        for target in targets:
-            for node in ast.walk(target):
-                if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, ast.Store):
-                    names.add(node.id)
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        for node in ast.walk(stmt.target):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            if item.optional_vars is not None:
-                for node in ast.walk(item.optional_vars):
-                    if isinstance(node, ast.Name):
-                        names.add(node.id)
-    return names
-
-
-def _loaded_names(stmt: ast.stmt) -> Set[str]:
-    # For compound statements only the header expression belongs to the
-    # block (bodies are separate blocks), so restrict the walk.
-    if isinstance(stmt, ast.If):
-        roots: List[ast.AST] = [stmt.test]
-    elif isinstance(stmt, ast.While):
-        roots = [stmt.test]
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        roots = [stmt.iter]
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        roots = [item.context_expr for item in stmt.items]
-    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.ClassDef)):
-        roots = []
-    else:
-        roots = [stmt]
-    names: Set[str] = set()
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-    return names
-
-
-class ReachingDefinitions:
-    """Which (name, block) definitions reach each block's entry."""
-
-    def __init__(self, cfg: CFG):
-        self.cfg = cfg
-        gen: Dict[int, FrozenSet[Tuple[str, int]]] = {}
-        kill_names: Dict[int, Set[str]] = {}
-        for index, stmt in cfg.statements():
-            names = _assigned_names(stmt)
-            gen[index] = frozenset((n, index) for n in names)
-            kill_names[index] = names
-
-        def transfer(index, stmt, state):
-            if stmt is None:
-                return state
-            killed = kill_names.get(index, set())
-            survivors = frozenset(d for d in state if d[0] not in killed)
-            return survivors | gen.get(index, frozenset())
-
-        self.in_states = solve_forward(
-            cfg, frozenset(), transfer, lambda a, b: a | b)
-
-    def reaching(self, block_index: int) -> FrozenSet[Tuple[str, int]]:
-        return self.in_states.get(block_index, frozenset())
-
-
-class LiveVariables:
-    """Which names are live (read before redefinition) after each block."""
-
-    def __init__(self, cfg: CFG):
-        self.cfg = cfg
-
-        def transfer(index, stmt, state):
-            if stmt is None:
-                return state
-            return (state - frozenset(_assigned_names(stmt))) | frozenset(
-                _loaded_names(stmt))
-
-        self.out_states = solve_backward(
-            cfg, frozenset(), transfer, lambda a, b: a | b)
-
-    def live_out(self, block_index: int) -> FrozenSet[str]:
-        return self.out_states.get(block_index, frozenset())
 
 
 # ----------------------------------------------------------------------

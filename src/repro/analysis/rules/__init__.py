@@ -10,8 +10,6 @@ fixture-backed positive and negative test under ``tests/analysis/``
 from typing import List, Sequence
 
 from repro.analysis.rules.cloak_state import CloakStateRule
-from repro.analysis.rules.concurrency import (AtomicityRule, LockOrderRule,
-                                              LocksetRaceRule)
 from repro.analysis.rules.cycle_accounting import CycleAccountingRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
@@ -20,7 +18,6 @@ from repro.analysis.rules.obs import ProbeIndirectionRule
 from repro.analysis.rules.perf import FreshBootLoopRule, PerByteLoopRule
 from repro.analysis.rules.secret_flow import SecretFlowRule, UnsealedPersistRule
 from repro.analysis.rules.secrets import SecretHygieneRule
-from repro.analysis.rules.smp_audit import SmpAuditRule
 from repro.analysis.rules.suppression_hygiene import SuppressionHygieneRule
 from repro.analysis.rules.tlb_coherence import TlbCoherenceRule
 from repro.analysis.rules.trust_boundary import TrustBoundaryRule
@@ -39,10 +36,6 @@ ALL_RULES = (
     ProbeIndirectionRule(),
     CloakStateRule(),
     TlbCoherenceRule(),
-    SmpAuditRule(),
-    LocksetRaceRule(),
-    LockOrderRule(),
-    AtomicityRule(),
     SuppressionHygieneRule(),
 )
 

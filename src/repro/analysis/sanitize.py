@@ -1,8 +1,8 @@
 """``--sanitize-run``: dynamic cross-check of the static verdicts.
 
-Static post-dominance, lattice tracking and lockset analysis prove the
-*code* cannot reach a bad state; this module proves the *machine* does
-not, on a real workload, and that the two verdicts agree.  It replays
+Static post-dominance and lattice tracking prove the *code* cannot
+reach a bad state; this module proves the *machine* does not, on a
+real workload, and that the two verdicts agree.  It replays
 a benchmark workload with an obs-bus sink attached and asserts, event
 by event:
 
@@ -17,14 +17,6 @@ by event:
   installed (``vmm.shadow_fill``) until the VMM reports the frame's
   mappings dropped (``vmm.coherence``).  Un-flushed frames remaining
   at workload end are violations too.
-* **runtime locksets** (the dynamic RACE001, Eraser's algorithm): the
-  ``sync.acquire``/``sync.release``/``sync.access`` probes rebuild
-  each guarded state's *candidate lockset* — the intersection of the
-  locks held at every runtime access.  A state whose declared
-  ``GUARDED_BY`` lock drops out of its candidate set, or a runtime
-  access to state with no declaration at all, is a violation: the
-  dynamic run observed what the static lockset rule should have
-  rejected.
 
 Probes never charge cycles, so the replayed workload's virtual-cycle
 total must be bit-identical to the committed ``BENCH_wallclock.json``
@@ -35,11 +27,6 @@ cycle.
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
-
-#: Modules whose ``GUARDED_BY`` declarations seed the lockset checker.
-#: Import is safe: these are simulator modules the workload imports
-#: anyway, never analysed *target* code.
-GUARDED_MODULES = ("repro.core.crypto",)
 
 #: Transition probe -> states it may legally arrive from.
 EXPECT: Dict[str, frozenset] = {
@@ -132,85 +119,12 @@ class CoherenceChecker:
                 "a cloak-state change (mappings never invalidated)")
 
 
-class LocksetChecker:
-    """Eraser's lockset algorithm over the ``sync.*`` probes.
-
-    ``candidates[state]`` starts as the lockset held at the state's
-    first runtime access and is intersected at every later one; locks
-    are tracked per cpu, so the checker stays correct when a second
-    vCPU starts emitting.
-    """
-
-    def __init__(self):
-        self.held: Dict[int, Set[str]] = {}
-        self.candidates: Dict[str, Set[str]] = {}
-        self.accesses: Dict[str, int] = {}
-        self.violations: List[str] = []
-        self.events = 0
-
-    def on_acquire(self, lock: str, cpu: int) -> None:
-        self.events += 1
-        self.held.setdefault(cpu, set()).add(lock)
-
-    def on_release(self, lock: str, cpu: int) -> None:
-        self.events += 1
-        held = self.held.setdefault(cpu, set())
-        if lock not in held:
-            self.violations.append(
-                f"cpu {cpu} released `{lock}` without holding it")
-        held.discard(lock)
-
-    def on_access(self, state: str, cpu: int) -> None:
-        self.events += 1
-        held = frozenset(self.held.get(cpu, ()))
-        self.accesses[state] = self.accesses.get(state, 0) + 1
-        if state in self.candidates:
-            self.candidates[state] &= held
-        else:
-            self.candidates[state] = set(held)
-
-    def finish(self, declared: Dict[str, str]) -> None:
-        """Compare runtime candidate locksets with the static
-        ``GUARDED_BY`` declarations."""
-        for state in sorted(self.accesses):
-            lock = declared.get(state)
-            if lock is None:
-                self.violations.append(
-                    f"runtime access to `{state}` which declares no "
-                    "GUARDED_BY lock")
-            elif lock not in self.candidates[state]:
-                self.violations.append(
-                    f"`{state}` declares guard `{lock}` but its runtime "
-                    "candidate lockset is {"
-                    + ", ".join(sorted(self.candidates[state]))
-                    + "} — some access ran without the declared lock")
-
-
-def declared_locksets() -> Dict[str, str]:
-    """Static ``GUARDED_BY`` declarations in VLock-name terms.
-
-    Maps the ``sync.access`` state key (``module:attr``) to the
-    ``VLock.name`` the ``sync.acquire`` probe will report, by reading
-    each guarded module's live ``GUARDED_BY`` dict.
-    """
-    import importlib
-
-    declared: Dict[str, str] = {}
-    for module_name in GUARDED_MODULES:
-        module = importlib.import_module(module_name)
-        for state, lock_attr in getattr(module, "GUARDED_BY", {}).items():
-            declared[f"{module_name}:{state}"] = getattr(
-                module, lock_attr).name
-    return declared
-
-
 class SanitizerSink:
-    """Obs-bus sink fanning events into the three checkers."""
+    """Obs-bus sink fanning events into the two checkers."""
 
     def __init__(self):
         self.transitions = TransitionChecker()
         self.coherence = CoherenceChecker()
-        self.lockset = LocksetChecker()
 
     def on_event(self, name: str, cycle: int, args: tuple) -> None:
         if name in EXPECT:
@@ -226,22 +140,14 @@ class SanitizerSink:
             self.coherence.on_coherence(*args)
         elif name == "tlb.invalidate":
             self.coherence.on_tlb_invalidate(*args)
-        elif name == "sync.acquire":
-            self.lockset.on_acquire(*args)
-        elif name == "sync.release":
-            self.lockset.on_release(*args)
-        elif name == "sync.access":
-            self.lockset.on_access(*args)
 
     @property
     def violations(self) -> List[str]:
-        return (self.transitions.violations + self.coherence.violations
-                + self.lockset.violations)
+        return self.transitions.violations + self.coherence.violations
 
     @property
     def events(self) -> int:
-        return (self.transitions.events + self.coherence.events
-                + self.lockset.events)
+        return self.transitions.events + self.coherence.events
 
 
 def replay_mb_suite(sink: SanitizerSink) -> int:
@@ -261,7 +167,6 @@ def replay_mb_suite(sink: SanitizerSink) -> int:
     finally:
         bus.detach(sink)
     sink.coherence.finish()
-    sink.lockset.finish(declared_locksets())
     return cycles
 
 
@@ -278,7 +183,7 @@ def committed_cycles(root: Path, workload: str) -> Optional[int]:
 def sanitize_run(workload: str, out) -> int:
     """Entry point for ``python -m repro.analysis --sanitize-run``.
 
-    Runs the static STATE001/MMU001/RACE001/LOCK001/ATOM001 verdict
+    Runs the static STATE001/MMU001 verdict
     and the dynamic replay, prints the differential comparison, and
     returns an exit code: 0 = both clean and cycles match, 1 = any
     disagreement/violation, 2 = usage error (unknown workload).
@@ -293,7 +198,7 @@ def sanitize_run(workload: str, out) -> int:
               "(available: mb-suite)", file=out)
         return 2
 
-    static_rules = ["STATE001", "MMU001", "RACE001", "LOCK001", "ATOM001"]
+    static_rules = ["STATE001", "MMU001"]
     config = AnalysisConfig.load()
     baseline = Baseline.load(config.resolved_baseline())
     report = Analyzer(get_rules(static_rules)).run(
@@ -314,13 +219,6 @@ def sanitize_run(workload: str, out) -> int:
              else f"{len(sink.violations)} violation(s)"), file=out)
     for violation in sink.violations:
         print(f"  {violation}", file=out)
-    locksets = sink.lockset
-    print(f"lockset: {len(locksets.accesses)} guarded state(s), "
-          f"{sum(locksets.accesses.values())} access(es), "
-          f"{locksets.events} sync event(s) — candidate locksets "
-          + ("match GUARDED_BY" if not locksets.violations
-             else "DISAGREE with GUARDED_BY"), file=out)
-
     expected = committed_cycles(config.root or Path.cwd(), workload)
     cycles_ok = expected is None or cycles == expected
     if expected is None:

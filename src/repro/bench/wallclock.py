@@ -211,8 +211,7 @@ def write_report(report: Dict, out: str = DEFAULT_OUT) -> Path:
     return path
 
 
-def check_against(report: Dict, committed_path: str,
-                  seconds_tolerance: Optional[float] = None) -> List[str]:
+def check_against(report: Dict, committed_path: str) -> List[str]:
     """Compare a fresh report against a committed one.
 
     Returns a list of human-readable problems (empty = consistent).
@@ -220,13 +219,8 @@ def check_against(report: Dict, committed_path: str,
     workload set as the committed one the ``cycle_hash`` values must
     match; for a subset run (``--workloads``) the hash would trivially
     differ, so each covered workload's cycle total is compared
-    individually instead.
-
-    Wall seconds are host-dependent by design and gate nothing unless
-    ``seconds_tolerance`` (a percentage) is given — then each covered
-    workload must run within that margin of its committed wall time.
-    That mode exists to bound the *cost of instrumentation*: with no
-    sink attached, disabled probes must not slow the simulator.
+    individually instead.  Wall seconds are host-dependent by design
+    and gate nothing.
     """
     problems: List[str] = []
     try:
@@ -251,18 +245,6 @@ def check_against(report: Dict, committed_path: str,
             problems.append(
                 f"  {name}: cycles {before} -> {entry['cycles']}"
             )
-    if seconds_tolerance is not None:
-        for name, entry in report["workloads"].items():
-            before = old.get(name, {}).get("seconds")
-            if before is None or before <= 0:
-                continue
-            overhead = (entry["seconds"] - before) / before * 100.0
-            if overhead > seconds_tolerance:
-                problems.append(
-                    f"  {name}: wall time {before:.3f}s -> "
-                    f"{entry['seconds']:.3f}s (+{overhead:.1f}% > "
-                    f"{seconds_tolerance:g}% tolerance)"
-                )
     return problems
 
 
@@ -271,7 +253,6 @@ def main(argv: List[str]) -> int:
     warmup, repeats = 1, 3
     out: Optional[str] = DEFAULT_OUT
     check: Optional[str] = None
-    seconds_tolerance: Optional[float] = None
     only: List[str] = []
     i = 0
     while i < len(argv):
@@ -286,8 +267,6 @@ def main(argv: List[str]) -> int:
             out = None; i += 1
         elif arg == "--check":
             check = argv[i + 1]; i += 2
-        elif arg == "--seconds-tolerance":
-            seconds_tolerance = float(argv[i + 1]); i += 2
         elif arg == "--workloads":
             only = [w.strip() for w in argv[i + 1].split(",") if w.strip()]
             i += 2
@@ -295,8 +274,7 @@ def main(argv: List[str]) -> int:
             print(f"unknown wallclock option: {arg}")
             print("usage: python -m repro wallclock [--warmup N] "
                   "[--repeats N] [--out PATH | --no-write] "
-                  "[--check PATH] [--seconds-tolerance PCT] "
-                  "[--workloads a,b,...]")
+                  "[--check PATH] [--workloads a,b,...]")
             return 2
     unknown = [name for name in only if name not in WORKLOADS]
     if unknown:
@@ -312,15 +290,11 @@ def main(argv: List[str]) -> int:
         path = write_report(report, out)
         print(f"wrote {path}")
     if check is not None:
-        problems = check_against(report, check,
-                                 seconds_tolerance=seconds_tolerance)
+        problems = check_against(report, check)
         for problem in problems:
             print(problem)
         if problems:
             print("wallclock check: FAILED")
             return 1
-        what = "cycles"
-        if seconds_tolerance is not None:
-            what += f" and wall time (±{seconds_tolerance:g}%)"
-        print(f"wallclock check: {what} consistent with {check}")
+        print(f"wallclock check: cycles consistent with {check}")
     return 0

@@ -20,7 +20,6 @@ import enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.crypto import IV_LEN, MAC_LEN
-from repro.hw.sync import reconcile
 from repro.obs import bus
 
 
@@ -174,11 +173,9 @@ class MetadataStore:
     def __len__(self) -> int:
         return len(self._pages)
 
-    @reconcile("md", why="callers share the store's canonical PageMetadata "
-               "record by design — the page-state machine lives in exactly "
-               "one place, and an SMP port takes the per-page record as its "
-               "lock granule (one holder mutates at a time) rather than "
-               "handing out copies that could disagree on CloakState.")
+    # Callers share the store's canonical PageMetadata record by design:
+    # the page-state machine lives in exactly one place, and copies
+    # could disagree on CloakState.
     def get_or_create(self, owner_id: int, vpn: int, lineage_id: int) -> PageMetadata:
         key = (owner_id, vpn)
         md = self._pages.get(key)

@@ -31,7 +31,6 @@ from repro.hw.mmu import MMU, SYSTEM_VIEW, TranslationAuthority
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.params import CostTable, PAGE_SHIFT
 from repro.hw.phys import PhysicalMemory
-from repro.hw.sync import reconcile
 from repro.hw.tlb import TLBEntry
 from repro.obs import bus
 
@@ -123,11 +122,10 @@ class VMM(TranslationAuthority):
     # translation authority (TLB miss path)
     # ------------------------------------------------------------------
 
-    @reconcile("entry", why="the entry installed in the shadow context and "
-               "the one returned to (and cached by) the MMU's TLB are one "
-               "record by design — VMM-side invalidation must revoke the "
-               "TLB's view atomically.  _invalidate_frame_mappings is the "
-               "reconcile path; SMP extends it to cross-CPU shootdown.")
+    # The entry installed in the shadow context and the one returned to
+    # (and cached by) the MMU's TLB are one record by design: VMM-side
+    # invalidation (_invalidate_frame_mappings) must revoke the TLB's
+    # view at once.
     def fill(self, asid: int, view: int, vpn: int, access: AccessKind,
              mode: str) -> TLBEntry:
         shadow_entry = self.shadows.lookup(asid, view, vpn)

@@ -14,14 +14,18 @@ same run started from a fresh boot that reached the capture point.
 The snapshot equivalence property test proves this for all registered
 guest programs, native and cloaked.
 
-What is shared vs. copied (the ``SnapshotState`` inventory, checked
-against ``docs/SMP_READINESS.md`` by :func:`check_inventory`):
+What is shared vs. copied:
 
 * **shared** — frozen frame contents (immutable ``bytes``), program
   images and factories, cost tables / machine params (frozen
-  dataclasses), and the pure memoized derivations in
-  ``repro.core.crypto`` (module-scope caches keyed by immutable
-  inputs; lock-guarded per the SMP inventory).
+  dataclasses), the pure memoized derivations in ``repro.core.crypto``
+  and the :func:`publish` registry.  The crypto memos cache pure
+  functions of immutable keys with immutable values, so a hit or an
+  eviction in one restore never changes what another computes.  The
+  registry is module-scope because fork inheritance is the only way a
+  :class:`SnapshotState` crosses a process boundary, and it holds only
+  snapshots that are immutable from the caller's view, so restores
+  from one share nothing mutable with each other.
 * **copied** — everything reachable from the machine object graph:
   kernel, VMM, MMU/TLB, CPU, allocator, disk, cycle ledger, fault
   plan.  One ``copy.deepcopy`` with a seeded memo guarantees interior
@@ -58,10 +62,9 @@ import os
 import pickle
 import random
 from contextlib import contextmanager
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, Optional
 
 from repro.hw.phys import BaseFrames, PhysicalMemory
-from repro.hw.sync import VLock
 from repro.obs import bus
 
 #: Bump on any change to what a snapshot carries.
@@ -400,12 +403,6 @@ def _check_quiescent(machine) -> None:
 #: Snapshots published for fork-context workers, by caller-chosen key.
 _published: Dict[str, SnapshotState] = {}
 
-_published_lock = VLock("snapshot.published")
-
-GUARDED_BY = {
-    "_published": "_published_lock",
-}
-
 
 def publish(key: str, snapshot: SnapshotState) -> None:
     """Make ``snapshot`` available to forked worker processes.
@@ -423,81 +420,16 @@ def publish(key: str, snapshot: SnapshotState) -> None:
     Re-publishing a key replaces the previous snapshot (parents reuse
     keys across runs).
     """
-    with _published_lock:
-        _published[key] = snapshot
+    _published[key] = snapshot
 
 
 def published(key: str) -> Optional[SnapshotState]:
     """The snapshot published under ``key``, if any (parent or
     fork-inherited)."""
-    with _published_lock:
-        return _published.get(key)
+    return _published.get(key)
 
 
 def clear_published() -> None:
     """Drop every published snapshot (test teardown / memory hygiene)."""
-    with _published_lock:
-        _published.clear()
+    _published.clear()
 
-
-# ---------------------------------------------------------------------------
-# SMP-inventory cross-check
-# ---------------------------------------------------------------------------
-
-#: Disposition of every ``docs/SMP_READINESS.md`` inventory item under
-#: snapshot/restore.  ``copied`` — reachable from the machine object
-#: graph, so each restore owns a private clone (interior aliasing
-#: preserved by the deepcopy memo).  ``shared`` — module-scope state
-#: deliberately aliased across restores; must be immutable-valued or a
-#: pure memo keyed only by immutable inputs.
-SNAPSHOT_DISPOSITIONS: Dict[str, str] = {
-    # Pure derivation caches: (key material, inputs) -> derived bytes.
-    # Entries are only ever *added*, values are immutable, and the
-    # mapping is keyed by content — sharing across restores cannot
-    # couple two machines.
-    "repro.core.crypto:_derive_memo": "shared",
-    "repro.core.crypto:_keystream_memo": "shared",
-    "repro.core.crypto:_principal_memo": "shared",
-    # The publication registry for fork-context workers: deliberately
-    # module-scope (fork inheritance is the only way a SnapshotState
-    # crosses a process boundary), lock-guarded, and holding only
-    # immutable-from-the-caller's-view SnapshotStates — restores from
-    # a published snapshot share nothing mutable with each other.
-    "repro.hw.snapshot:_published": "shared",
-    # Interior aliasing of mutable records: both references live
-    # inside one machine's object graph, so deepcopy's memo keeps the
-    # aliasing *within* each restored clone.
-    "repro.core.cloak:CloakEngine.resolve_app_access:md": "copied",
-    "repro.core.metadata:MetadataStore.get_or_create:md": "copied",
-    "repro.core.vmm:VMM.fill:entry": "copied",
-    "repro.hw.mmu:MMU._translate_page:entry": "copied",
-}
-
-
-def check_inventory(smp_readiness_text: str) -> List[str]:
-    """Cross-check the SMP shared-state inventory against
-    :data:`SNAPSHOT_DISPOSITIONS`.
-
-    Every inventoried piece of shared mutable state in ``hw``/``core``
-    must have an explicit snapshot disposition, and every disposition
-    must still correspond to an inventoried item — so new shared state
-    cannot silently alias across restores, and stale entries cannot
-    mask one.  Returns a list of problems (empty = consistent); the
-    snapshot test suite asserts it is empty against the committed
-    ``docs/SMP_READINESS.md``.
-    """
-    inventoried = set()
-    for line in smp_readiness_text.splitlines():
-        line = line.strip()
-        if line.startswith("- `") and "`" in line[3:]:
-            inventoried.add(line[3:line.index("`", 3)])
-    problems = []
-    for item in sorted(inventoried - set(SNAPSHOT_DISPOSITIONS)):
-        problems.append(
-            f"SMP inventory item {item!r} has no snapshot disposition — "
-            "classify it in repro.hw.snapshot.SNAPSHOT_DISPOSITIONS")
-    for item in sorted(set(SNAPSHOT_DISPOSITIONS) - inventoried):
-        problems.append(
-            f"snapshot disposition for {item!r} is stale — the item left "
-            "the SMP inventory")
-    return problems

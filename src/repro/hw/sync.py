@@ -1,115 +1,51 @@
-"""Virtual synchronization primitives and the concurrency discipline.
+"""The one virtual lock left on the single-CPU machine.
 
-The simulated machine is single-CPU today, but the ROADMAP's multi-vCPU
-refactor is gated on every piece of shared mutable state in
-``repro.hw``/``repro.core`` (the SMP001 inventory,
-``docs/SMP_READINESS.md``) carrying a *declared* discipline that the
-static rules can police.  This module provides both halves:
-
-* **primitives** — :class:`VLock` (owner-tracked, virtual-cycle-charged
-  mutual exclusion), :class:`PerCpu` (one cell per vCPU), and
-  :func:`freeze` (read-only sharing of warmed-up structures);
-* **annotations** — the ``GUARDED_BY`` map convention plus the
-  :func:`guarded_by` and :func:`reconcile` decorators, which declare
-  the discipline in the AST where ``repro.analysis`` (RACE001/LOCK001/
-  ATOM001, SMP001) can verify it.
-
-Cycle accounting follows the uniprocessor-kernel convention: on a UP
-machine an uncontended lock compiles to nothing (Linux's spinlocks are
-literally empty on ``!CONFIG_SMP``), so a :class:`VLock` constructed
-without a wired :class:`~repro.hw.cycles.CycleAccount` charges **zero**
-virtual cycles — acquiring or releasing one moves no ledger entry and
-the committed ``BENCH_wallclock.json`` cycle hash stays bit-identical.
-The SMP machine will construct its locks with ``cycles``/``costs``
-wired, and only then do ``lock_acquire``/``lock_release`` costs apply.
-
-Probes (``sync.acquire``/``sync.release``) fire through the obs bus on
-every ownership change, and guarded call sites fire ``sync.access``;
-the dynamic lockset sanitizer (``python -m repro.analysis
---sanitize-run``) replays them Eraser-style to cross-check the static
-RACE001 verdict at runtime.
+:class:`VLock` guards nothing a second CPU could race on: the machine
+has one CPU.  It survives only because ``repro.core.crypto``'s
+``VLock("crypto.memo")`` emits the ``sync.acquire``/``sync.access``/
+``sync.release`` probes, and benchmark pins hash that probe stream
+(probe-name sets, per-probe counts).  Acquiring or releasing one
+charges no virtual cycle, so the committed cycle hash is unaffected.
 """
-
-from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro.obs import bus
 
-T = TypeVar("T")
-
-#: The executing virtual CPU.  Single-CPU machine: always 0.  The SMP
-#: refactor rebinds this to the dispatcher's current-vCPU notion; until
-#: then the constant keeps every lockset deterministic.
-def current_cpu() -> int:
-    return 0
+#: The executing virtual CPU, as the ``sync.*`` probes report it.
+CPU = 0
 
 
 class LockError(RuntimeError):
-    """Misuse of a :class:`VLock` (re-acquire, foreign release)."""
+    """Misuse of a :class:`VLock` (re-acquire, release while free)."""
 
 
 class VLock:
-    """A virtual spinlock with owner tracking.
+    """A non-reentrant virtual lock that reports ownership changes.
 
-    Non-reentrant by design: the deterministic machine has no
-    preemption inside a critical section, so a same-owner re-acquire is
-    always a bug (it would self-deadlock on real hardware) and raises
-    immediately.  A cross-CPU acquire of a held lock likewise raises —
-    on the deterministic single-threaded simulator, "blocking" can
-    never be resolved by another runner, so it too is a bug, caught at
-    the acquire site instead of hanging the run.
-
-    ``cycles``/``costs`` wire the virtual-cycle charge for the SMP
-    machine; unwired (the UP default), acquire/release are free — see
-    the module docstring for why that is the honest UP cost.
+    The deterministic machine has no preemption inside a critical
+    section, so a re-acquire is always a bug (it would self-deadlock on
+    real hardware) and raises immediately.
     """
 
-    __slots__ = ("name", "owner", "acquisitions", "_cycles",
-                 "_acquire_cost", "_release_cost")
+    __slots__ = ("name", "held")
 
-    def __init__(self, name: str, cycles=None,
-                 acquire_cost: int = 0, release_cost: int = 0):
+    def __init__(self, name: str):
         self.name = name
-        self.owner: Optional[int] = None
-        self.acquisitions = 0
-        self._cycles = cycles
-        self._acquire_cost = acquire_cost
-        self._release_cost = release_cost
+        self.held = False
 
-    def acquire(self, cpu: Optional[int] = None) -> None:
-        if cpu is None:
-            cpu = current_cpu()
-        if self.owner is not None:
-            if self.owner == cpu:
-                raise LockError(
-                    f"vCPU {cpu} re-acquired non-reentrant lock "
-                    f"{self.name!r} it already holds")
+    def acquire(self) -> None:
+        if self.held:
             raise LockError(
-                f"vCPU {cpu} would block forever on lock {self.name!r} "
-                f"held by vCPU {self.owner} (deterministic run cannot "
-                "make progress)")
-        if self._cycles is not None and self._acquire_cost:
-            self._cycles.charge("sync", self._acquire_cost)
-        self.owner = cpu
-        self.acquisitions += 1
+                f"re-acquired non-reentrant lock {self.name!r}")
+        self.held = True
         if bus.ACTIVE:
-            bus.sync_acquire(self.name, cpu)
+            bus.sync_acquire(self.name, CPU)
 
-    def release(self, cpu: Optional[int] = None) -> None:
-        if cpu is None:
-            cpu = current_cpu()
-        if self.owner != cpu:
-            raise LockError(
-                f"vCPU {cpu} released lock {self.name!r} owned by "
-                f"{self.owner!r}")
-        if self._cycles is not None and self._release_cost:
-            self._cycles.charge("sync", self._release_cost)
-        self.owner = None
+    def release(self) -> None:
+        if not self.held:
+            raise LockError(f"released lock {self.name!r} that is not held")
+        self.held = False
         if bus.ACTIVE:
-            bus.sync_release(self.name, cpu)
-
-    @property
-    def held(self) -> bool:
-        return self.owner is not None
+            bus.sync_release(self.name, CPU)
 
     def __enter__(self) -> "VLock":
         self.acquire()
@@ -119,132 +55,4 @@ class VLock:
         self.release()
 
     def __repr__(self) -> str:
-        return f"VLock({self.name!r}, owner={self.owner})"
-
-
-class PerCpu:
-    """One independently mutable cell per virtual CPU.
-
-    The other legal discipline for shared state: do not share it.
-    Cells are built eagerly from ``factory`` so construction order (and
-    therefore any cycle charging inside the factory) is deterministic.
-    """
-
-    __slots__ = ("_cells",)
-
-    def __init__(self, factory: Callable[[], T], ncpus: int = 1):
-        if ncpus < 1:
-            raise ValueError("a machine has at least one CPU")
-        self._cells: List[T] = [factory() for _ in range(ncpus)]
-
-    def get(self, cpu: Optional[int] = None) -> T:
-        if cpu is None:
-            cpu = current_cpu()
-        return self._cells[cpu]
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-
-class FrozenStructure:
-    """Read-only view of a warmed-up structure (:func:`freeze`).
-
-    Attribute and item *reads* delegate to the wrapped object; any
-    spelling of mutation raises.  Freezing is the right discipline for
-    state that is built once (boot, warmup) and only read afterwards —
-    immutable sharing needs no lock on any number of CPUs.
-    """
-
-    __slots__ = ("_obj",)
-
-    def __init__(self, obj):
-        object.__setattr__(self, "_obj", obj)
-
-    def __getattr__(self, name: str):
-        return getattr(object.__getattribute__(self, "_obj"), name)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise TypeError("frozen structure is read-only")
-
-    def __getitem__(self, key):
-        return object.__getattribute__(self, "_obj")[key]
-
-    def __setitem__(self, key, value) -> None:
-        raise TypeError("frozen structure is read-only")
-
-    def __delitem__(self, key) -> None:
-        raise TypeError("frozen structure is read-only")
-
-    def __contains__(self, key) -> bool:
-        return key in object.__getattribute__(self, "_obj")
-
-    def __len__(self) -> int:
-        return len(object.__getattribute__(self, "_obj"))
-
-    def __iter__(self):
-        return iter(object.__getattribute__(self, "_obj"))
-
-    def __repr__(self) -> str:
-        return f"freeze({object.__getattribute__(self, '_obj')!r})"
-
-
-def freeze(obj) -> FrozenStructure:
-    """Wrap ``obj`` in a read-only view for immutable sharing."""
-    return FrozenStructure(obj)
-
-
-# ----------------------------------------------------------------------
-# the annotation convention
-# ----------------------------------------------------------------------
-#
-# Modules declare which lock guards which piece of inventoried state in
-# a module- or class-level ``GUARDED_BY`` literal::
-#
-#     _memo_lock = VLock("crypto.memo")
-#     GUARDED_BY = {"_derive_memo": "_memo_lock"}
-#
-# RACE001 then requires every access to ``_derive_memo`` to sit inside
-# ``with _memo_lock:`` (or inside a function that declares the caller's
-# obligation with @guarded_by, discharged through the call graph), and
-# the SMP001 report renders the declared discipline per item.
-
-
-def guarded_by(*lock_attrs: str):
-    """Declare that callers hold the named lock(s) around this call.
-
-    The decorator is an AST-visible assertion, not a runtime check: it
-    marks the function (``__guarded_by__``) and returns it **unwrapped**
-    so hot paths pay nothing.  RACE001 treats accesses inside the body
-    as guarded, and in exchange verifies that *every* known caller
-    actually holds the lock at the call site (recursively, to the same
-    delegation depth MMU001 uses).
-    """
-    def mark(fn):
-        existing = tuple(getattr(fn, "__guarded_by__", ()))
-        fn.__guarded_by__ = existing + lock_attrs
-        return fn
-    return mark
-
-
-def reconcile(*names: str, why: str):
-    """Declare that the named escaping records are deliberately aliased.
-
-    For the SMP001 "aliasing" inventory kind: a ``TLBEntry``/
-    ``PageMetadata`` local that escapes twice (returned *and* stored)
-    is two live references to one record — sometimes that sharing *is*
-    the design (the TLB and the shadow cache intentionally hold the
-    same entry so a dirty-bit update is seen by both).  ``@reconcile``
-    states that, with a mandatory reason, and commits the SMP refactor
-    to reconciling the copies via shootdown instead of pretending the
-    aliasing is accidental.  Returns the function unwrapped.
-    """
-    if not why.strip():
-        raise ValueError("reconcile(...) requires a non-empty reason")
-
-    def mark(fn):
-        existing: Dict[str, str] = dict(getattr(fn, "__reconcile__", {}))
-        for name in names:
-            existing[name] = why
-        fn.__reconcile__ = existing
-        return fn
-    return mark
+        return f"VLock({self.name!r}, held={self.held})"

@@ -80,9 +80,10 @@ PROBES: Dict[str, Tuple[str, ...]] = {
     "swap.out": ("asid", "vpn", "gpfn"),
     "swap.in": ("asid", "vpn", "gpfn"),
     "sched.slice": ("pid",),
-    # hw/sync: virtual lock ownership changes and guarded accesses to
-    # declared shared state ("state" is the SMP001 inventory key).
-    # The lockset sanitizer replays these Eraser-style.
+    # hw/sync: the crypto memo lock's ownership changes and accesses
+    # ("state" is module:memo).  Nothing races on one CPU; the probes
+    # stay because benchmark pins hash this stream (probe-name set,
+    # per-probe counts), so changing them means re-pinning.
     "sync.acquire": ("lock", "cpu"),
     "sync.release": ("lock", "cpu"),
     "sync.access": ("state", "cpu"),

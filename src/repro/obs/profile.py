@@ -14,8 +14,7 @@ overhead argument is phrased in::
 and renders it as a text flame summary.  Attached to the probe bus it
 additionally collects every cloak transition, yielding the per-page
 *thrash report*: which (domain, vpn) pairs ping-pong between the
-application and system views — the list the old ``repro.trace.Tracer``
-existed to produce.
+application and system views.
 
 The profiler is a pure observer: it charges nothing, mutates nothing,
 and two identical runs produce identical reports.

@@ -88,10 +88,9 @@ def test_json_schema_is_stable(tmp_path):
     finding = payload["findings"][0]
     assert set(finding) == {
         "rule", "path", "line", "col", "context", "message", "snippet",
-        "fingerprint", "witness",
+        "fingerprint",
     }
     assert finding["rule"] == "DET001"
-    assert finding["witness"] == []  # single-site finding: no chain
     assert finding["snippet"] == "t = time.time()"
     assert payload["counts"]["findings"] == 1
     assert payload["clean"] is False

@@ -1,16 +1,14 @@
-"""The dataflow solvers and the path-sensitive state tracker.
+"""The path-sensitive state tracker behind STATE001.
 
-ReachingDefinitions/LiveVariables double as executable documentation
-of the generic solver contract; the AttrStateAnalysis cases mirror the
-idioms STATE001 must understand in ``repro.core``.
+The AttrStateAnalysis cases mirror the idioms STATE001 must understand
+in ``repro.core``.
 """
 
 import ast
 import textwrap
 
 from repro.analysis.flow.cfg import build_cfg
-from repro.analysis.flow.dataflow import (AttrStateAnalysis, LiveVariables,
-                                          ReachingDefinitions, StateLattice)
+from repro.analysis.flow.dataflow import AttrStateAnalysis, StateLattice
 
 STATES = ("FRESH", "ENCRYPTED", "PLAINTEXT_CLEAN", "PLAINTEXT_DIRTY")
 
@@ -27,80 +25,9 @@ def cfg_of(source):
     return build_cfg(tree.body[0])
 
 
-def block_at(cfg, lineno):
-    for index, stmt in cfg.statements():
-        if stmt.lineno == lineno:
-            return index
-    raise AssertionError(f"no statement at line {lineno}")
-
-
 def transitions_of(source):
     analysis = AttrStateAnalysis(cfg_of(source), LATTICE)
     return analysis.transitions
-
-
-# ----------------------------------------------------------------------
-# classic problems
-# ----------------------------------------------------------------------
-
-def test_reaching_definitions_diamond_merges_both_arms():
-    cfg = cfg_of("""\
-        def f(c):
-            x = 1
-            if c:
-                x = 2
-            return x
-        """)
-    rd = ReachingDefinitions(cfg)
-    ret = block_at(cfg, 5)
-    reaching_x = {d for d in rd.reaching(ret) if d[0] == "x"}
-    # Both the line-2 and line-4 definitions reach the return.
-    assert reaching_x == {("x", block_at(cfg, 2)), ("x", block_at(cfg, 4))}
-
-
-def test_reaching_definitions_kill_on_redefinition():
-    cfg = cfg_of("""\
-        def f():
-            x = 1
-            x = 2
-            return x
-        """)
-    rd = ReachingDefinitions(cfg)
-    ret = block_at(cfg, 4)
-    assert {d for d in rd.reaching(ret) if d[0] == "x"} == {
-        ("x", block_at(cfg, 3))}
-
-
-def test_live_variables_loop_carries_liveness():
-    cfg = cfg_of("""\
-        def f(n):
-            total = 0
-            while n:
-                total = total + n
-                n = n - 1
-            return total
-        """)
-    lv = LiveVariables(cfg)
-    # After `total = 0`, both total (read in the loop and at return)
-    # and n (loop test) are live.
-    assert {"total", "n"} <= lv.live_out(block_at(cfg, 2))
-    # After the loop header, on the way out, only total matters... but
-    # the header's out-state merges both edges, so n stays live too.
-    assert "total" in lv.live_out(block_at(cfg, 3))
-
-
-def test_live_variables_dead_write_is_not_live():
-    cfg = cfg_of("""\
-        def f():
-            x = 1
-            x = 2
-            return x
-        """)
-    lv = LiveVariables(cfg)
-    # The second definition kills the first before any read: x is not
-    # live into the function, and not live after the first assign.
-    assert "x" not in lv.live_out(cfg.entry)
-    assert "x" not in lv.live_out(block_at(cfg, 2))
 
 
 # ----------------------------------------------------------------------

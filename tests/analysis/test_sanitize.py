@@ -1,11 +1,9 @@
-"""The dynamic STATE001/MMU001/lockset sanitizer behind
-``--sanitize-run``."""
+"""The dynamic STATE001/MMU001 sanitizer behind ``--sanitize-run``."""
 
 import io
 
 from repro.analysis.sanitize import (EXPECT, RESULT, CoherenceChecker,
-                                     LocksetChecker, SanitizerSink,
-                                     TransitionChecker, declared_locksets,
+                                     SanitizerSink, TransitionChecker,
                                      sanitize_run)
 from repro.core.metadata import CloakState
 from repro.obs import bus
@@ -99,71 +97,6 @@ def test_unflushed_frame_at_end_is_flagged():
     assert "still un-flushed" in cc.violations[0]
 
 
-def test_lockset_agreement_when_lock_always_held():
-    lc = LocksetChecker()
-    for _ in range(2):
-        lc.on_acquire("crypto.memo", 0)
-        lc.on_access("repro.core.crypto:_derive_memo", 0)
-        lc.on_release("crypto.memo", 0)
-    lc.finish({"repro.core.crypto:_derive_memo": "crypto.memo"})
-    assert lc.violations == []
-    assert lc.candidates["repro.core.crypto:_derive_memo"] == {"crypto.memo"}
-
-
-def test_lockset_shrinks_to_empty_on_unlocked_access():
-    """Eraser's core move: one access without the lock empties the
-    candidate set, however many locked accesses surround it."""
-    lc = LocksetChecker()
-    lc.on_acquire("crypto.memo", 0)
-    lc.on_access("repro.core.crypto:_derive_memo", 0)
-    lc.on_release("crypto.memo", 0)
-    lc.on_access("repro.core.crypto:_derive_memo", 0)  # lock dropped
-    lc.finish({"repro.core.crypto:_derive_memo": "crypto.memo"})
-    assert len(lc.violations) == 1
-    assert "candidate lockset" in lc.violations[0]
-
-
-def test_lockset_flags_undeclared_state():
-    lc = LocksetChecker()
-    lc.on_access("repro.core.other:_table", 0)
-    lc.finish({})
-    assert len(lc.violations) == 1
-    assert "declares no" in lc.violations[0]
-
-
-def test_lockset_tracks_cpus_independently():
-    lc = LocksetChecker()
-    lc.on_acquire("crypto.memo", 0)
-    lc.on_access("repro.core.crypto:_derive_memo", 1)  # cpu 1 holds nothing
-    lc.finish({"repro.core.crypto:_derive_memo": "crypto.memo"})
-    assert len(lc.violations) == 1
-
-
-def test_lockset_flags_unmatched_release():
-    lc = LocksetChecker()
-    lc.on_release("crypto.memo", 0)
-    lc.finish({})
-    assert len(lc.violations) == 1
-    assert "without holding" in lc.violations[0]
-
-
-def test_declared_locksets_cover_the_crypto_memos():
-    """The static GUARDED_BY declarations resolve to the VLock names
-    the sync.acquire probe reports."""
-    declared = declared_locksets()
-    assert declared["repro.core.crypto:_derive_memo"] == "crypto.memo"
-    assert declared["repro.core.crypto:_principal_memo"] == "crypto.memo"
-
-
-def test_sink_dispatch_routes_sync_probes():
-    sink = SanitizerSink()
-    sink.on_event("sync.acquire", 0, ("crypto.memo", 0))
-    sink.on_event("sync.access", 0, ("repro.core.crypto:_derive_memo", 0))
-    sink.on_event("sync.release", 0, ("crypto.memo", 0))
-    assert sink.lockset.events == 3
-    assert sink.violations == []
-
-
 def test_sink_dispatch_routes_probes():
     sink = SanitizerSink()
     sink.on_event("cloak.zero_fill", 0, (1, 0x10, 7, 100))
@@ -171,7 +104,8 @@ def test_sink_dispatch_routes_probes():
     sink.on_event("vmm.coherence", 0, (7, 1))
     sink.on_event("tlb.invalidate", 0, (1, 0x10, 1))
     sink.on_event("cloak.discard", 0, (1, 0x10))
-    sink.on_event("tlb.hits", 0, (5,))  # unrelated probe: ignored
+    sink.on_event("tlb.hits", 0, (5,))  # unrelated probes: ignored
+    sink.on_event("sync.acquire", 0, ("crypto.memo", 0))
     # zero_fill counts twice: once as a transition, once as a cloak
     # change on its carrying frame.
     assert sink.events == 6
@@ -199,8 +133,3 @@ def test_mb_suite_differential_run_agrees(monkeypatch):
     assert code == 0, text
     assert "AGREE" in text
     assert "sanitizer charged nothing" in text
-    # The lockset replay saw real guarded accesses and they agreed
-    # with the static GUARDED_BY declarations.
-    assert "lockset:" in text
-    assert "match GUARDED_BY" in text
-    assert "0 access(es)" not in text

@@ -1,6 +1,6 @@
-"""The COW snapshot layer: phys semantics, capture/restore, inventory.
+"""The COW snapshot layer: phys semantics, capture/restore.
 
-Three groups of guarantees:
+Two groups of guarantees:
 
 * **COW physical memory** — restored machines share the snapshot's
   immutable frame bytes until first write; zeroing an unmaterialised
@@ -10,8 +10,6 @@ Three groups of guarantees:
   arms would have fired inside the captured boot window is rejected
   rather than silently rescheduled; the pickle fast path and the
   deepcopy fallback produce behaviourally identical machines.
-* **inventory** — every shared-mutable-state item in
-  ``docs/SMP_READINESS.md`` has an explicit snapshot disposition.
 
 The full restored-vs-fresh equivalence property (every registered
 program, native and cloaked) lives in
@@ -19,7 +17,6 @@ program, native and cloaked) lives in
 """
 
 import copy
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +30,6 @@ from repro.machine import Machine
 from repro.obs import bus
 from repro.obs.metrics import MetricsRegistry
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PATTERN = (bytes(range(256)) * (PAGE_SIZE // 256))[:PAGE_SIZE]
 
@@ -310,23 +306,3 @@ class TestSnapshotProbes:
         assert traced.cycles_total == bare.cycles_total
         assert metrics.counters["snapshot.restore"] == 1
 
-
-# -- SMP-inventory cross-check -------------------------------------------
-
-
-class TestInventory:
-    def test_committed_inventory_is_fully_classified(self):
-        text = (REPO_ROOT / "docs" / "SMP_READINESS.md") \
-            .read_text(encoding="utf-8")
-        assert snapshot_mod.check_inventory(text) == []
-
-    def test_new_inventory_item_without_disposition_is_reported(self):
-        text = "- `repro.core.example:_new_cache` — fresh shared state\n"
-        problems = snapshot_mod.check_inventory(text)
-        assert any("repro.core.example:_new_cache" in p
-                   and "no snapshot disposition" in p for p in problems)
-
-    def test_stale_disposition_is_reported(self):
-        problems = snapshot_mod.check_inventory("")
-        assert problems, "dispositions with no inventory must be flagged"
-        assert all("stale" in p for p in problems)

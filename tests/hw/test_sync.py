@@ -1,11 +1,9 @@
-"""Virtual synchronization primitives: VLock, PerCpu, freeze, and the
-annotation convention (guarded_by / reconcile)."""
+"""VLock and the pinned ``crypto.memo`` probe stream."""
 
 import pytest
 
-from repro.hw.cycles import CycleAccount
-from repro.hw.sync import (FrozenStructure, LockError, PerCpu, VLock,
-                           current_cpu, freeze, guarded_by, reconcile)
+from repro.core.crypto import derive_key
+from repro.hw.sync import LockError, VLock
 from repro.obs import bus
 
 
@@ -17,7 +15,14 @@ class RecordingSink:
         self.events.append((name, args))
 
 
-# -- VLock ---------------------------------------------------------------
+def record(fn):
+    sink = RecordingSink()
+    bus.attach(sink, lambda: 0)
+    try:
+        fn()
+    finally:
+        bus.detach(sink)
+    return sink.events
 
 
 def test_acquire_release_tracks_owner():
@@ -25,10 +30,8 @@ def test_acquire_release_tracks_owner():
     assert not lock.held
     lock.acquire()
     assert lock.held
-    assert lock.owner == current_cpu()
     lock.release()
     assert not lock.held
-    assert lock.acquisitions == 1
 
 
 def test_same_owner_reacquire_raises():
@@ -38,21 +41,11 @@ def test_same_owner_reacquire_raises():
         lock.acquire()
 
 
-def test_cross_cpu_acquire_of_held_lock_raises():
-    """On the deterministic single-threaded simulator, a blocked
-    acquire can never be resolved by another runner."""
+def test_release_of_free_lock_raises():
     lock = VLock("t")
-    lock.acquire(cpu=0)
-    with pytest.raises(LockError, match="block forever"):
-        lock.acquire(cpu=1)
-
-
-def test_foreign_release_raises():
-    lock = VLock("t")
-    lock.acquire(cpu=0)
     with pytest.raises(LockError, match="released"):
-        lock.release(cpu=1)
-    assert lock.held  # misuse does not free the lock
+        lock.release()
+    assert not lock.held
 
 
 def test_context_manager_releases_on_exception():
@@ -64,38 +57,14 @@ def test_context_manager_releases_on_exception():
     assert not lock.held
 
 
-def test_unwired_lock_charges_zero_cycles():
-    """The UP convention: like a !CONFIG_SMP spinlock, an unwired
-    VLock compiles to nothing — no CycleAccount is touched, so the
-    committed cycle hash cannot move."""
-    lock = VLock("t")
-    with lock:
-        pass
-    # Nothing to assert on a ledger — the lock holds no account at
-    # all.  The mb-suite cycle-exactness test in test_sanitize.py
-    # pins the end-to-end consequence.
-    assert lock._cycles is None
-
-
-def test_wired_lock_charges_acquire_and_release_costs():
-    cycles = CycleAccount()
-    lock = VLock("t", cycles=cycles, acquire_cost=7, release_cost=3)
-    with lock:
-        assert cycles.get("sync") == 7
-    assert cycles.get("sync") == 10
-    assert cycles.total == 10
-
-
 def test_lock_fires_sync_probes_when_bus_active():
     lock = VLock("probe.lock")
-    sink = RecordingSink()
-    bus.attach(sink, lambda: 0)
-    try:
+
+    def use():
         with lock:
             pass
-    finally:
-        bus.detach(sink)
-    assert sink.events == [
+
+    assert record(use) == [
         ("sync.acquire", ("probe.lock", 0)),
         ("sync.release", ("probe.lock", 0)),
     ]
@@ -107,81 +76,14 @@ def test_lock_is_silent_with_no_sink():
         pass  # no sink attached: probes are no-ops, nothing raises
 
 
-# -- PerCpu --------------------------------------------------------------
-
-
-def test_percpu_cells_are_independent():
-    cells = PerCpu(dict, ncpus=2)
-    assert len(cells) == 2
-    cells.get(0)["k"] = 1
-    assert "k" not in cells.get(1)
-    assert cells.get() is cells.get(current_cpu())
-
-
-def test_percpu_requires_at_least_one_cpu():
-    with pytest.raises(ValueError):
-        PerCpu(dict, ncpus=0)
-
-
-def test_percpu_builds_cells_eagerly():
-    built = []
-    PerCpu(lambda: built.append(1), ncpus=3)
-    assert len(built) == 3
-
-
-# -- freeze --------------------------------------------------------------
-
-
-def test_freeze_delegates_reads_and_blocks_writes():
-    table = freeze({"hit": 1, "miss": 30})
-    assert isinstance(table, FrozenStructure)
-    assert table["hit"] == 1
-    assert "miss" in table
-    assert len(table) == 2
-    assert sorted(table) == ["hit", "miss"]
-    with pytest.raises(TypeError):
-        table["hit"] = 2
-    with pytest.raises(TypeError):
-        del table["hit"]
-
-
-def test_freeze_blocks_attribute_writes():
-    class Config:
-        depth = 4
-
-    frozen = freeze(Config())
-    assert frozen.depth == 4
-    with pytest.raises(TypeError):
-        frozen.depth = 8
-
-
-# -- annotations ---------------------------------------------------------
-
-
-def test_guarded_by_marks_and_returns_unwrapped():
-    @guarded_by("_lock")
-    def reader():
-        return 42
-
-    assert reader() == 42
-    assert reader.__guarded_by__ == ("_lock",)
-
-    @guarded_by("_a")
-    @guarded_by("_b")
-    def both():
-        pass
-
-    assert set(both.__guarded_by__) == {"_a", "_b"}
-
-
-def test_reconcile_requires_a_reason():
-    with pytest.raises(ValueError):
-        reconcile("entry", why="   ")
-
-    @reconcile("entry", why="TLB and shadow share the record by design")
-    def fill():
-        return "entry"
-
-    assert fill() == "entry"
-    assert fill.__reconcile__ == {
-        "entry": "TLB and shadow share the record by design"}
+def test_derive_key_emits_the_pinned_probe_stream():
+    """Benchmark pins hash the ``sync.*`` probe names and per-call
+    counts, so one derivation must emit exactly these three events,
+    whether the memo hits or misses."""
+    expected = [
+        ("sync.acquire", ("crypto.memo", 0)),
+        ("sync.access", ("repro.core.crypto:_derive_memo", 0)),
+        ("sync.release", ("crypto.memo", 0)),
+    ]
+    for _ in range(2):
+        assert record(lambda: derive_key(b"m" * 32, "pinned", 7)) == expected

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.apps.secrets import SecretHolder
 from repro.bench.runner import fresh_machine, measure_program
+from repro.hw.mmu import MODE_KERNEL, SYSTEM_VIEW
+from repro.machine import Machine
 from repro.obs import bus
 from repro.obs.profile import CycleProfiler
 
@@ -59,6 +62,20 @@ class TestThrash:
         assert pages
         counts = [count for __o, __v, count, __c in pages]
         assert counts == sorted(counts, reverse=True)
+
+    def test_hottest_pages_include_secret_page(self):
+        machine = Machine.build()
+        machine.register(SecretHolder, cloaked=True)
+        with CycleProfiler(machine.cycles) as profiler:
+            proc = machine.spawn("secretholder", ("6",))
+            machine.run_until_output(proc.pid, b"ready\n")
+            vaddr = proc.runtime.program.secret_vaddr
+            machine.mmu.set_context(proc.asid, SYSTEM_VIEW, MODE_KERNEL)
+            machine.mmu.read(vaddr, 8)   # force encrypt
+            machine.run()
+        secret_vpn = vaddr >> 12
+        assert any(vpn == secret_vpn
+                   for __o, vpn, __n, __c in profiler.hottest_pages())
 
     def test_thrash_report_renders(self):
         __, profiler, __d = profiled_run()
