@@ -67,18 +67,17 @@ LAYER_MATRIX: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.guestos": ("repro.guestos", "repro.hw", "repro.obs.bus"),
     # The serving harness sits *above* the simulated world: it drives
-    # whole machines (repro.machine), speaks the guest ABI to generate
-    # client programs, observes via repro.obs, and reuses boot
-    # snapshots (repro.hw.snapshot) — but it must never reach into the
-    # TCB (repro.core) or the guest kernel's internals: a load
-    # generator that imports cloaking state could "measure" numbers no
-    # black-box client can see.
+    # whole machines (repro.machine, which also owns boot snapshots),
+    # speaks the guest ABI to generate client programs, and observes
+    # via repro.obs — but it must never reach into the TCB
+    # (repro.core) or the guest kernel's internals: a load generator
+    # that imports cloaking state could "measure" numbers no black-box
+    # client can see.
     "repro.serve": (
         "repro.serve",
         "repro.apps",
         "repro.machine",
         "repro.obs",
-        "repro.hw.snapshot",
         "repro.guestos.uapi",
     ),
 }

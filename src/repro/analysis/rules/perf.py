@@ -26,20 +26,17 @@ Suppress a deliberate exception with a trailing comment of the form
 PERF002: no fresh boots inside per-run loops.
 
 Booting a machine (``Machine(...)`` / ``Machine.build(...)``) costs
-two orders of magnitude more host time than restoring one from a
-golden snapshot (:meth:`Machine.from_snapshot`), and the snapshot
-equivalence property test guarantees the restored machine is
-cycle-identical.  The harness layers (``repro.bench``,
+far more host time than restoring one from a golden snapshot, and
+the snapshot equivalence property test guarantees the restored
+machine is cycle-identical.  The harness layers (``repro.bench``,
 ``repro.faults``, ``repro.gen``) repeat workloads by design, so a
 fresh boot lexically inside a ``for``/``while`` body there almost
-always re-pays boot cost once per iteration.  Boot once (or per
-configuration) and restore per run instead — see
-``repro.bench.runner.fresh_machine`` and
-``repro.faults.oracle._booted_machine``.
+always re-pays boot cost once per iteration.  Describe the machine
+as a ``BootConfig`` and call :meth:`repro.machine.Machine.boot`
+instead: it boots each config once and restores it per call.
 
-Deliberate fresh boots (configuration sweeps where params change per
-iteration, the legacy fallback itself) carry
-``repro: allow(PERF002) — reason`` suppressions.
+Deliberate fresh boots carry ``repro: allow(PERF002) — reason``
+suppressions.
 """
 
 import ast
@@ -130,9 +127,9 @@ class PerByteLoopRule(Rule):
 class FreshBootLoopRule(Rule):
     rule_id = "PERF002"
     name = "fresh-boot-in-loop"
-    summary = ("harness per-run loops must restore machines from golden "
-               "snapshots, not re-boot (Machine.from_snapshot; see "
-               "repro.bench.runner.fresh_machine)")
+    summary = ("harness per-run loops must get machines from "
+               "Machine.boot (golden snapshot per BootConfig), not "
+               "re-boot")
 
     def check(self, mod: ModuleInfo) -> Iterable:
         if not mod.module.startswith(REPEAT_PREFIXES):
@@ -149,7 +146,7 @@ class FreshBootLoopRule(Rule):
                         yield self.finding(
                             mod, node,
                             "fresh machine boot inside a per-run loop; "
-                            "boot once and Machine.from_snapshot per "
-                            "iteration (runner.fresh_machine, "
-                            "oracle._booted_machine)",
+                            "use Machine.boot(BootConfig(...)), which "
+                            "boots once per config and restores per "
+                            "iteration",
                         )

@@ -11,6 +11,7 @@ which re-derives this table from probe-bus events alone and asserts
 the two agree.
 """
 
+from dataclasses import replace
 from typing import Callable, Dict
 
 from repro.bench.tables import Table
@@ -77,7 +78,7 @@ def scenarios() -> Dict[str, Callable]:
         return lambda: engine.resolve_system_access(md, GPFN)
 
     def reencrypt_clean_noopt(engine, domain, phys):
-        engine.config.clean_page_optimization = False
+        engine.config = replace(engine.config, clean_page_optimization=False)
         md = engine.resolve_app_access(domain, VPN, GPFN, AccessKind.WRITE)
         phys.write(GPFN, 0, b"data")
         engine.resolve_system_access(md, GPFN)

@@ -3,53 +3,27 @@
 Measurements are *virtual cycles* from the machine's deterministic
 ledger; wall-clock timing (pytest-benchmark) only gauges the harness
 itself.  Every comparison runs on a private machine so no state (page
-cache, metadata, TLB) bleeds between configurations — default-shaped
-machines come from a golden boot snapshot (cycle- and state-identical
-to a fresh boot, restored in O(dirty pages)); non-default shapes boot
-from scratch.
+cache, metadata, TLB) bleeds between configurations; machines come
+from :meth:`Machine.boot`'s golden snapshots (cycle- and
+state-identical to a fresh boot, restored in O(dirty pages)).
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.apps.registry import make_secure_dirs, register_all
+from repro.apps.registry import make_secure_dirs
 from repro.core.vmm import VMMConfig
-from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import MachineParams
-from repro.machine import Machine, ProcessResult
-
-#: Golden boot snapshots for default-shaped machines, keyed by
-#: (cloaked, registered-program tuple).
-_GOLDEN_SNAPSHOTS: Dict[Tuple, snapshot_mod.SnapshotState] = {}
+from repro.machine import BootConfig, Machine, ProcessResult
 
 
 def fresh_machine(cloaked: bool = False,
                   vmm_config: Optional[VMMConfig] = None,
                   params: Optional[MachineParams] = None,
                   programs: Optional[Tuple[str, ...]] = None) -> Machine:
-    """A machine with the standard suite registered and dirs created.
-
-    Default-shaped machines (no params/vmm_config override) restore
-    from a cached golden snapshot instead of re-booting.
-    """
-    if (vmm_config is None and params is None
-            and snapshot_mod.snapshots_enabled()):
-        key = (cloaked, programs)
-        golden = _GOLDEN_SNAPSHOTS.get(key)
-        if golden is None:
-            golden = _boot(cloaked, None, None, programs).snapshot()
-            _GOLDEN_SNAPSHOTS[key] = golden
-        return Machine.from_snapshot(golden)
-    return _boot(cloaked, vmm_config, params, programs)
-
-
-def _boot(cloaked: bool, vmm_config: Optional[VMMConfig],
-          params: Optional[MachineParams],
-          programs: Optional[Tuple[str, ...]]) -> Machine:
-    machine = Machine.build(params=params, vmm_config=vmm_config)
-    make_secure_dirs(machine)
-    register_all(machine, cloaked=cloaked,
-                 only=programs if programs is not None else None)
-    return machine
+    """A machine with the standard suite registered and dirs created."""
+    return Machine.boot(BootConfig(cloaked=cloaked, programs=programs,
+                                   params=params, vmm_config=vmm_config,
+                                   setup=(make_secure_dirs,)))
 
 
 def measure_program(machine: Machine, name: str,

@@ -32,7 +32,7 @@ from repro.hw.phys import PhysicalMemory
 from repro.obs import bus
 
 
-@dataclass
+@dataclass(frozen=True)
 class CloakConfig:
     """Tunable protocol options, exposed for the ablation benchmarks."""
 

@@ -35,9 +35,10 @@ from repro.hw.tlb import TLBEntry
 from repro.obs import bus
 
 
-@dataclass
+@dataclass(frozen=True)
 class VMMConfig:
-    """VMM policy knobs (the ablation benchmarks vary these)."""
+    """VMM policy knobs (the ablation benchmarks vary these).  Frozen:
+    configs key :meth:`repro.machine.Machine.boot`'s golden cache."""
 
     shadow_policy: str = POLICY_TAGGED
     #: Re-encrypt all of a domain's plaintext on every switch out of it

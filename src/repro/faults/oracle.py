@@ -37,7 +37,7 @@ import hashlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.registry import (ALL_PROGRAMS, GEN_EXEC_TARGETS,
-                                 make_secure_dirs, register_all)
+                                 make_secure_dirs)
 from repro.apps.secrets import SECRET
 from repro.core.errors import OvershadowError
 from repro.core.metadata import FILE_BINDING_FLAG
@@ -60,9 +60,8 @@ from repro.faults.plan import (
     FaultArm,
     FaultPlan,
 )
-from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import MachineParams, PAGE_SIZE
-from repro.machine import Machine, ViolationRecord
+from repro.machine import BootConfig, Machine, ViolationRecord
 
 OUTCOME_RECOVERED = "RECOVERED"
 OUTCOME_DETECTED = "DETECTED"
@@ -291,76 +290,25 @@ def _marker_visible(machine: Machine, marker: bytes) -> bool:
     return False
 
 
-#: Golden boot snapshots, keyed by everything that shapes a boot:
-#: (cloaked, params factory, planned-ness, full-vs-gen registry, setup
-#: hook).  One boot per distinct configuration; every subsequent
-#: run_once restores in O(dirty pages) instead of re-booting — this is
-#: the single change that took the faults-oracle wall clock down ≥5×.
-_GOLDEN_SNAPSHOTS: Dict[tuple, snapshot_mod.SnapshotState] = {}
-
-
-def clear_snapshot_cache() -> None:
-    """Drop the golden boot snapshots.
-
-    Tests that monkeypatch engine internals at module scope (so a
-    cached boot image would bake the patch in — or miss it) call this
-    around the patched region.
-    """
-    _GOLDEN_SNAPSHOTS.clear()
-
-
-def _fresh_boot(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],
-                tweak: Optional[Callable[[Machine], None]]) -> Machine:
-    """Legacy boot path: build and provision a machine from scratch."""
-    params = spec.params() if spec.params is not None else None
-    machine = Machine(params=params, fault_plan=plan)
-    if tweak is not None:
-        tweak(machine)
-    make_secure_dirs(machine)
-    if spec.program is not None:
-        register_all(machine, cloaked=cloaked, only=GEN_EXEC_TARGETS)
-        machine.register(spec.program, cloaked=cloaked)
-    else:
-        register_all(machine, cloaked=cloaked)
-    if spec.setup is not None:
-        spec.setup(machine)
-    return machine
-
-
 def _booted_machine(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],
                     tweak: Optional[Callable[[Machine], None]]) -> Machine:
-    """A machine at the post-setup boot point — restored from a golden
-    snapshot when possible, freshly booted otherwise.
+    """A machine at the post-setup boot point (see :meth:`Machine.boot`).
 
-    Restores are cycle- and state-identical to fresh boots (the
-    snapshot equivalence property test proves it per program), with
-    two deliberate differences in *harness* behaviour: ``tweak`` runs
-    after the restore rather than before registration (an attached
-    sink no longer sees boot-time probe traffic — the boot happened
-    once, when the golden was captured), and a caller plan whose arms
-    would have fired inside the boot window falls back to the legacy
-    fresh-boot path so the fault schedule is never silently altered.
+    ``tweak`` runs after the boot, so an attached sink never sees
+    boot-time probe traffic, whichever way the machine was booted.
     """
-    if not snapshot_mod.snapshots_enabled():
-        return _fresh_boot(spec, cloaked, plan, tweak)
-    key = (cloaked, spec.params, plan is not None,
-           spec.program is None, spec.setup)
-    golden = _GOLDEN_SNAPSHOTS.get(key)
-    if golden is None:
-        # Golden boots never see the caller's plan or tweak: planned
-        # goldens boot under an all-site audit plan (never fires, but
-        # records per-site boot opportunity counts so restore can
-        # fast-forward any caller plan over the boot window).
-        boot_plan = FaultPlan.audit(0) if plan is not None else None
-        golden = _fresh_boot(spec, cloaked, boot_plan, None).snapshot()
-        _GOLDEN_SNAPSHOTS[key] = golden
-    try:
-        machine = Machine.from_snapshot(golden, fault_plan=plan)
-    except snapshot_mod.SnapshotUnusable:
-        return _fresh_boot(spec, cloaked, plan, tweak)
+    setup = (make_secure_dirs,)
+    if spec.setup is not None:
+        setup += (spec.setup,)
+    config = BootConfig(
+        cloaked=cloaked,
+        programs=GEN_EXEC_TARGETS if spec.program is not None else None,
+        params=spec.params() if spec.params is not None else None,
+        setup=setup)
+    machine = Machine.boot(config, plan)
     if spec.program is not None:
         # Registration charges no cycles and touches no frames, so
-        # registering the per-spec program post-restore is exact.
+        # registering the per-spec program after the boot is exact.
         machine.register(spec.program, cloaked=cloaked)
     if tweak is not None:
         tweak(machine)

@@ -9,7 +9,6 @@ gateway is that interposition point.  The plain
 :class:`PassthroughDMA` is what an unprotected machine would have.
 """
 
-import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.hw.disk import Disk
@@ -47,23 +46,6 @@ class BlockCache:
         self._dma = dma
         self._free: List[int] = list(range(disk.num_blocks - 1, -1, -1))
         self._blocks: Dict[Tuple[int, int], int] = {}
-
-    def __deepcopy__(self, memo):
-        # Snapshot hot path: the block free list is ~disk-size ints;
-        # copy it (and the lba map, whose keys/values are all ints) at
-        # C speed.  Order is preserved exactly — it determines future
-        # block placement.  Disk/DMA still go through the memo so the
-        # clone shares its machine's instances, not ours.
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "_free":
-                clone._free = list(value)
-            elif key == "_blocks":
-                clone._blocks = dict(value)
-            else:
-                setattr(clone, key, copy.deepcopy(value, memo))
-        return clone
 
     @property
     def free_blocks(self) -> int:

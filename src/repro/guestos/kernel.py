@@ -75,13 +75,6 @@ class RegistryEntry:
         self.runtime_factory = runtime_factory
         self.image = image
 
-    def __deepcopy__(self, memo):
-        # Immutable after construction (a name, a program class, a
-        # stateless factory over immutables, frozen image bytes):
-        # machine clones share the entry instead of reconstructing
-        # the whole registry per snapshot restore.
-        return self
-
 
 class Kernel:
     """One guest kernel instance."""

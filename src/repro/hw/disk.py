@@ -7,7 +7,6 @@ transits the MMU, so cloaked pages written to disk stay exactly as the
 kernel saw them — ciphertext.
 """
 
-import copy
 from typing import List, Optional
 
 from repro.hw.cycles import CycleAccount
@@ -33,21 +32,6 @@ class Disk:
         self._costs = costs
         self.reads = 0
         self.writes = 0
-
-    def __deepcopy__(self, memo):
-        # Snapshot hot path: the block array is a large flat list of
-        # immutable bytes (or None), so a C-speed slice copy replaces
-        # ~num_blocks per-element deepcopy dispatches.  Everything
-        # else (including subclass state such as a fault plan) still
-        # goes through the memo, preserving cross-object aliasing.
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "_blocks":
-                clone._blocks = list(value)
-            else:
-                setattr(clone, key, copy.deepcopy(value, memo))
-        return clone
 
     @property
     def num_blocks(self) -> int:

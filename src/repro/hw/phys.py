@@ -16,7 +16,6 @@ shared base entries are immutable ``bytes``, so no restored machine
 can ever damage another's view of the snapshot.
 """
 
-import copy
 from typing import List, Optional
 
 from repro.hw.params import PAGE_SIZE
@@ -223,23 +222,6 @@ class FrameAllocator:
         self._free: List[int] = list(range(total_frames - 1, reserved_low - 1, -1))
         self._total = total_frames - reserved_low
         self._allocated = set()
-
-    def __deepcopy__(self, memo):
-        # Snapshot hot path: the free list and allocated set are large
-        # flat containers of ints — copy them at C speed instead of
-        # dispatching deepcopy per element.  Free-list *order* is
-        # preserved exactly; it feeds future allocation order and
-        # therefore the cycle hash.
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "_free":
-                clone._free = list(value)
-            elif key == "_allocated":
-                clone._allocated = set(value)
-            else:
-                setattr(clone, key, copy.deepcopy(value, memo))
-        return clone
 
     @property
     def free_count(self) -> int:

@@ -5,33 +5,37 @@ forks a VM: guest-physical memory is captured **once** as immutable
 per-frame ``bytes`` shared by every restore (COW — see
 :class:`repro.hw.phys.PhysicalMemory`), and the small mutable state
 (allocator free lists, pagetables/TLB, cloak metadata, ramfs,
-scheduler, RNG streams, the cycle ledger) is deep-copied per restore.
-A restored machine is therefore *architecturally indistinguishable*
-from the machine that was captured — same cycle total, same register
-file, same free-list order, same fault-plan substream positions — so
-a run started from a restore is cycle- and state-identical to the
-same run started from a fresh boot that reached the capture point.
+scheduler, RNG streams, the cycle ledger) is pickled once at capture
+and unpickled per restore.  A restored machine is therefore
+*architecturally indistinguishable* from the machine that was
+captured — same cycle total, same register file, same free-list
+order, same fault-plan substream positions — so a run started from a
+restore is cycle- and state-identical to the same run started from a
+fresh boot that reached the capture point.
 The snapshot equivalence property test proves this for all registered
 guest programs, native and cloaked.
 
 What is shared vs. copied:
 
 * **shared** — frozen frame contents (immutable ``bytes``), program
-  images and factories, cost tables / machine params (frozen
-  dataclasses), the pure memoized derivations in ``repro.core.crypto``
-  and the :func:`publish` registry.  The crypto memos cache pure
-  functions of immutable keys with immutable values, so a hit or an
-  eviction in one restore never changes what another computes.  The
-  registry is module-scope because fork inheritance is the only way a
-  :class:`SnapshotState` crosses a process boundary, and it holds only
-  snapshots that are immutable from the caller's view, so restores
-  from one share nothing mutable with each other.
-* **copied** — everything reachable from the machine object graph:
-  kernel, VMM, MMU/TLB, CPU, allocator, disk, cycle ledger, fault
-  plan.  One ``copy.deepcopy`` with a seeded memo guarantees interior
-  aliasing (e.g. the TLB entry a translation returned, the metadata
-  record two cloak paths share) is *preserved inside* a restore and
-  never leaks *across* restores.
+  images and factories (the kernel registry entries), cost tables /
+  machine params (frozen dataclasses), enum members, the runtime
+  tombstone, and the pure memoized derivations in
+  ``repro.core.crypto``.  The crypto memos cache pure functions of
+  immutable keys with immutable values, so a hit or an eviction in
+  one restore never changes what another computes.  The golden cache
+  that holds snapshots (:meth:`repro.machine.Machine.boot`) is
+  module-scope, so forked workers inherit it; the snapshots in it are
+  immutable from the caller's view, so restores from one share
+  nothing mutable with each other.
+* **copied** — everything else reachable from the machine object
+  graph: kernel, VMM, MMU/TLB, CPU, allocator, disk, cycle ledger.
+  Capture pickles the live machine once with the shared objects
+  written as persistent references; each restore is one C-speed
+  unpickle, which preserves interior aliasing (e.g. the TLB entry a
+  translation returned, the metadata record two cloak paths share)
+  *inside* a restore and never leaks it *across* restores.  A machine
+  that cannot be pickled fails loudly at capture (:class:`SnapshotError`).
 
 Restrictions, by construction:
 
@@ -49,38 +53,33 @@ Restrictions, by construction:
   (:class:`SnapshotUnusable`) and the caller falls back to a fresh
   boot — never a silently different fault schedule.
 
-Kill switch: ``REPRO_NO_SNAPSHOT=1`` in the environment, or the
-:func:`force_fresh` context manager, makes :func:`snapshots_enabled`
-return False; the snapshot-aware hot loops (faults oracle, campaign
-driver, benchmarks) consult it and boot fresh machines instead.
+Kill switch: the :func:`force_fresh` context manager makes
+:func:`snapshots_enabled` return False; :meth:`Machine.boot` then
+builds every machine from scratch (the reference path the
+equivalence tests compare against).
 """
 
-import copy
+import copyreg
 import enum
 import io
-import os
 import pickle
 import random
 from contextlib import contextmanager
-from typing import Any, Dict, FrozenSet, Optional
+from typing import Any, Dict
 
-from repro.hw.phys import BaseFrames, PhysicalMemory
+from repro.hw.phys import PhysicalMemory
 from repro.obs import bus
-
-#: Bump on any change to what a snapshot carries.
-SNAPSHOT_SCHEMA = 1
 
 #: Process states a capturable machine may contain (quiescence).
 _QUIESCENT_STATES = frozenset({"ZOMBIE", "DEAD"})
-
-_DISABLE_ENV = "REPRO_NO_SNAPSHOT"
 
 #: Session-level kill switch (see :func:`force_fresh`).
 _enabled = True
 
 
 class SnapshotError(RuntimeError):
-    """The machine cannot be captured (not quiescent, live runtimes)."""
+    """The machine cannot be captured (not quiescent, live runtimes,
+    not picklable)."""
 
 
 class SnapshotUnusable(SnapshotError):
@@ -90,8 +89,8 @@ class SnapshotUnusable(SnapshotError):
 
 
 def snapshots_enabled() -> bool:
-    """False when snapshot reuse is disabled for this session/env."""
-    return _enabled and not os.environ.get(_DISABLE_ENV)
+    """False inside :func:`force_fresh`."""
+    return _enabled
 
 
 @contextmanager
@@ -119,9 +118,6 @@ class _InertRuntime:
     snapshot-layer bug, reported as such.
     """
 
-    def __deepcopy__(self, memo) -> "_InertRuntime":
-        return self
-
     def next_op(self, result):
         raise SnapshotError("resumed the runtime of an exited process "
                             "after a snapshot restore")
@@ -131,16 +127,28 @@ class _InertRuntime:
                             "after a snapshot restore")
 
 
+def _plain_class(cls: type) -> bool:
+    """True if pickle would rebuild ``cls`` instances as ``cls.__new__``
+    plus their ``__dict__``, with no hook of the class involved."""
+    return (cls.__new__ is object.__new__
+            and cls.__reduce_ex__ is object.__reduce_ex__
+            and cls.__reduce__ is object.__reduce__
+            and cls.__setattr__ is object.__setattr__
+            and getattr(cls, "__getstate__", None)
+            is getattr(object, "__getstate__", None)
+            and not hasattr(cls, "__setstate__")
+            and not hasattr(cls, "__slots__"))
+
+
 class _SnapPickler(pickle.Pickler):
     """Pickler that externalises the snapshot's shared objects.
 
     Objects tagged in ``pids`` (the physical memory, frozen params and
-    cost tables, runtime tombstones, registry entries — whose runtime
+    cost tables, exited runtimes, registry entries — whose runtime
     factories are closures and could not be pickled anyway) are written
     as persistent references; :class:`_SnapUnpickler` swaps in the
     per-restore replacements.  Everything else round-trips through
-    pickle's C implementation, which preserves interior aliasing the
-    same way a deepcopy memo does at a fraction of the cost.
+    pickle's C implementation.
     """
 
     def __init__(self, file, pids: Dict[int, tuple],
@@ -148,6 +156,21 @@ class _SnapPickler(pickle.Pickler):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._pids = pids
         self._dynamic = dynamic
+        self._plain: Dict[type, bool] = {}
+
+    def reducer_override(self, obj):
+        # Default pickling rebuilds an instance by writing into its
+        # __dict__, which costs CPython its inline attribute storage:
+        # a restored machine then ran ~10% slower than a fresh one.
+        # Passing the same state as slot state makes the unpickler
+        # setattr() each attribute instead, which keeps it.
+        cls = type(obj)
+        plain = self._plain.get(cls)
+        if plain is None:
+            plain = self._plain[cls] = _plain_class(cls)
+        if plain:
+            return copyreg.__newobj__, (cls,), (None, obj.__dict__)
+        return NotImplemented
 
     def persistent_id(self, obj):
         pid = self._pids.get(id(obj))
@@ -179,80 +202,79 @@ class _SnapUnpickler(pickle.Unpickler):
 
 
 class SnapshotState:
-    """One captured machine: shared frozen frames + a private image.
+    """One captured machine: shared frozen frames + a pickled image.
 
-    Build with :func:`capture`; clone machines with :meth:`restore`.
-    The object is immutable from the caller's point of view — any
+    Constructing one captures a quiescent machine (see module
+    docstring); clone machines with :meth:`restore`.  The source
+    machine remains usable — its frame contents are frozen by value —
+    but the cheap pattern is boot → capture → discard, then restore per
+    run.  The object is immutable from the caller's point of view — any
     number of machines can be restored from it, concurrently safe in
     the single-thread sense (restores share only immutable state).
     """
 
-    __slots__ = ("schema", "base", "frames_captured", "procs", "planned",
-                 "capture_armed", "boot_opportunities", "boot_fires",
-                 "_image", "_blob", "_shared", "_fresh")
+    __slots__ = ("base", "frames_captured", "planned", "capture_armed",
+                 "boot_opportunities", "boot_fires", "_blob", "_shared",
+                 "_fresh")
 
-    def __init__(self, base: BaseFrames, image, procs: int, planned: bool,
-                 capture_armed: FrozenSet[str],
-                 boot_opportunities: Dict[str, int], boot_fires: int):
-        self.schema = SNAPSHOT_SCHEMA
-        self.base = base
-        self.frames_captured = sum(1 for b in base if b is not None)
-        self.procs = procs
-        self.planned = planned
-        self.capture_armed = capture_armed
-        self.boot_opportunities = boot_opportunities
-        self.boot_fires = boot_fires
-        self._image = image
-        self._blob: Optional[bytes] = None
-        self._shared: Dict[tuple, Any] = {}
-        self._fresh: Dict[str, tuple] = {}
-        self._serialize()
+    def __init__(self, machine):
+        _check_quiescent(machine)
+        plan = machine.faults
+        self.base = machine.phys.freeze_base()
+        self.frames_captured = sum(1 for b in self.base if b is not None)
+        self.planned = plan is not None
+        self.capture_armed = (frozenset(plan._arms) if plan is not None
+                              else frozenset())
+        self.boot_opportunities = (dict(plan._opportunities)
+                                   if plan is not None else {})
+        self.boot_fires = plan.total_fires() if plan is not None else 0
+        self._serialize(machine)
+        if bus.ACTIVE:
+            bus.snapshot_capture(self.frames_captured,
+                                 len(machine.kernel.processes))
 
-    def _serialize(self) -> None:
-        """Pre-pickle the image so each restore is one C-speed
-        ``loads`` instead of a Python-level deepcopy walk.
+    def _serialize(self, machine) -> None:
+        """Pickle the live machine so each restore is one C-speed
+        ``loads``.
 
         Shared/per-restore objects become persistent references:
         the COW physical memory (fresh :meth:`PhysicalMemory.from_base`
-        per restore), the frozen params/costs, the runtime tombstones
-        and registry entries (shared), and the fault plan (rebound to
-        the caller's plan).  Machines whose object graph cannot be
-        pickled fall back to the deepcopy path transparently.
+        per restore), the frozen params/costs, the registry entries and
+        one shared runtime tombstone, and the fault plan (rebound to
+        the caller's plan).
         """
-        image = self._image
+        kernel = machine.kernel
         shared: Dict[tuple, Any] = {
-            ("params",): image.params,
-            ("costs",): image.params.costs,
+            ("params",): machine.params,
+            ("costs",): machine.params.costs,
+            ("runtime",): _InertRuntime(),
         }
-        for name, entry in image.kernel._registry.items():
+        for name, entry in kernel._registry.items():
             shared[("registry", name)] = entry
-        for pid, proc in image.kernel.processes.items():
-            shared[("runtime", pid)] = proc.runtime
         pids = {id(obj): tag for tag, obj in shared.items()}
-        pids[id(image.phys)] = ("phys",)
-        if image.faults is not None:
-            pids[id(image.faults)] = ("plan",)
+        for proc in kernel.processes.values():
+            pids[id(proc.runtime)] = ("runtime",)
+        pids[id(machine.phys)] = ("phys",)
+        if machine.faults is not None:
+            pids[id(machine.faults)] = ("plan",)
         # Large flat lists restore as one C-speed copy of a frozen
         # template (entries are ints or immutable bytes).  These are
         # private, non-aliased attributes — see _SnapUnpickler.
         fresh = {
-            "alloc._free": image.alloc._free,
-            "cache._free": image.kernel.cache._free,
-            "disk._blocks": image.disk._blocks,
+            "alloc._free": machine.alloc._free,
+            "cache._free": kernel.cache._free,
+            "disk._blocks": machine.disk._blocks,
         }
         for tag, lst in fresh.items():
             pids[id(lst)] = ("list", tag)
         buf = io.BytesIO()
         dynamic: Dict[tuple, Any] = {}
         try:
-            _SnapPickler(buf, pids, dynamic).dump(image)
-        # repro: allow(ERR001) — serialization probe, not a guard: any
-        # failure (unpicklable test double, exotic machine extension)
-        # just leaves _blob unset and restore() takes the deepcopy
-        # path, which is behaviourally identical.  Nothing security-
-        # relevant executes during pickling.
-        except Exception:
-            return
+            _SnapPickler(buf, pids, dynamic).dump(machine)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SnapshotError(
+                f"cannot snapshot: the machine object graph is not "
+                f"picklable ({exc})") from exc
         shared.update(dynamic)
         self._blob = buf.getvalue()
         self._shared = shared
@@ -270,7 +292,6 @@ class SnapshotState:
         window (see module docstring).  Raises
         :class:`SnapshotUnusable` when that cannot be done faithfully.
         """
-        image = self._image
         if self.planned != (plan is not None):
             raise SnapshotUnusable(
                 "snapshot captured %s a fault plan; restore requested %s one"
@@ -278,23 +299,11 @@ class SnapshotState:
                    "under" if plan is not None else "without"))
         if plan is not None:
             self._check_plan(plan)
-        if self._blob is not None:
-            resolve = dict(self._shared)
-            resolve[("phys",)] = PhysicalMemory.from_base(self.base)
-            resolve[("plan",)] = plan
-            machine = _SnapUnpickler(io.BytesIO(self._blob),
-                                     resolve, self._fresh).load()
-        else:
-            memo = {
-                id(image.phys): PhysicalMemory.from_base(self.base),
-                # Frozen-dataclass machine parameters and cost tables
-                # are immutable: share them instead of reconstructing.
-                id(image.params): image.params,
-                id(image.params.costs): image.params.costs,
-            }
-            if plan is not None:
-                memo[id(image.faults)] = plan
-            machine = copy.deepcopy(image, memo)
+        resolve = dict(self._shared)
+        resolve[("phys",)] = PhysicalMemory.from_base(self.base)
+        resolve[("plan",)] = plan
+        machine = _SnapUnpickler(io.BytesIO(self._blob),
+                                 resolve, self._fresh).load()
         if plan is not None:
             self._seed_plan(plan)
         if bus.ACTIVE:
@@ -352,37 +361,6 @@ class SnapshotState:
                     rng.random()
 
 
-def capture(machine) -> SnapshotState:
-    """Snapshot a quiescent machine (see module docstring).
-
-    The source machine remains usable — its frame contents are frozen
-    by value — but the cheap pattern is boot → capture → discard, then
-    :meth:`SnapshotState.restore` per run.
-    """
-    _check_quiescent(machine)
-    base = machine.phys.freeze_base()
-    plan = machine.faults
-    memo: dict = {id(machine.phys): PhysicalMemory.from_base(base)}
-    inert = _InertRuntime()
-    for proc in machine.kernel.processes.values():
-        memo[id(proc.runtime)] = inert
-    image = copy.deepcopy(machine, memo)
-    snapshot = SnapshotState(
-        base=base,
-        image=image,
-        procs=len(machine.kernel.processes),
-        planned=plan is not None,
-        capture_armed=(frozenset(plan._arms) if plan is not None
-                       else frozenset()),
-        boot_opportunities=(dict(plan._opportunities) if plan is not None
-                            else {}),
-        boot_fires=plan.total_fires() if plan is not None else 0,
-    )
-    if bus.ACTIVE:
-        bus.snapshot_capture(snapshot.frames_captured, snapshot.procs)
-    return snapshot
-
-
 def _check_quiescent(machine) -> None:
     for proc in machine.kernel.processes.values():
         if proc.state.name not in _QUIESCENT_STATES:
@@ -394,42 +372,3 @@ def _check_quiescent(machine) -> None:
         raise SnapshotError("cannot snapshot: sleepers are pending")
     if getattr(machine.kernel.scheduler, "_ready", ()):
         raise SnapshotError("cannot snapshot: the run queue is not empty")
-
-
-# ---------------------------------------------------------------------------
-# cross-process publication (fork inheritance)
-# ---------------------------------------------------------------------------
-
-#: Snapshots published for fork-context workers, by caller-chosen key.
-_published: Dict[str, SnapshotState] = {}
-
-
-def publish(key: str, snapshot: SnapshotState) -> None:
-    """Make ``snapshot`` available to forked worker processes.
-
-    A :class:`SnapshotState` cannot cross a pickling process boundary
-    (the kernel registry's runtime factories are closures), but it
-    *can* ride POSIX fork inheritance: a parent that captures and
-    publishes before forking hands every ``multiprocessing`` "fork"
-    worker a copy-on-write view of this registry for free.  The
-    cluster harness (:mod:`repro.serve.cluster`) publishes one boot
-    snapshot per (app, cloaked) pair, forks its shard workers, and
-    each worker restores from the inherited snapshot — one boot,
-    N machines, zero serialization.
-
-    Re-publishing a key replaces the previous snapshot (parents reuse
-    keys across runs).
-    """
-    _published[key] = snapshot
-
-
-def published(key: str) -> Optional[SnapshotState]:
-    """The snapshot published under ``key``, if any (parent or
-    fork-inherited)."""
-    return _published.get(key)
-
-
-def clear_published() -> None:
-    """Drop every published snapshot (test teardown / memory hygiene)."""
-    _published.clear()
-

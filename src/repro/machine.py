@@ -14,7 +14,8 @@ This is the single entry point examples, tests, and benchmarks use::
     result = machine.run_program("myprogram")
 """
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.apps.program import NativeRuntime, Program
 from repro.core.ctc import ExitReason
@@ -42,10 +43,11 @@ from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.disk import Disk
 from repro.hw.faults import PageFault
 from repro.hw.mmu import MMU
+from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import MachineParams, default_params
 from repro.hw.phys import FrameAllocator, PhysicalMemory
 from repro.hw.tlb import SoftwareTLB
-from repro.faults.plan import SITE_EVICT_UNDER_USE
+from repro.faults.plan import SITE_EVICT_UNDER_USE, FaultPlan
 from repro.guestos import uapi
 from repro.obs import bus
 
@@ -92,6 +94,29 @@ class ProcessResult:
     def __repr__(self) -> str:
         return (f"ProcessResult(pid={self.pid}, exit={self.exit_code}, "
                 f"cycles={self.cycles_total})")
+
+
+@dataclass(frozen=True)
+class BootConfig:
+    """Everything that shapes a booted machine, as a hashable value.
+
+    Equal configs boot cycle- and state-identical machines, which is
+    what lets :meth:`Machine.boot` share one golden snapshot per config.
+    """
+
+    cloaked: bool = False
+    #: Suite programs to register by name (``None``: the whole suite).
+    programs: Optional[Tuple[str, ...]] = None
+    params: Optional[MachineParams] = None
+    vmm_config: Optional[VMMConfig] = None
+    #: Hooks run in order after registration (directories, seed files).
+    setup: Tuple[Callable[["Machine"], None], ...] = ()
+
+
+#: Golden boot snapshots, keyed by (config, booted under a fault plan).
+#: Module scope, so forked workers inherit every golden captured
+#: before the fork.
+_GOLDEN: Dict[Tuple[BootConfig, bool], snapshot_mod.SnapshotState] = {}
 
 
 class _VMMDma(DMAGateway):
@@ -159,6 +184,42 @@ class Machine:
               fault_plan=None) -> "Machine":
         return cls(params, vmm_config, fault_plan)
 
+    @classmethod
+    def boot(cls, config: BootConfig, fault_plan=None) -> "Machine":
+        """A machine booted to ``config``, restored from the golden
+        snapshot captured on the first boot of ``(config, planned)``.
+
+        A planned golden boots under :meth:`FaultPlan.audit` (never
+        fires, but counts each site's boot opportunities, so restore
+        can fast-forward the caller's plan over the boot window).  When
+        the plan cannot be replayed (:class:`SnapshotUnusable`) or
+        reuse is off (:func:`repro.hw.snapshot.force_fresh`), the same
+        config boots from scratch under the caller's plan.
+        """
+        if not snapshot_mod.snapshots_enabled():
+            return cls._boot_fresh(config, fault_plan)
+        key = (config, fault_plan is not None)
+        golden = _GOLDEN.get(key)
+        if golden is None:
+            boot_plan = FaultPlan.audit(0) if fault_plan is not None else None
+            golden = cls._boot_fresh(config, boot_plan).snapshot()
+            _GOLDEN[key] = golden
+        try:
+            return cls.from_snapshot(golden, fault_plan)
+        except snapshot_mod.SnapshotUnusable:
+            return cls._boot_fresh(config, fault_plan)
+
+    @classmethod
+    def _boot_fresh(cls, config: BootConfig, fault_plan) -> "Machine":
+        # Local import: the program suite itself imports this module.
+        from repro.apps.registry import register_all
+
+        machine = cls.build(config.params, config.vmm_config, fault_plan)
+        register_all(machine, cloaked=config.cloaked, only=config.programs)
+        for hook in config.setup:
+            hook(machine)
+        return machine
+
     # ------------------------------------------------------------------
     # snapshots (boot once, restore per run)
     # ------------------------------------------------------------------
@@ -169,8 +230,7 @@ class Machine:
         See :mod:`repro.hw.snapshot` for what is shared vs. copied and
         the quiescence/fault-plan restrictions.
         """
-        from repro.hw.snapshot import capture
-        return capture(self)
+        return snapshot_mod.SnapshotState(self)
 
     @classmethod
     def from_snapshot(cls, snapshot, fault_plan=None) -> "Machine":

@@ -17,14 +17,15 @@ production-style evaluation:
   change.
 * :mod:`repro.serve.cluster` — N :class:`repro.machine.Machine`
   shards across ``multiprocessing`` workers, each restored from one
-  shared COW snapshot, with per-shard ``repro.obs`` metrics merged
-  into a single deterministic cluster-wide report.  A single-process
-  ``inline`` mode produces a byte-identical report.
+  shared COW snapshot (:meth:`repro.machine.Machine.boot`), with
+  per-shard ``repro.obs`` metrics merged into a single deterministic
+  cluster-wide report.  A single-process ``inline`` mode produces a
+  byte-identical report.
 
 Layering: ``repro.serve`` sits *above* the simulated world — it may
-import ``repro.apps``, ``repro.machine``, ``repro.obs``,
-``repro.hw.snapshot`` and the guest ABI (``repro.guestos.uapi``), and
-never ``repro.core`` internals (API001 enforces this via
+import ``repro.apps``, ``repro.machine``, ``repro.obs`` and the guest
+ABI (``repro.guestos.uapi``), and never ``repro.hw`` or ``repro.core``
+internals (API001 enforces this via
 ``repro.analysis.matrix.LAYER_MATRIX``).
 """
 

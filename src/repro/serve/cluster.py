@@ -12,9 +12,9 @@ Execution modes, byte-identical by construction:
 * ``inline`` — every shard runs sequentially in the calling process;
 * multiprocess — one **forked** worker per shard (bounded by
   ``workers`` concurrent processes), each restored from one shared
-  COW snapshot the parent captured and published *before* forking
-  (:func:`repro.hw.snapshot.publish` — snapshots cannot be pickled,
-  but they ride fork inheritance for free).
+  COW snapshot: the parent boots the server config once through
+  :meth:`repro.machine.Machine.boot` *before* forking, and every
+  worker inherits its golden cache.
 
 Byte-identity holds because each shard is a closed world: its machine,
 sub-schedule, and virtual clock are independent of every other shard,
@@ -38,16 +38,14 @@ import queue as queue_mod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.hw import snapshot as snapshot_mod
-from repro.machine import Machine
 from repro.obs.metrics import merge_snapshots
 from repro.serve.loadgen import (
     LoadSpec,
     Row,
+    boot_server,
     build_schedule,
     drive_open_loop,
     percentile,
-    server_class,
 )
 from repro.serve.ring import DEFAULT_VNODES, HashRing
 
@@ -84,10 +82,6 @@ class ClusterConfig:
                 raise ValueError(f"kill_shards entry {shard} out of range")
 
 
-def snapshot_key(spec: LoadSpec, cloaked: bool) -> str:
-    return f"serve:{spec.app}:{int(cloaked)}"
-
-
 def plan_shards(config: ClusterConfig) -> Tuple[HashRing,
                                                 Dict[int, List[Row]]]:
     """Route the schedule's rows to shards by key.
@@ -107,25 +101,6 @@ def plan_shards(config: ClusterConfig) -> Tuple[HashRing,
 # one shard
 # ---------------------------------------------------------------------------
 
-def _boot_machine(spec: LoadSpec, cloaked: bool) -> Machine:
-    machine = Machine.build()
-    machine.register(server_class(spec.app), cloaked=cloaked)
-    return machine
-
-
-def _shard_machine(spec: LoadSpec, cloaked: bool) -> Machine:
-    """A machine for one shard run: snapshot restore when available
-    (published by the parent, fork-inherited in workers), fresh boot
-    otherwise.  Both paths are cycle-identical by the snapshot
-    equivalence guarantee, so the report does not depend on which one
-    ran."""
-    if snapshot_mod.snapshots_enabled():
-        snap = snapshot_mod.published(snapshot_key(spec, cloaked))
-        if snap is not None:
-            return Machine.from_snapshot(snap)
-    return _boot_machine(spec, cloaked)
-
-
 def run_shard(config: ClusterConfig, shard: int, rows: List[Row]) -> Dict:
     """Run one shard's sub-schedule on its own machine."""
     if not rows:
@@ -137,22 +112,10 @@ def run_shard(config: ClusterConfig, shard: int, rows: List[Row]) -> Dict:
             "achieved_per_mcycle": 0.0, "cycles": 0, "cycle_hash": "empty",
             "server_exit": 0, "violations": 0,
         }
-    machine = _shard_machine(config.spec, config.cloaked)
+    machine = boot_server(config.spec, config.cloaked)
     return drive_open_loop(machine, config.spec, rows,
                            cloaked=config.cloaked,
                            attach_metrics=config.attach_metrics)
-
-
-def publish_snapshot(config: ClusterConfig) -> bool:
-    """Boot + capture + publish the shared shard snapshot (parent side,
-    before any fork).  Returns False when snapshots are disabled."""
-    if not snapshot_mod.snapshots_enabled():
-        return False
-    key = snapshot_key(config.spec, config.cloaked)
-    if snapshot_mod.published(key) is None:
-        machine = _boot_machine(config.spec, config.cloaked)
-        snapshot_mod.publish(key, machine.snapshot())
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +287,10 @@ def run_cluster(config: ClusterConfig) -> Dict:
             multiprocessing.get_context("fork")
         except ValueError:
             use_fork = False  # platform without fork: degrade to inline
-    publish_snapshot(config)
     if use_fork:
+        # Boot the shard config before forking, so every worker
+        # inherits its golden instead of capturing its own.
+        boot_server(config.spec, config.cloaked)
         results = _run_forked(config, per_shard)
     else:
         results = _run_inline(config, per_shard)

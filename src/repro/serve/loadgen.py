@@ -53,7 +53,7 @@ from repro.apps.webserver import (
     response_fifo,
 )
 from repro.guestos import uapi
-from repro.machine import Machine
+from repro.machine import BootConfig, Machine
 from repro.obs import bus
 from repro.obs.metrics import MetricsRegistry
 
@@ -356,6 +356,13 @@ def server_class(app: str) -> Type[Program]:
     return WebServer if app == "webserver" else KVStore
 
 
+def boot_server(spec: LoadSpec, cloaked: bool) -> Machine:
+    """A machine with the server program alone registered (no
+    directories), restored from its golden snapshot."""
+    return Machine.boot(BootConfig(
+        cloaked=cloaked, programs=(server_class(spec.app).name,)))
+
+
 def setup_workload(machine: Machine, spec: LoadSpec,
                    rows: List[Row]) -> None:
     """Pre-create the FIFOs and (for the webserver) the documents."""
@@ -482,9 +489,8 @@ def harvest(spec: LoadSpec, rows: List[Row],
 
 def run_open_loop(spec: LoadSpec, cloaked: bool = False,
                   attach_metrics: bool = False) -> Dict:
-    """Convenience single-machine entry: boot, register, drive."""
-    machine = Machine.build()
-    machine.register(server_class(spec.app), cloaked=cloaked)
+    """Convenience single-machine entry: boot, drive."""
+    machine = boot_server(spec, cloaked)
     rows = build_schedule(spec)
     return drive_open_loop(machine, spec, rows, cloaked=cloaked,
                            attach_metrics=attach_metrics)

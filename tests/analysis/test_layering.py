@@ -75,12 +75,19 @@ def test_serve_importing_guestos_internals_is_flagged(tree):
     assert len(check(RULE, mod)) == 1
 
 
+def test_serve_importing_hw_is_flagged(tree):
+    # Snapshots reach serve through Machine.boot, never directly.
+    mod = tree.module("repro/serve/snap.py", """\
+        from repro.hw.snapshot import SnapshotState
+        """)
+    assert len(check(RULE, mod)) == 1
+
+
 def test_serve_allowed_imports_are_clean(tree):
     mod = tree.module("repro/serve/fine.py", """\
         from repro.apps.webserver import WebServer
-        from repro.machine import Machine
+        from repro.machine import BootConfig, Machine
         from repro.obs.metrics import MetricsRegistry
-        from repro.hw.snapshot import publish, published
         from repro.guestos.uapi import O_RDONLY
         from repro.serve.ring import HashRing
         import hashlib

@@ -112,7 +112,7 @@ def test_boot_in_for_loop_is_flagged(tree):
     findings = check(BOOT_RULE, mod)
     assert len(findings) == 1
     assert findings[0].rule == "PERF002"
-    assert "from_snapshot" in findings[0].message
+    assert "Machine.boot" in findings[0].message
 
 
 def test_boot_constructor_in_while_loop_is_flagged(tree):
@@ -138,6 +138,10 @@ def test_boot_outside_loop_is_clean(tree):
 
         def measure(golden, runs):
             return [run(Machine.from_snapshot(golden)) for _ in range(runs)]
+
+        def repeat(config, runs):
+            for _ in range(runs):
+                run(Machine.boot(config))
         """)
     assert check(BOOT_RULE, mod) == []
 

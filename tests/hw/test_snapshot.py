@@ -5,22 +5,22 @@ Two groups of guarantees:
 * **COW physical memory** — restored machines share the snapshot's
   immutable frame bytes until first write; zeroing an unmaterialised
   frame is an O(1) base-entry drop; no restore can perturb another.
-* **capture/restore discipline** — only quiescent machines capture;
-  fault plans must match across capture and restore, and a plan whose
-  arms would have fired inside the captured boot window is rejected
-  rather than silently rescheduled; the pickle fast path and the
-  deepcopy fallback produce behaviourally identical machines.
+* **capture/restore discipline** — only quiescent, picklable machines
+  capture; fault plans must match across capture and restore, and a
+  plan whose arms would have fired inside the captured boot window is
+  rejected rather than silently rescheduled; :meth:`Machine.boot`
+  keeps one golden per boot config, shared by every harness.
 
 The full restored-vs-fresh equivalence property (every registered
 program, native and cloaked) lives in
 ``tests/faults/test_snapshot_equivalence.py``.
 """
 
-import copy
-
 import pytest
 
+from repro import machine as machine_mod
 from repro.bench.runner import fresh_machine, measure_program
+from repro.faults.oracle import ORACLE_SPECS, run_once
 from repro.faults.plan import (FaultPlan, SITE_DISK_WRITE_LOST,
                                SITE_IV_REUSE)
 from repro.hw import snapshot as snapshot_mod
@@ -29,6 +29,8 @@ from repro.hw.phys import FrameAllocator, PhysicalMemory
 from repro.machine import Machine
 from repro.obs import bus
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.cluster import ClusterConfig, run_cluster
+from repro.serve.loadgen import LoadSpec
 
 
 PATTERN = (bytes(range(256)) * (PAGE_SIZE // 256))[:PAGE_SIZE]
@@ -126,17 +128,6 @@ class TestAllocatorCow:
         with pytest.raises(ValueError):
             alloc.free(pfn)
 
-    def test_deepcopy_preserves_free_list_order(self):
-        alloc = FrameAllocator(8, reserved_low=2)
-        order = [alloc.alloc() for __ in range(3)]
-        for pfn in order:
-            alloc.free(pfn)
-        clone = copy.deepcopy(alloc)
-        assert clone._free == alloc._free
-        assert clone._allocated == alloc._allocated
-        assert [clone.alloc() for __ in range(4)] \
-            == [alloc.alloc() for __ in range(4)]
-
 
 # -- capture / restore ---------------------------------------------------
 
@@ -183,32 +174,53 @@ class TestCaptureRestore:
         with pytest.raises(snapshot_mod.SnapshotError, match="exited"):
             zombies[0].runtime.next_op(None)
 
-    def test_pickle_fast_path_and_deepcopy_fallback_agree(self):
-        machine = _booted()
-        snap = machine.snapshot()
-        assert snap._blob is not None, "pickle fast path did not engage"
-        fast = measure_program(Machine.from_snapshot(snap),
-                               "mb-readsec4k", ("2",))
-        snap._blob = None          # force the deepcopy fallback
-        slow = measure_program(Machine.from_snapshot(snap),
-                               "mb-readsec4k", ("2",))
-        assert fast.console == slow.console
-        assert fast.cycles_total == slow.cycles_total
-
-    def test_unpicklable_extension_falls_back_transparently(self):
+    def test_unpicklable_machine_fails_loudly_at_capture(self):
         machine = _booted(cloaked=False)
         machine._test_hook = lambda: None     # local: defeats pickle
-        snap = machine.snapshot()
-        assert snap._blob is None
-        restored = Machine.from_snapshot(snap)
-        result = measure_program(restored, "mb-getpid", ())
-        assert result.exit_code == 0
+        with pytest.raises(snapshot_mod.SnapshotError,
+                           match="not picklable"):
+            machine.snapshot()
 
     def test_force_fresh_disables_and_restores_snapshot_reuse(self):
         assert snapshot_mod.snapshots_enabled()
         with snapshot_mod.force_fresh():
             assert not snapshot_mod.snapshots_enabled()
         assert snapshot_mod.snapshots_enabled()
+
+
+def count_captures(fn):
+    """``fn()``'s result and the ``snapshot.capture`` probes it fired."""
+    metrics = MetricsRegistry()
+    bus.attach(metrics, lambda: 0)
+    try:
+        result = fn()
+    finally:
+        bus.detach(metrics)
+    return result, metrics.counters.get("snapshot.capture", 0)
+
+
+class TestGoldenCache:
+    def test_runner_and_oracle_share_one_golden(self, monkeypatch):
+        monkeypatch.setattr(machine_mod, "_GOLDEN", {})
+        spec = ORACLE_SPECS["mb-getpid"]
+        assert (spec.setup, spec.params, spec.program) == (None, None, None)
+
+        def boot_both():
+            fresh_machine(cloaked=True)
+            run_once(spec, cloaked=True)
+
+        assert count_captures(boot_both)[1] == 1
+        assert len(machine_mod._GOLDEN) == 1
+
+    def test_inline_four_shard_cluster_captures_once(self, monkeypatch):
+        monkeypatch.setattr(machine_mod, "_GOLDEN", {})
+        config = ClusterConfig(
+            spec=LoadSpec(app="webserver", requests=12, mean_gap=8_000,
+                          connections=3, keys=8, file_size=512, seed=2),
+            shards=4, inline=True, attach_metrics=False)
+        report, captures = count_captures(lambda: run_cluster(config))
+        assert captures == 1
+        assert len(report["per_shard"]) == 4
 
 
 class TestFaultPlanDiscipline:

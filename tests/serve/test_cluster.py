@@ -11,7 +11,6 @@ import multiprocessing
 
 import pytest
 
-from repro.hw import snapshot as snapshot_mod
 from repro.obs.metrics import merge_snapshots
 from repro.serve.cluster import (
     ClusterConfig,
@@ -41,12 +40,6 @@ def _config(**overrides) -> ClusterConfig:
     settings = dict(spec=SPEC, shards=2, attach_metrics=False)
     settings.update(overrides)
     return ClusterConfig(**settings)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_published_registry():
-    yield
-    snapshot_mod.clear_published()
 
 
 # ---------------------------------------------------------------------------
