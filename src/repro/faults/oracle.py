@@ -278,16 +278,13 @@ def _logical_file_bytes(machine: Machine, path: str, prog_name: str,
 
 
 def _marker_visible(machine: Machine, marker: bytes) -> bool:
-    """Scan everything the guest kernel (or a disk thief) can see."""
-    for pfn in range(machine.phys.total_frames):
-        if marker in machine.phys.read_frame(pfn):
-            return True
-    # Raw medium scan, below the device model (no fault injection, no
-    # cycle charges): this is the attacker with the platter.
-    for block in machine.disk._blocks:
-        if block is not None and marker in block:
-            return True
-    return False
+    """Scan everything the guest kernel (or a disk thief) can see.
+
+    Every physical frame and every written raw block, below the
+    device model (no fault injection, no cycle charges).
+    """
+    return (bool(machine.phys.frames_containing(marker))
+            or bool(machine.disk.blocks_containing(marker)))
 
 
 def _booted_machine(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],

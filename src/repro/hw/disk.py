@@ -7,6 +7,7 @@ transits the MMU, so cloaked pages written to disk stay exactly as the
 kernel saw them — ciphertext.
 """
 
+from itertools import compress
 from typing import List, Optional
 
 from repro.hw.cycles import CycleAccount
@@ -79,3 +80,15 @@ class Disk:
         self._charge()
         bus.disk_write(lba)
         self._blocks[lba] = bytes(data)
+
+    def blocks_containing(self, needle: bytes) -> List[int]:
+        """LBAs, ascending, of written blocks whose contents contain ``needle``.
+
+        The attacker holding the platter: the raw medium is searched
+        directly, so no cycles are charged, no reads are counted, no
+        probe fires, and a subclass's transfer path (fault injection)
+        is never entered.  Never-written blocks are not searched.
+        """
+        blocks = self._blocks
+        return [lba for lba in compress(range(len(blocks)), blocks)
+                if needle in blocks[lba]]

@@ -16,6 +16,7 @@ shared base entries are immutable ``bytes``, so no restored machine
 can ever damage another's view of the snapshot.
 """
 
+from itertools import compress
 from typing import List, Optional
 
 from repro.hw.params import PAGE_SIZE
@@ -23,6 +24,10 @@ from repro.obs import bus
 
 #: Base layer type: per-pfn immutable frame contents (None = zeros).
 BaseFrames = List[Optional[bytes]]
+
+#: What every frame in neither layer reads as: one shared immutable
+#: page, handed out by ``read_frame`` instead of a fresh allocation.
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class OutOfMemoryError(Exception):
@@ -179,7 +184,7 @@ class PhysicalMemory:
                 contents = base[pfn]
                 if contents is not None:
                     return contents
-            return bytes(PAGE_SIZE)
+            return ZERO_PAGE
         return bytes(frame)
 
     def write_frame(self, pfn: int, data: bytes) -> None:
@@ -187,11 +192,37 @@ class PhysicalMemory:
             raise ValueError("write_frame needs exactly one page of data")
         self.write(pfn, 0, data)
 
+    def frames_containing(self, needle: bytes) -> List[int]:
+        """Pfns, ascending, whose current contents contain ``needle``.
+
+        Raw inspection, layer by layer as :meth:`read_frame` resolves
+        them: a private frame is searched in place, a live base entry
+        as the shared bytes, and every other frame reads as zeros, so
+        whether those match is decided once.  Nothing is materialised,
+        copied, counted or probed.  For a needle that is not all zeros
+        the cost is one C-speed pass over the frame table plus a search
+        of the touched frames only.
+        """
+        frames = self._frames
+        base = self._base
+        pfns = range(len(frames))
+        # ``compress`` picks out the non-None entries at C speed: a
+        # frame or base entry is a non-empty page, hence truthy.
+        hits = [pfn for pfn in compress(pfns, frames) if needle in frames[pfn]]
+        if base is not None:
+            hits += [pfn for pfn in compress(pfns, base)
+                     if frames[pfn] is None and needle in base[pfn]]
+        if needle in ZERO_PAGE:
+            hits += [pfn for pfn in pfns if frames[pfn] is None
+                     and (base is None or base[pfn] is None)]
+        hits.sort()
+        return hits
+
     def zero_frame(self, pfn: int) -> None:
         self._check(pfn)
         frame = self._frames[pfn]
         if frame is not None:
-            frame[:] = bytes(PAGE_SIZE)
+            frame[:] = ZERO_PAGE
         elif self._base is not None:
             # O(1): an unmaterialised frame zeroes by *dropping* its
             # base entry — no 4 KiB allocation, and only this

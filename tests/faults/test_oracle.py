@@ -5,6 +5,8 @@ import pytest
 from repro.apps.registry import ALL_PROGRAMS
 from repro.faults import oracle
 from repro.faults.plan import SITE_SWAPIN_CORRUPT, FaultPlan
+from repro.hw import snapshot as snapshot_mod
+from repro.machine import BootConfig, Machine
 
 ALL_NAMES = sorted(cls.name for cls in ALL_PROGRAMS)
 
@@ -33,6 +35,41 @@ def test_faulty_runs_replay_byte_identically():
     first, second = one(), one()
     assert first.identical(second)
     assert first.violations  # the fault was detected, both times
+
+
+class TestMarkerExposure:
+    """The exposure scan finds a marker wherever the kernel (or a disk
+    thief) could see it, and nowhere else."""
+
+    MARKER = b"EXPOSURE-SCAN-MARKER"
+    CONFIG = BootConfig(cloaked=True, programs=())
+
+    def test_clean_restored_machine_is_not_exposed(self):
+        assert not oracle._marker_visible(Machine.boot(self.CONFIG),
+                                          self.MARKER)
+
+    def test_marker_in_a_private_frame_is_visible(self):
+        machine = Machine.boot(self.CONFIG)
+        machine.phys.write(machine.phys.total_frames - 1, 7, self.MARKER)
+        assert oracle._marker_visible(machine, self.MARKER)
+
+    def test_marker_in_an_unmaterialised_base_frame_is_visible(self):
+        with snapshot_mod.force_fresh():
+            source = Machine.boot(self.CONFIG)
+        pfn = source.phys.total_frames // 2
+        source.phys.write(pfn, 0, self.MARKER)
+        restored = Machine.from_snapshot(source.snapshot())
+        assert restored.phys._frames[pfn] is None
+        assert oracle._marker_visible(restored, self.MARKER)
+        # Seeing it did not pull the frame into the restored machine.
+        assert restored.phys._frames[pfn] is None
+        assert restored.phys.cow_faults == 0
+
+    def test_marker_in_a_raw_disk_block_is_visible(self):
+        machine = Machine.boot(self.CONFIG)
+        block = self.MARKER.ljust(machine.disk.block_size, b"\x00")
+        machine.disk.write_block(machine.disk.num_blocks - 1, block)
+        assert oracle._marker_visible(machine, self.MARKER)
 
 
 class TestClassify:

@@ -3,13 +3,20 @@
 import pytest
 
 from repro.hw.params import PAGE_SIZE
-from repro.hw.phys import FrameAllocator, OutOfMemoryError, PhysicalMemory
+from repro.hw.phys import (ZERO_PAGE, FrameAllocator, OutOfMemoryError,
+                           PhysicalMemory)
 
 
 class TestPhysicalMemory:
     def test_starts_zeroed(self):
         mem = PhysicalMemory(4)
         assert mem.read_frame(0) == bytes(PAGE_SIZE)
+
+    def test_unwritten_frames_share_one_zero_page(self):
+        mem = PhysicalMemory(4)
+        assert mem.read_frame(0) is ZERO_PAGE
+        assert mem.read_frame(3) is ZERO_PAGE
+        assert mem._frames[0] is None       # reading materialised nothing
 
     def test_read_write_roundtrip(self):
         mem = PhysicalMemory(4)

@@ -10,23 +10,29 @@ Two groups of guarantees:
   plan whose arms would have fired inside the captured boot window is
   rejected rather than silently rescheduled; :meth:`Machine.boot`
   keeps one golden per boot config, shared by every harness.
+* **raw inspection** — ``frames_containing``/``blocks_containing``
+  agree with a brute-force read of every frame and block, across all
+  three memory layers, and leave no trace on the machine.
 
 The full restored-vs-fresh equivalence property (every registered
 program, native and cloaked) lives in
 ``tests/faults/test_snapshot_equivalence.py``.
 """
 
+import random
+
 import pytest
 
 from repro import machine as machine_mod
 from repro.bench.runner import fresh_machine, measure_program
 from repro.faults.oracle import ORACLE_SPECS, run_once
-from repro.faults.plan import (FaultPlan, SITE_DISK_WRITE_LOST,
-                               SITE_IV_REUSE)
+from repro.faults.injector import FaultyDisk
+from repro.faults.plan import (INJECTION_POINTS, FaultPlan,
+                               SITE_DISK_WRITE_LOST, SITE_IV_REUSE)
 from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import PAGE_SIZE
 from repro.hw.phys import FrameAllocator, PhysicalMemory
-from repro.machine import Machine
+from repro.machine import BootConfig, Machine
 from repro.obs import bus
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cluster import ClusterConfig, run_cluster
@@ -127,6 +133,117 @@ class TestAllocatorCow:
         alloc.free(pfn)
         with pytest.raises(ValueError):
             alloc.free(pfn)
+
+
+class TestRawScan:
+    """``frames_containing``/``blocks_containing`` ≡ brute force."""
+
+    ALPHABET = b"\x00abc"
+    PLANTED = b"ONLY-IN-THE-BASE"
+
+    @staticmethod
+    def _brute_frames(mem, needle):
+        return [pfn for pfn in range(mem.total_frames)
+                if needle in mem.read_frame(pfn)]
+
+    def _random_ops(self, rng, mem, count):
+        for __ in range(count):
+            pfn = rng.randrange(mem.total_frames)
+            op = rng.random()
+            if op < 0.6:
+                offset = rng.randrange(PAGE_SIZE - 8)
+                data = bytes(rng.choice(self.ALPHABET) for __ in range(8))
+                mem.write(pfn, offset, data)
+            elif op < 0.8:
+                mem.zero_frame(pfn)
+            else:
+                mem.write_frame(pfn, bytes([rng.choice(self.ALPHABET)])
+                                * PAGE_SIZE)
+
+    def _assert_scans_match(self, rng, mem):
+        needles = [b"\x00", b"\x00" * 8, b"", self.PLANTED, b"absent!",
+                   bytes(rng.choice(self.ALPHABET) for __ in range(2))]
+        for needle in needles:
+            frames = list(mem._frames)
+            faults = mem.cow_faults
+            found = mem.frames_containing(needle)
+            assert mem._frames == frames      # nothing materialised
+            assert mem.cow_faults == faults
+            assert found == self._brute_frames(mem, needle), needle
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fresh_and_restored_memories_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        fresh = PhysicalMemory(24)
+        self._random_ops(rng, fresh, 30)
+        # Plant a needle no later op can reach: after the restore it
+        # lives only in an unmaterialised base frame.
+        fresh.write(23, 100, self.PLANTED)
+        self._assert_scans_match(rng, fresh)
+
+        restored = PhysicalMemory.from_base(fresh.freeze_base())
+        for __ in range(30):
+            pfn = rng.randrange(23)
+            if rng.random() < 0.3:
+                restored.zero_frame(pfn)       # materialised or base-only
+            else:
+                restored.write(pfn, rng.randrange(PAGE_SIZE - 4),
+                               bytes(rng.choice(self.ALPHABET)
+                                     for __ in range(4)))
+        assert restored.cow_faults > 0
+        assert restored._frames[23] is None
+        assert restored.frames_containing(self.PLANTED) == [23]
+        self._assert_scans_match(rng, restored)
+
+    @pytest.mark.parametrize("restored", [False, True],
+                             ids=["fresh", "restored"])
+    def test_machine_scan_matches_and_leaves_no_trace(self, restored):
+        plan = FaultPlan.audit(3)
+        with snapshot_mod.force_fresh():
+            machine = Machine.boot(BootConfig(cloaked=True), plan)
+        measure_program(machine, "mb-write4k", ("2",))
+        needles = [b"\x00" * 4, b"never-anywhere"]
+        if restored:
+            # Restore mid-workload, then mix the layers: base-only
+            # frames, a COW-faulted one and one first touched now.
+            plan = FaultPlan.audit(3)
+            machine = Machine.from_snapshot(machine.snapshot(), plan)
+            phys = machine.phys
+            faulted, shared = [pfn for pfn, contents in enumerate(phys._base)
+                               if contents is not None][:2]
+            phys.write(faulted, 0, b"cow")
+            phys.write(phys.total_frames - 1, 0, b"late")
+            assert phys.cow_faults == 1
+            needles.append(phys._base[shared][-16:])
+        disk = machine.disk
+        assert isinstance(disk, FaultyDisk)
+        written = next(block for block in disk._blocks if block is not None)
+        frame = next(f for f in machine.phys._frames if f is not None)
+        needles += [written[:12], bytes(frame[:16])]
+
+        def trace():
+            return (machine.cycles.total, disk.reads, disk.writes,
+                    machine.phys.cow_faults, list(machine.phys._frames),
+                    {site: plan.opportunities(site)
+                     for site in INJECTION_POINTS})
+
+        before = trace()
+        metrics = MetricsRegistry()
+        bus.attach(metrics, machine.cycles)
+        try:
+            frames = [machine.phys.frames_containing(n) for n in needles]
+            blocks = [disk.blocks_containing(n) for n in needles]
+        finally:
+            bus.detach(metrics)
+        assert not metrics.counters
+        assert trace() == before
+        for needle, found_frames, found_blocks in zip(needles, frames,
+                                                      blocks):
+            assert found_frames == self._brute_frames(machine.phys, needle)
+            assert found_blocks == [
+                lba for lba, block in enumerate(disk._blocks)
+                if block is not None and needle in block]
+        assert frames[-1] and blocks[-2]
 
 
 # -- capture / restore ---------------------------------------------------
