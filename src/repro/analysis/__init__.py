@@ -15,15 +15,12 @@ checks.  See ``docs/ANALYSIS.md`` for the rule catalogue and
 ``python -m repro.analysis --help`` for the CLI.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import Analyzer, Finding, ModuleInfo, Report
 from repro.analysis.rules import ALL_RULES, get_rules
 
 __all__ = [
     "ALL_RULES",
     "Analyzer",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ModuleInfo",
     "Report",

@@ -3,17 +3,13 @@
 The engine is rule-agnostic.  It turns every Python file under the
 analysed paths into a :class:`ModuleInfo` (source, AST, dotted module
 name, scope map, inline suppressions) and hands it to each registered
-rule; rules yield :class:`Finding` objects.  Findings can be silenced
-two ways, both of which require a stated reason:
-
-* inline — ``# repro: allow(RULE-ID) — reason`` on the offending line
-  (or alone on the line above it);
-* baseline — a grandfathered entry in the baseline file (see
-  :mod:`repro.analysis.baseline`).
+rule; rules yield :class:`Finding` objects.  A finding is silenced only by
+an inline ``# repro: allow(RULE-ID) — reason`` on the offending line
+(or alone on the line above it); the reason is mandatory, and an allow
+that silences nothing fails the run.
 """
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,29 +39,6 @@ class Finding:
     col: int
     message: str
     context: str  # enclosing qualname, e.g. "CloakEngine._encrypt"
-    snippet: str = ""  # whitespace-normalized source of the finding line
-
-    @property
-    def fingerprint(self) -> str:
-        """Location-drift-tolerant identity used by baseline matching.
-
-        Content-anchored (v2): hashes the rule, path, scope, the
-        *normalized source line* and the message — never the line
-        number — so edits above a finding do not orphan its baseline
-        entry, while two identical findings on different source lines
-        still get distinct identities.
-        """
-        raw = "|".join((self.rule, self.path, self.context, self.snippet,
-                        self.message))
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-    @property
-    def legacy_fingerprint(self) -> str:
-        """The v1 (pre-snippet) formula, kept so version-1 baseline
-        entries keep matching until ``--migrate-baseline`` rewrites
-        them."""
-        raw = "|".join((self.rule, self.path, self.context, self.message))
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: {self.rule} "
@@ -144,7 +117,7 @@ class ModuleInfo:
         """True iff an inline allow covers ``rule_id`` at ``line``.
 
         Matching also marks the covering suppression comment(s) as
-        *used*, which feeds the ``--unused-suppressions`` check.
+        *used*, which feeds the unused-allow check.
         """
         if rule_id not in self.suppressions.get(line, set()):
             return False
@@ -153,12 +126,15 @@ class ModuleInfo:
                 sup.used.add(rule_id)
         return True
 
-    def unused_suppressions(self) -> List["Suppression"]:
-        """Suppression comments with at least one rule id that matched
-        no finding in the last run (meaningful only after a run with
-        the full rule set)."""
-        return [sup for sup in self.suppression_sources
-                if set(sup.rules) - sup.used]
+    def unused_suppressions(self, rule_ids: Set[str]
+                            ) -> Iterable[Tuple[int, str]]:
+        """``(comment line, rule id)`` for each allow of a rule in
+        ``rule_ids`` that matched no finding in the last run.  Allows
+        for rules outside ``rule_ids`` did not run, so cannot be
+        judged."""
+        for sup in self.suppression_sources:
+            for rule_id in sorted((set(sup.rules) & rule_ids) - sup.used):
+                yield sup.origin_line, rule_id
 
 
 class Suppression:
@@ -230,18 +206,17 @@ class Report:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List["BaselineEntry"] = field(default_factory=list)  # noqa: F821
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    #: (display path, comment line, rule id) for allows that matched no
-    #: finding — populated only when the run asked for it.
+    #: (display path, comment line, rule id) for allows of a rule that
+    #: ran but matched no finding.
     unused_suppressions: List[Tuple[str, int, str]] = field(
         default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.stale_baseline and not self.parse_errors
+        return (not self.findings and not self.parse_errors
+                and not self.unused_suppressions)
 
 
 class Analyzer:
@@ -259,24 +234,18 @@ class Analyzer:
                 files.append(path)
         return files
 
-    def run(self, paths: Sequence[Path], baseline: Optional["Baseline"] = None,  # noqa: F821
-            root: Optional[Path] = None,
-            check_only: Optional[Set[Path]] = None,
-            collect_unused: bool = False) -> Report:
+    def run(self, paths: Sequence[Path],
+            root: Optional[Path] = None) -> Report:
         """Run every rule over every discovered file.
 
         The run is two-phase: all files parse first, then rules check
         them, so interprocedural rules (which implement
         ``begin_project``) see the *whole* tree before the first
-        per-module verdict.  ``check_only`` restricts which files are
-        rule-checked (``--changed-only``); every discovered file is
-        still parsed and fed to ``begin_project``, because call-graph
-        summaries must cover unchanged callees too.  Stale-baseline
-        detection is skipped under ``check_only`` — fingerprints from
-        unchecked files would otherwise look stale.
+        per-module verdict.  Findings are displayed relative to
+        ``root`` when they lie under it.
         """
         report = Report()
-        seen_fingerprints: Set[str] = set()
+        rule_ids = {rule.rule_id for rule in self.rules}
         modules: List[ModuleInfo] = []
         for file_path in self.discover([Path(p) for p in paths]):
             display = _display_path(file_path, root)
@@ -295,30 +264,17 @@ class Analyzer:
             for rule in project_rules:
                 rule.begin_project(project)
 
-        targets = None
-        if check_only is not None:
-            targets = {p.resolve() for p in check_only}
         for mod in modules:
-            if targets is not None and mod.path.resolve() not in targets:
-                continue
             report.files_checked += 1
             for rule in self.rules:
                 for finding in rule.check(mod):
-                    seen_fingerprints.add(finding.fingerprint)
-                    seen_fingerprints.add(finding.legacy_fingerprint)
                     if mod.is_suppressed(finding.rule, finding.line):
                         report.suppressed.append(finding)
-                    elif baseline is not None and baseline.covers(finding):
-                        report.baselined.append(finding)
                     else:
                         report.findings.append(finding)
-            if collect_unused:
-                for sup in mod.unused_suppressions():
-                    for rule_id in sorted(set(sup.rules) - sup.used):
-                        report.unused_suppressions.append(
-                            (mod.display_path, sup.origin_line, rule_id))
-        if baseline is not None and check_only is None:
-            report.stale_baseline = baseline.stale_entries(seen_fingerprints)
+            for line, rule_id in mod.unused_suppressions(rule_ids):
+                report.unused_suppressions.append(
+                    (mod.display_path, line, rule_id))
         report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         report.unused_suppressions.sort()
         return report

@@ -18,18 +18,13 @@ class Rule:
 
     def finding(self, mod: ModuleInfo, node: ast.AST,
                 message: str) -> Finding:
-        line = getattr(node, "lineno", 1)
-        snippet = ""
-        if 1 <= line <= len(mod.lines):
-            snippet = " ".join(mod.lines[line - 1].split())
         return Finding(
             rule=self.rule_id,
             path=mod.display_path,
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
             context=mod.qualname_at(node),
-            snippet=snippet,
         )
 
 

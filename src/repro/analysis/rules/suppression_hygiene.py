@@ -11,8 +11,8 @@ depends on:
   suppressed when it is not.
 
 Both get flagged where they stand.  Allows that parse but no longer
-match any finding are a run-level property, reported by
-``--unused-suppressions`` rather than a per-module rule.
+match any finding are a run-level property, reported by the engine
+for every rule that ran rather than by a per-module rule.
 """
 
 import re

@@ -188,8 +188,7 @@ def sanitize_run(workload: str, out) -> int:
     returns an exit code: 0 = both clean and cycles match, 1 = any
     disagreement/violation, 2 = usage error (unknown workload).
     """
-    from repro.analysis.baseline import Baseline
-    from repro.analysis.config import AnalysisConfig
+    import repro
     from repro.analysis.engine import Analyzer
     from repro.analysis.rules import get_rules
 
@@ -199,10 +198,8 @@ def sanitize_run(workload: str, out) -> int:
         return 2
 
     static_rules = ["STATE001", "MMU001"]
-    config = AnalysisConfig.load()
-    baseline = Baseline.load(config.resolved_baseline())
     report = Analyzer(get_rules(static_rules)).run(
-        config.resolved_paths(), baseline=baseline, root=config.root)
+        [Path(repro.__file__).parent], root=Path.cwd())
     static_clean = not report.findings
     print(f"static : {'/'.join(static_rules)} over "
           f"{report.files_checked} files -> "
@@ -219,7 +216,7 @@ def sanitize_run(workload: str, out) -> int:
              else f"{len(sink.violations)} violation(s)"), file=out)
     for violation in sink.violations:
         print(f"  {violation}", file=out)
-    expected = committed_cycles(config.root or Path.cwd(), workload)
+    expected = committed_cycles(Path.cwd(), workload)
     cycles_ok = expected is None or cycles == expected
     if expected is None:
         print(f"cycles : {cycles} (no committed BENCH_wallclock.json "

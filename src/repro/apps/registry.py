@@ -38,14 +38,6 @@ def register_all(machine: Machine, cloaked: bool = False,
         machine.register(program_cls, cloaked=cloaked)
 
 
-def register_programs(machine: Machine, classes: Iterable[type],
-                      cloaked: bool = False) -> None:
-    """Register ad-hoc program classes (generated programs live
-    outside :data:`ALL_PROGRAMS`)."""
-    for program_cls in classes:
-        machine.register(program_cls, cloaked=cloaked)
-
-
 def make_secure_dirs(machine: Machine) -> None:
     """Create the directories the suite expects (incl. /secure)."""
     for path in ("/secure", "/srv", "/www", "/bin", "/tmp"):

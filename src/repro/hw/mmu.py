@@ -105,7 +105,7 @@ class MMU:
             raise RuntimeError("MMU has no translation authority attached")
         entry = self._tlb.lookup(self._asid, self._view, vpn)
         if entry is not None and access is not AccessKind.WRITE:
-            # Read/fetch hit: the case that dominates every workload.
+            # Read hit: the case that dominates every workload.
             # One TLB probe, no fill decision, straight to the
             # permission check.
             self._check_permissions(entry, vaddr, access)
@@ -175,29 +175,6 @@ class MMU:
             self._phys.write(entry.pfn, offset, data[pos : pos + length])
             pos += length
         self._charge_transfer(size)
-
-    def fetch(self, vaddr: int, size: int) -> bytes:
-        """Instruction fetch: like read, but checked as EXECUTE."""
-        if size < 0:
-            raise ValueError("negative fetch size")
-        if size == 0:
-            self._charge_transfer(0)
-            return b""
-        offset = vaddr & (PAGE_SIZE - 1)
-        if offset + size <= PAGE_SIZE:
-            entry = self._translate_page(vaddr >> PAGE_SHIFT, vaddr,
-                                         AccessKind.EXECUTE)
-            data = self._phys.read(entry.pfn, offset, size)
-            self._charge_transfer(size)
-            return data
-        chunks: List[bytes] = []
-        for page_vaddr, offset, length in self._split(vaddr, size):
-            entry = self._translate_page(
-                page_vaddr >> PAGE_SHIFT, page_vaddr, AccessKind.EXECUTE
-            )
-            chunks.append(self._phys.read(entry.pfn, offset, length))
-        self._charge_transfer(size)
-        return b"".join(chunks)
 
     def _charge_transfer(self, size: int) -> None:
         if size <= 8:

@@ -270,25 +270,6 @@ class FrameAllocator:
         self._allocated.add(pfn)
         return pfn
 
-    def alloc_many(self, count: int) -> List[int]:
-        """Allocate ``count`` frames in one free-list slice.
-
-        Returns the same frames in the same order as ``count``
-        successive :meth:`alloc` calls, without N list pops and N set
-        inserts.
-        """
-        if count < 0:
-            raise ValueError("negative allocation count")
-        if count > len(self._free):
-            raise OutOfMemoryError(f"need {count} frames, have {len(self._free)}")
-        if count == 0:
-            return []
-        pfns = self._free[-count:]
-        pfns.reverse()
-        del self._free[-count:]
-        self._allocated.update(pfns)
-        return pfns
-
     def free(self, pfn: int) -> None:
         if pfn not in self._allocated:
             raise ValueError(f"double free or foreign frame: {pfn}")

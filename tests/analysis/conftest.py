@@ -30,9 +30,8 @@ class FixtureTree:
         path = self.write(relpath, source)
         return ModuleInfo(path, relpath, path.read_text(encoding="utf-8"))
 
-    def run(self, rules, baseline=None):
-        return Analyzer(rules).run([self.root], baseline=baseline,
-                                   root=self.root)
+    def run(self, rules):
+        return Analyzer(rules).run([self.root], root=self.root)
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
-"""CLI behaviour: exit codes, --json schema, baseline flags."""
+"""CLI behaviour: exit codes, rule selection, removed options."""
 
 import io
-import json
 import subprocess
 import sys
 
-from repro.analysis.cli import JSON_SCHEMA_VERSION, main
+import pytest
+
+from repro.analysis.cli import main
 
 DIRTY = """\
 import time
@@ -29,14 +30,14 @@ def make_dirty(tmp_path):
 def test_clean_tree_exits_zero(tmp_path):
     (tmp_path / "repro").mkdir()
     (tmp_path / "repro" / "ok.py").write_text("x = 1\n")
-    code, text = run_cli([str(tmp_path), "--no-baseline"])
+    code, text = run_cli([str(tmp_path)])
     assert code == 0
     assert "clean" in text
 
 
 def test_findings_exit_one(tmp_path):
     root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline"])
+    code, text = run_cli([str(root)])
     assert code == 1
     assert "DET001" in text
     assert "FAILED" in text
@@ -63,7 +64,7 @@ def test_unknown_rule_reported_among_valid_ones(tmp_path):
 
 def test_rules_filter(tmp_path):
     root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline", "--rules", "TB001"])
+    code, text = run_cli([str(root), "--rules", "TB001"])
     assert code == 0  # DET001 not selected, so the clock read passes
 
 
@@ -74,117 +75,25 @@ def test_list_rules(tmp_path):
         assert rule_id in text
 
 
-def test_json_schema_is_stable(tmp_path):
-    root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline", "--json"])
-    assert code == 1
-    payload = json.loads(text)
-    assert payload["schema_version"] == JSON_SCHEMA_VERSION
-    assert payload["tool"] == "repro.analysis"
-    assert set(payload) == {
-        "schema_version", "tool", "rules", "files_checked", "findings",
-        "stale_baseline", "parse_errors", "counts", "clean",
-    }
-    finding = payload["findings"][0]
-    assert set(finding) == {
-        "rule", "path", "line", "col", "context", "message", "snippet",
-        "fingerprint",
-    }
-    assert finding["rule"] == "DET001"
-    assert finding["snippet"] == "t = time.time()"
-    assert payload["counts"]["findings"] == 1
-    assert payload["clean"] is False
+@pytest.mark.parametrize("argv", [
+    ["--json"], ["--format", "json"], ["--changed-only"],
+    ["--since", "HEAD"], ["--baseline", "bl.json"], ["--no-baseline"],
+    ["--write-baseline", "reason"], ["--migrate-baseline"],
+    ["--unused-suppressions"],
+])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_write_baseline_then_clean(tmp_path):
-    root = make_dirty(tmp_path)
-    baseline = tmp_path / "bl.json"
-    code, text = run_cli([str(root), "--baseline", str(baseline),
-                          "--write-baseline", "legacy clock until PR 9"])
+def test_default_path_is_the_repro_package():
+    """No paths: the installed package is checked."""
+    code, text = run_cli(["--rules", "SUP001"])
     assert code == 0
-    assert baseline.exists()
-
-    code, text = run_cli([str(root), "--baseline", str(baseline)])
-    assert code == 0
-
-    # Fix the violation: the baseline entry goes stale and fails.
-    (root / "repro" / "hw" / "clock.py").write_text("t = 0\n")
-    code, text = run_cli([str(root), "--baseline", str(baseline)])
-    assert code == 1
-    assert "stale baseline entry" in text
-
-
-def test_write_baseline_requires_reason(tmp_path):
-    root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--write-baseline", "  "])
-    assert code == 2
-
-
-def test_format_sarif_flag(tmp_path):
-    root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline", "--format", "sarif"])
-    assert code == 1
-    doc = json.loads(text)
-    assert doc["version"] == "2.1.0"
-    assert doc["runs"][0]["results"][0]["ruleId"] == "DET001"
-
-
-def test_json_flag_is_an_alias_for_format_json(tmp_path):
-    root = make_dirty(tmp_path)
-    _, via_json = run_cli([str(root), "--no-baseline", "--json"])
-    _, via_format = run_cli([str(root), "--no-baseline", "--format", "json"])
-    assert json.loads(via_json) == json.loads(via_format)
-
-
-def _git(root, *args):
-    subprocess.run(
-        ["git", "-C", str(root), "-c", "user.email=t@t", "-c",
-         "user.name=t", *args],
-        check=True, capture_output=True)
-
-
-def test_changed_only_checks_only_changed_files(tmp_path, monkeypatch):
-    root = make_dirty(tmp_path)
-    (root / "pyproject.toml").write_text(
-        "[tool.repro-analysis]\npaths = [\"repro\"]\n")
-    (root / "repro" / "hw" / "stable.py").write_text("x = 1\n")
-    _git(root, "init", "-q")
-    _git(root, "add", "-A")
-    _git(root, "commit", "-qm", "seed")
-    monkeypatch.chdir(root)
-
-    # Nothing changed: nothing rule-checked, exit 0.
-    code, text = run_cli(["--no-baseline", "--changed-only"])
-    assert code == 0
-    assert "0 finding(s)" in text
-
-    # Touch only the clock module: its DET001 comes back, stable.py
-    # stays out of the checked count.
-    clock = root / "repro" / "hw" / "clock.py"
-    clock.write_text(clock.read_text() + "u = time.time()\n")
-    code, text = run_cli(["--no-baseline", "--changed-only"])
-    assert code == 1
-    assert "DET001" in text
-    assert "1 files" in text
-
-    # Untracked files count as changed too.
-    (root / "repro" / "hw" / "fresh.py").write_text("y = 2\n")
-    code, text = run_cli(["--no-baseline", "--changed-only"])
-    assert "2 files" in text
-
-
-def test_changed_only_bad_ref_exits_two(tmp_path, monkeypatch):
-    root = make_dirty(tmp_path)
-    (root / "pyproject.toml").write_text(
-        "[tool.repro-analysis]\npaths = [\"repro\"]\n")
-    _git(root, "init", "-q")
-    _git(root, "add", "-A")
-    _git(root, "commit", "-qm", "seed")
-    monkeypatch.chdir(root)
-    code, text = run_cli(["--no-baseline", "--changed-only",
-                          "--since", "no-such-ref"])
-    assert code == 2
-    assert "error:" in text
+    assert "clean" in text
+    assert " 0 files" not in text
 
 
 def test_module_entry_point_runs():

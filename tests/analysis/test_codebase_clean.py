@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import Analyzer
 from repro.analysis.rules import ALL_RULES, get_rules
 
@@ -23,10 +21,7 @@ REPO_ROOT = SRC_REPRO.parent.parent
 
 
 def _run_real_tree():
-    config = AnalysisConfig.load(REPO_ROOT)
-    baseline = Baseline.load(config.resolved_baseline())
-    return Analyzer(get_rules()).run([SRC_REPRO], baseline=baseline,
-                                     root=REPO_ROOT)
+    return Analyzer(get_rules()).run([SRC_REPRO], root=REPO_ROOT)
 
 
 def test_codebase_is_clean():
@@ -34,9 +29,10 @@ def test_codebase_is_clean():
     details = "\n".join(f.render() for f in report.findings)
     assert report.findings == [], f"invariant violations:\n{details}"
     assert report.parse_errors == []
-    assert report.stale_baseline == [], (
-        "baseline entries whose findings were fixed must be removed: "
-        + ", ".join(e.fingerprint for e in report.stale_baseline))
+    assert report.unused_suppressions == [], (
+        "inline allows that silence nothing must be removed: "
+        + ", ".join(f"{path}:{line} {rule}"
+                    for path, line, rule in report.unused_suppressions))
     # Sanity: the run actually covered the tree.
     assert report.files_checked >= 90
 
@@ -64,12 +60,3 @@ def test_injected_violation_is_caught(tmp_path, injection, expected_rule):
     report = Analyzer(get_rules()).run([tmp_path], root=tmp_path)
     assert any(f.rule == expected_rule for f in report.findings), (
         f"{expected_rule} did not fire on the injected violation")
-
-
-def test_shipped_baseline_is_empty_or_justified():
-    """Every shipped baseline entry must carry a real reason; today the
-    baseline is empty — the codebase satisfies the rules outright."""
-    config = AnalysisConfig.load(REPO_ROOT)
-    baseline = Baseline.load(config.resolved_baseline())
-    for entry in baseline.entries:
-        assert entry.reason.strip(), entry.fingerprint

@@ -29,7 +29,7 @@ def test_parse_error_exits_one_even_with_no_findings(tmp_path):
     (tmp_path / "repro" / "broken.py").write_text(BROKEN)
     (tmp_path / "repro" / "ok.py").write_text("x = 1\n")
     out = io.StringIO()
-    code = main([str(tmp_path), "--no-baseline"], out=out)
+    code = main([str(tmp_path)], out=out)
     assert code == 1
     text = out.getvalue()
     assert "parse error" in text

@@ -121,18 +121,29 @@ def test_bracket_spelling_suppresses(tree):
 
 
 def test_unused_suppression_is_collected(tree):
+    """An allow that silences nothing is reported by every run whose
+    rule set includes its rule, and fails the CLI with no flag."""
+    import io
+
+    from repro.analysis.cli import main
+
     tree.write("repro/hw/fine.py", """\
         # repro: allow(DET001) — nothing here actually violates DET001
         x = 1
         """)
-    from repro.analysis.rules import get_rules
-    report = tree.run(get_rules())
-    assert report.unused_suppressions == []  # not collected by default
-    from repro.analysis.engine import Analyzer
-    report = Analyzer(get_rules()).run([tree.root], root=tree.root,
-                                       collect_unused=True)
-    assert [(line, rule) for _p, line, rule in report.unused_suppressions] \
-        == [(1, "DET001")]
+    for rules in (get_rules(), get_rules(["DET001"])):
+        report = tree.run(rules)
+        assert [(line, rule) for _p, line, rule
+                in report.unused_suppressions] == [(1, "DET001")]
+        assert not report.clean
+    # DET001 did not run, so its allow cannot be judged.
+    report = tree.run(get_rules(["TB001"]))
+    assert report.unused_suppressions == []
+    assert report.clean
+
+    out = io.StringIO()
+    assert main([str(tree.root)], out=out) == 1
+    assert "unused suppression" in out.getvalue()
 
 
 def test_real_tree_suppressions_are_justified():

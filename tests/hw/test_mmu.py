@@ -167,11 +167,6 @@ class TestZeroLengthAccess:
         assert authority.fills == 0
         assert cycles.get("mem") == CostTable().mem_access
 
-    def test_zero_fetch_skips_translation(self, machine):
-        __, mmu, authority, __ = machine
-        assert mmu.fetch(0x99 << 12, 0) == b""
-        assert authority.fills == 0
-
     def test_negative_read_rejected(self, machine):
         __, mmu, __, __ = machine
         with pytest.raises(ValueError):
@@ -182,7 +177,7 @@ class TestZeroLengthAccess:
 
 
 class TestSinglePageFastPath:
-    """The single-page read/write/fetch shortcut must agree with the
+    """The single-page read/write shortcut must agree with the
     general splitting path on boundaries."""
 
     def test_exact_page_read(self, machine):

@@ -120,46 +120,3 @@ class TestFrameAllocator:
         assert alloc.is_allocated(pfn)
         alloc.free(pfn)
         assert alloc.used_count == 0
-
-    def test_alloc_many(self):
-        alloc = FrameAllocator(8)
-        frames = alloc.alloc_many(5)
-        assert len(frames) == 5
-        with pytest.raises(OutOfMemoryError):
-            alloc.alloc_many(4)
-
-    def test_alloc_many_matches_successive_allocs(self):
-        batched = FrameAllocator(8, reserved_low=2)
-        serial = FrameAllocator(8, reserved_low=2)
-        assert batched.alloc_many(5) == [serial.alloc() for _ in range(5)]
-        # Subsequent allocations also continue from the same point.
-        assert batched.alloc() == serial.alloc()
-
-    def test_alloc_many_updates_bookkeeping(self):
-        alloc = FrameAllocator(8)
-        frames = alloc.alloc_many(3)
-        assert alloc.free_count == 5
-        assert alloc.used_count == 3
-        assert all(alloc.is_allocated(pfn) for pfn in frames)
-        for pfn in frames:
-            alloc.free(pfn)
-        assert alloc.used_count == 0
-        assert alloc.free_count == 8
-
-    def test_alloc_many_zero_is_noop(self):
-        alloc = FrameAllocator(4)
-        assert alloc.alloc_many(0) == []
-        assert alloc.free_count == 4
-
-    def test_alloc_many_negative_rejected(self):
-        alloc = FrameAllocator(4)
-        with pytest.raises(ValueError):
-            alloc.alloc_many(-1)
-
-    def test_alloc_many_failure_leaves_state_intact(self):
-        alloc = FrameAllocator(4)
-        alloc.alloc_many(3)
-        with pytest.raises(OutOfMemoryError):
-            alloc.alloc_many(2)
-        assert alloc.free_count == 1
-        assert alloc.used_count == 3
