@@ -8,14 +8,24 @@ overhead.  Sizes are chosen so each kernel runs a few million virtual
 cycles, long enough to cross many timeslices.
 
 The mix mirrors a SPECint-style suite: dense arithmetic (``matmul``,
-``stencil``), sorting (``qsortk``), compression (``rle``), hashing
-(``shaloop``), pointer chasing over a graph (``bfsgraph``), and byte
-bashing (``histogram``, ``strsearch``).
+``stencil``), sorting (``qsortk``), compression (``rle``,
+``lzwindow``), hashing (``shaloop``), checksumming (``crcsweep``),
+pointer chasing over a graph (``bfsgraph``), iterative numerics
+(``kmeans``), byte bashing (``histogram``, ``strsearch``) and text
+parsing (``recordparse``).
+
+A transform's output and ALU units are fixed by the loop it models,
+not by how the host computes them: several transforms get the same
+bytes and the same units from C-level builtins, and each of those is
+checked against its original loop in ``tests/apps/reference_kernels.py``.
 """
 
 import hashlib
+import operator
 import random
-from typing import List
+import struct
+import zlib
+from typing import List, Tuple
 
 from repro.apps.program import Program, UserContext
 
@@ -57,7 +67,7 @@ class ComputeKernel(Program):
     def generate_input(self) -> bytes:
         raise NotImplementedError
 
-    def transform(self, data: bytes) -> (bytes, int):
+    def transform(self, data: bytes) -> Tuple[bytes, int]:
         """Pure computation: returns (output, alu_units_charged)."""
         raise NotImplementedError
 
@@ -104,17 +114,11 @@ class MatMul(ComputeKernel):
 
     def transform(self, data: bytes):
         k = self.size
-        a = [list(data[i * k : (i + 1) * k]) for i in range(k)]
-        b = [list(data[(k + i) * k : (k + i + 1) * k]) for i in range(k)]
-        out = bytearray()
-        for i in range(k):
-            for j in range(k):
-                acc = 0
-                row = a[i]
-                for t in range(k):
-                    acc += row[t] * b[t][j]
-                out.append(acc & 0xFF)
-        return bytes(out), 2 * k * k * k  # one mul + one add per step
+        rows = [data[i * k : (i + 1) * k] for i in range(k)]
+        cols = [data[k * k + j :: k][:k] for j in range(k)]
+        out = bytes(sum(map(operator.mul, row, col)) & 0xFF
+                    for row in rows for col in cols)
+        return out, 2 * k * k * k  # one mul + one add per step
 
 
 class QSortK(ComputeKernel):
@@ -193,11 +197,7 @@ class BFSGraph(ComputeKernel):
 
     def transform(self, data: bytes):
         n = self.size
-        adj = [
-            [int.from_bytes(data[(node * 4 + e) * 4 : (node * 4 + e) * 4 + 4],
-                            "little") for e in range(4)]
-            for node in range(n)
-        ]
+        adj = struct.unpack(f"<{4 * n}I", data)  # v's peers: adj[4v:4v+4]
         depth = [-1] * n
         depth[0] = 0
         frontier = [0]
@@ -205,9 +205,10 @@ class BFSGraph(ComputeKernel):
         while frontier:
             nxt = []
             for node in frontier:
-                for peer in adj[node]:
+                peer_depth = depth[node] + 1
+                for peer in adj[4 * node : 4 * node + 4]:
                     if depth[peer] < 0:
-                        depth[peer] = depth[node] + 1
+                        depth[peer] = peer_depth
                         nxt.append(peer)
                         visited += 1
             frontier = nxt
@@ -276,8 +277,6 @@ class StrSearch(ComputeKernel):
         return out, 3 * len(data) * len(self.NEEDLES)
 
 
-
-
 class CRCSweep(ComputeKernel):
     """Table-driven CRC32 over a buffer (lookup-heavy checksumming)."""
 
@@ -303,15 +302,21 @@ class CRCSweep(ComputeKernel):
         return bytes(rng.randrange(256) for __ in range(self.size))
 
     def transform(self, data: bytes):
-        table = self._table()
+        # zlib.crc32 runs the same register as ``_table`` but inverts it
+        # on entry and on exit; undoing both carries the raw register
+        # from block to block.
         crc = 0xFFFFFFFF
         out = bytearray()
         for offset in range(0, len(data), 4096):
-            for byte in data[offset : offset + 4096]:
-                crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-            out += (crc & 0xFFFFFFFF).to_bytes(4, "little")
+            block = data[offset : offset + 4096]
+            crc = zlib.crc32(block, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+            out += crc.to_bytes(4, "little")
         # ~3 ops per byte: shift, xor, table lookup.
         return bytes(out), 3 * len(data)
+
+
+#: ``_BYTE_MASKS[c]`` keeps the low ``c`` bytes of an integer.
+_BYTE_MASKS = tuple((1 << (8 * c)) - 1 for c in range(256))
 
 
 class LZWindow(ComputeKernel):
@@ -332,25 +337,45 @@ class LZWindow(ComputeKernel):
         return bytes(out[: self.size])
 
     def transform(self, data: bytes):
+        # The modelled loop compares every window position j < i byte
+        # by byte: one unit per matched byte plus one for the mismatch
+        # (or cap) that ends the match.  A position whose first byte
+        # differs matches nothing, so only positions holding data[i]
+        # are visited; the others' single unit is charged in bulk.
+        n = len(data)
+        find = data.find
+        from_bytes = int.from_bytes
         out = bytearray()
         i = 0
         comparisons = 0
-        while i < len(data):
+        while i < n:
             best_len = 0
             best_dist = 0
             window_start = max(0, i - self.WINDOW)
-            j = window_start
-            while j < i:
-                length = 0
-                while (i + length < len(data) and length < 255
-                       and data[j + length] == data[i + length]
-                       and j + length < i):
-                    length += 1
-                comparisons += length + 1
-                if length > best_len:
+            comparisons += i - window_start
+            first = data[i : i + 1]
+            limit = min(255, n - i)
+            ahead = from_bytes(data[i : i + limit], "little")
+            j = find(first, window_start, i)
+            while j >= 0:
+                # Longest common prefix of data[j:] and data[i:], capped
+                # as the loop caps it: 255 bytes, the end of the data,
+                # and no reaching into position i itself.  Its length is
+                # the index of the lowest differing byte.
+                cap = i - j
+                if cap > limit:
+                    cap = limit
+                diff = (from_bytes(data[j : j + cap], "little") ^ ahead) \
+                    & _BYTE_MASKS[cap]
+                if diff:
+                    length = ((diff ^ (diff - 1)).bit_length() - 1) >> 3
+                else:
+                    length = cap
+                comparisons += length
+                if length > best_len:  # strict: the farthest j wins ties
                     best_len = length
                     best_dist = i - j
-                j += 1
+                j = find(first, j + 1, i)
             if best_len >= self.MIN_MATCH:
                 out += b"\x01" + best_dist.to_bytes(2, "little") \
                     + bytes([best_len])
@@ -374,16 +399,19 @@ class KMeans(ComputeKernel):
         return bytes(rng.randrange(256) for __ in range(self.size))
 
     def transform(self, data: bytes):
+        # Points with equal values land in the same cluster, so each
+        # iteration assigns the 256 byte values once, weighted by count.
+        hist = [data.count(value) for value in range(256)]
         centroids = [int((c + 0.5) * 256 / self.K) for c in range(self.K)]
         work = 0
         for __ in range(self.ITERATIONS):
             sums = [0] * self.K
             counts = [0] * self.K
-            for value in data:
+            for value, count in enumerate(hist):
                 best = min(range(self.K),
                            key=lambda c: abs(value - centroids[c]))
-                sums[best] += value
-                counts[best] += 1
+                sums[best] += value * count
+                counts[best] += count
             work += len(data) * self.K
             centroids = [
                 sums[c] // counts[c] if counts[c] else centroids[c]

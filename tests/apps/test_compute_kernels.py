@@ -1,5 +1,7 @@
 """Unit tests for the compute kernels' pure transforms (no machine)."""
 
+import math
+import random
 import zlib
 
 import pytest
@@ -19,6 +21,8 @@ from repro.apps.compute import (
     Stencil,
     StrSearch,
 )
+
+from tests.apps.reference_kernels import REFERENCES
 
 
 @pytest.mark.parametrize("kernel_cls", COMPUTE_SUITE,
@@ -161,3 +165,65 @@ class TestKernelSemantics:
             expected = hashlib.sha256(expected).digest()
         out, __c = kernel.transform(data)
         assert out == expected
+
+
+# -- Rewritten kernels against their frozen reference loops -----------------
+
+_KERNELS = {cls.name: cls for cls in COMPUTE_SUITE}
+_SIZES = (1, 2, 5, 64, 500, 4096, 0, 77777)  # 0 selects the default size
+_GENERATED = (
+    [("matmul", k) for k in (1, 2, 3, 17, 56)]
+    + [("bfsgraph", size) for size in _SIZES if size <= 20000]
+    + [(name, size) for name in ("crcsweep", "lzwindow", "kmeans")
+       for size in _SIZES]
+)
+
+
+@pytest.mark.parametrize("name,size", _GENERATED,
+                         ids=[f"{n}-{s or 'default'}" for n, s in _GENERATED])
+def test_transform_matches_reference_on_generated_input(name, size):
+    kernel = _KERNELS[name](size=size)
+    data = kernel.generate_input()
+    assert kernel.transform(data) == REFERENCES[name](kernel, data)
+
+
+_HANDMADE = {
+    "one-byte": b"a" * 1000,
+    "two-byte-period": b"ab" * 700,
+    "all-values": bytes(range(256)) * 20,
+    "long-run": b"xyz" + b"q" * 700 + b"xyz" + b"q" * 300,
+    # Symbols that differ in their top bits: a match can end on a byte
+    # that differs from its partner only in bit 7.
+    "three-symbols": bytes(random.Random(7).choices(b"\x00\x40\x80", k=6000)),
+}
+
+
+@pytest.mark.parametrize("name", ["crcsweep", "lzwindow", "kmeans"])
+@pytest.mark.parametrize("label", list(_HANDMADE))
+def test_transform_matches_reference_on_handmade_input(name, label):
+    kernel = _KERNELS[name]()
+    data = _HANDMADE[label]
+    assert kernel.transform(data) == REFERENCES[name](kernel, data)
+
+
+@pytest.mark.parametrize("label", list(_HANDMADE))
+def test_matmul_matches_reference_on_handmade_input(label):
+    k = math.isqrt(len(_HANDMADE[label]) // 2)
+    kernel = MatMul(size=k)
+    data = _HANDMADE[label][: 2 * k * k]
+    assert kernel.transform(data) == REFERENCES["matmul"](kernel, data)
+
+
+@pytest.mark.parametrize("label,peers", [
+    ("all-to-root", lambda node, n: (0, 0, 0, 0)),
+    ("self-loops", lambda node, n: (node,) * 4),
+    ("chain", lambda node, n: (min(node + 1, n - 1), node, 0, node)),
+    ("4-ary-tree", lambda node, n: ((node * 4 + 1) % n, (node * 4 + 2) % n,
+                              (node * 4 + 3) % n, (node * 4 + 4) % n)),
+])
+def test_bfsgraph_matches_reference_on_handmade_graph(label, peers):
+    n = 700
+    kernel = BFSGraph(size=n)
+    data = b"".join(peer.to_bytes(4, "little")
+                    for node in range(n) for peer in peers(node, n))
+    assert kernel.transform(data) == REFERENCES["bfsgraph"](kernel, data)
