@@ -18,13 +18,19 @@ A transform's output and ALU units are fixed by the loop it models,
 not by how the host computes them: several transforms get the same
 bytes and the same units from C-level builtins, and each of those is
 checked against its original loop in ``tests/apps/reference_kernels.py``.
+Inputs are fixed the same way: they are the bytes one ``randrange``
+call per value would draw, and the kernels draw them in bulk
+(``_randbelow_many``, ``_randbytes``), checked against the per-value
+loops kept in the same file.
 """
 
 import hashlib
 import operator
 import random
+import re
 import struct
 import zlib
+from itertools import compress
 from typing import List, Tuple
 
 from repro.apps.program import Program, UserContext
@@ -43,6 +49,62 @@ def _prng(seed: str) -> random.Random:
     """
     return random.Random(int.from_bytes(hashlib.sha256(seed.encode()).digest()[:8],
                                         "little"))
+
+
+def _words(rng: random.Random, count: int) -> bytes:
+    """The next ``count`` 32-bit outputs of ``rng``, 4 little-endian
+    bytes each, in draw order.
+
+    ``getrandbits(k)`` for ``k <= 32`` is the top ``k`` bits of one
+    output, and ``getrandbits(32 * count)`` is ``count`` outputs, least
+    significant first, so word ``i`` here is what the ``i``-th
+    single-word draw would see.
+    """
+    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+
+
+def _randbelow_many(rng: random.Random, count: int, bound: int) -> List[int]:
+    """Exactly ``[rng.randrange(bound) for _ in range(count)]``, leaving
+    ``rng`` in the same state; ``bound`` must be below ``2**32``.
+
+    ``randrange(bound)`` retries ``getrandbits(bound.bit_length())``
+    until the value is below ``bound``, one word per try, so the values
+    are the accepted words in order.  Each round draws one word per
+    value still missing: that many words accept at most that many
+    values, so no round draws past the word that ends the last call.
+    """
+    if not 0 < bound < 1 << 32:
+        raise ValueError(f"bound must be in (0, 2**32), got {bound}")
+    shift = 32 - bound.bit_length()
+    out: List[int] = []
+    while len(out) < count:
+        missing = count - len(out)
+        words = struct.unpack(f"<{missing}I", _words(rng, missing))
+        out += filter(bound.__gt__, map(shift.__rrshift__, words))
+    return out
+
+
+#: ``randrange(256)`` is ``getrandbits(9)``: bits 23-31 of a word, so
+#: bytes 2 and 3.  The word is rejected iff byte 3 >= 0x80; otherwise
+#: the value is ``_HI_BITS[byte 3] | _LO_BIT[byte 2]``.
+_HI_BITS = bytes((b & 0x7F) << 1 for b in range(256))
+_LO_BIT = bytes(b >> 7 for b in range(256))
+_ACCEPT = bytes(b < 0x80 for b in range(256))
+
+
+def _randbytes(rng: random.Random, count: int) -> bytes:
+    """``bytes(rng.randrange(256) for _ in range(count))``, in C: the
+    rounds of ``_randbelow_many`` with each word decoded by table."""
+    out = bytearray()
+    while len(out) < count:
+        missing = count - len(out)
+        raw = _words(rng, missing)
+        top = raw[3::4]
+        values = (int.from_bytes(top.translate(_HI_BITS), "little")
+                  | int.from_bytes(raw[2::4].translate(_LO_BIT), "little"))
+        out.extend(compress(values.to_bytes(missing, "little"),
+                            top.translate(_ACCEPT)))
+    return bytes(out)
 
 
 def _checksum(data: bytes) -> str:
@@ -108,9 +170,7 @@ class MatMul(ComputeKernel):
     default_size = 56  # k x k matrices
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
-        cells = 2 * self.size * self.size
-        return bytes(rng.randrange(256) for __ in range(cells))
+        return _randbytes(self.rng(), 2 * self.size * self.size)
 
     def transform(self, data: bytes):
         k = self.size
@@ -128,13 +188,16 @@ class QSortK(ComputeKernel):
     default_size = 16384  # elements
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
-        return bytes(rng.randrange(256) for __ in range(self.size))
+        return _randbytes(self.rng(), self.size)
 
     def transform(self, data: bytes):
         n = len(data)
         cost = int(6 * n * max(1, n.bit_length()))
         return bytes(sorted(data)), cost
+
+
+#: One run of equal bytes (any byte, hence ``re.S``), at most 255 long.
+_RUN = re.compile(rb"(.)\1{0,254}", re.S)
 
 
 class RLECompress(ComputeKernel):
@@ -144,22 +207,32 @@ class RLECompress(ComputeKernel):
     default_size = 98304
 
     def generate_input(self) -> bytes:
+        # The input alternates randrange(32), a run's byte, with
+        # randrange(1, 24), its length.  The first keeps a word's top 6
+        # bits when they are below 32 (top byte < 0x80), the second adds
+        # 1 to its top 5 bits when they are below 23 (top byte < 0xB8),
+        # so the walk needs only each word's top byte.  The PRNG is this
+        # call's own: words drawn past the last run change nothing.
         rng = self.rng()
         out = bytearray()
+        value = None
         while len(out) < self.size:
-            out.extend(bytes([rng.randrange(32)]) * rng.randrange(1, 24))
+            for top in _words(rng, (self.size - len(out)) // 3 + 1)[3::4]:
+                if value is None:
+                    if top < 0x80:
+                        value = top >> 2
+                elif top < 0xB8:
+                    out += bytes((value,)) * ((top >> 3) + 1)
+                    value = None
         return bytes(out[: self.size])
 
     def transform(self, data: bytes):
-        out = bytearray()
-        i = 0
-        while i < len(data):
-            j = i
-            while j < len(data) and data[j] == data[i] and j - i < 255:
-                j += 1
-            out.append(j - i)
-            out.append(data[i])
-            i = j
+        # Whole runs as bytes: unlike findall's group tuples, they are
+        # not objects the cyclic GC tracks.
+        runs = list(map(re.Match.group, _RUN.finditer(data)))
+        out = bytearray(2 * len(runs))
+        out[0::2] = bytes(map(len, runs))
+        out[1::2] = bytes(map(operator.itemgetter(0), runs))
         return bytes(out), 7 * len(data)
 
 
@@ -187,13 +260,9 @@ class BFSGraph(ComputeKernel):
     default_size = 12000  # nodes
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
         n = self.size
-        edges = bytearray()
-        for node in range(n):
-            for __ in range(4):
-                edges += rng.randrange(n).to_bytes(4, "little")
-        return bytes(edges)
+        return struct.pack(f"<{4 * n}I",
+                           *_randbelow_many(self.rng(), 4 * n, n))
 
     def transform(self, data: bytes):
         n = self.size
@@ -224,16 +293,25 @@ class Stencil(ComputeKernel):
     iterations = 10
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
-        return bytes(rng.randrange(256) for __ in range(self.size))
+        return _randbytes(self.rng(), self.size)
 
     def transform(self, data: bytes):
-        cells = list(data)
+        # Cell i is the 16-bit lane i of one int.  A sweep adds the
+        # lane-shifted neighbours and divides by 4 with one shift.  A sum
+        # is at most 1020, so no lane carries into the next; the two bits
+        # the shift pulls down from lane i + 1 are masked off with the
+        # rest of the high byte.  The two boundary cells never change.
+        n = len(data)
+        lanes = bytearray(2 * n)
+        lanes[0::2] = data
+        cells = int.from_bytes(lanes, "little")
+        inner = int.from_bytes(b"\0\0" + b"\xff\0" * (n - 2), "little")
+        edges = cells & ~inner
         for __ in range(self.iterations):
-            prev = cells[:]
-            for i in range(1, len(cells) - 1):
-                cells[i] = (prev[i - 1] + 2 * prev[i] + prev[i + 1]) // 4
-        return bytes(cells), 4 * self.size * self.iterations
+            cells = ((((cells << 16) + 2 * cells + (cells >> 16)) >> 2)
+                     & inner) | edges
+        return (cells.to_bytes(2 * n, "little")[0::2],
+                4 * self.size * self.iterations)
 
 
 class Histogram(ComputeKernel):
@@ -243,8 +321,7 @@ class Histogram(ComputeKernel):
     default_size = 262144
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
-        return bytes(rng.randrange(256) for __ in range(self.size))
+        return _randbytes(self.rng(), self.size)
 
     def transform(self, data: bytes):
         counts = [0] * 256
@@ -298,8 +375,7 @@ class CRCSweep(ComputeKernel):
         return cls._TABLE
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
-        return bytes(rng.randrange(256) for __ in range(self.size))
+        return _randbytes(self.rng(), self.size)
 
     def transform(self, data: bytes):
         # zlib.crc32 runs the same register as ``_table`` but inverts it
@@ -395,8 +471,7 @@ class KMeans(ComputeKernel):
     ITERATIONS = 12
 
     def generate_input(self) -> bytes:
-        rng = self.rng()
-        return bytes(rng.randrange(256) for __ in range(self.size))
+        return _randbytes(self.rng(), self.size)
 
     def transform(self, data: bytes):
         # Points with equal values land in the same cluster, so each

@@ -26,7 +26,6 @@ class DiskScrape(Attack):
         observed = b"".join(
             machine.disk.read_block(lba)
             for lba in range(machine.disk.num_blocks)
-            if machine.disk.reads < 10_000
         )
         leaked = SECRET_FILE_CONTENT in observed
         final = self.finish(machine, victim)

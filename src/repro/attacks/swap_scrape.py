@@ -46,11 +46,12 @@ class SwapTamper(Attack):
     def run(self, machine: Machine, victim: Process) -> AttackReport:
         evicted = machine.kernel.reclaimer.reclaim(200)
         # Corrupt every non-empty disk block (the victim's swap slots
-        # are in there somewhere).
+        # are in there somewhere).  A block is empty iff every byte is
+        # zero; ``count`` decides that in C.
         tampered = 0
         for lba in range(machine.disk.num_blocks):
             block = machine.disk.read_block(lba)
-            if any(block):
+            if block.count(0) != len(block):
                 mutated = bytearray(block)
                 mutated[0] ^= 0xFF
                 machine.disk.write_block(lba, bytes(mutated))

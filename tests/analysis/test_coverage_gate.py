@@ -3,7 +3,7 @@
 ``src/repro/core`` is the TCB of the whole reproduction — unexercised
 lines there are unverified security protocol.  The CI image has no
 third-party coverage tracer, so this gate drives a curated in-process
-exercise under :mod:`repro.analysis.coverage` (stdlib ``sys.settrace``
+exercise under :mod:`tests.analysis.coverage` (stdlib ``sys.settrace``
 + AST executable-line accounting) and fails listing the missed lines
 of the worst files.
 
@@ -15,7 +15,7 @@ run — chosen to touch every protocol path the core implements.
 
 import os
 
-from repro.analysis import coverage
+from tests.analysis import coverage
 
 CORE_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                          "src", "repro", "core")

@@ -1,9 +1,16 @@
-"""Frozen reference transforms for the rewritten compute kernels.
+"""Frozen reference loops for the rewritten compute kernels.
 
-These are the original pure-Python loops of ``MatMul``, ``BFSGraph``,
-``CRCSweep``, ``LZWindow`` and ``KMeans``, kept verbatim (``self``
-became ``kernel``) as oracles: each kernel's ``transform`` must return
-exactly what its reference returns, output bytes and ALU units alike.
+These are the original pure-Python loops, kept verbatim (``self``
+became ``kernel``) as oracles:
+
+* the ``transform`` of ``MatMul``, ``RLECompress``, ``BFSGraph``,
+  ``Stencil``, ``CRCSweep``, ``LZWindow`` and ``KMeans``: each kernel's
+  ``transform`` must return exactly what its reference returns, output
+  bytes and ALU units alike;
+* the ``generate_input`` of every kernel whose inputs are now drawn in
+  bulk: each must return exactly the same bytes, one ``randrange`` call
+  per value.
+
 Never regenerate these from the code under test; a change to a
 kernel's semantics is a change here first, made by hand.
 """
@@ -22,6 +29,19 @@ def matmul(kernel, data: bytes):
                 acc += row[t] * b[t][j]
             out.append(acc & 0xFF)
     return bytes(out), 2 * k * k * k  # one mul + one add per step
+
+
+def rle(kernel, data: bytes):
+    out = bytearray()
+    i = 0
+    while i < len(data):
+        j = i
+        while j < len(data) and data[j] == data[i] and j - i < 255:
+            j += 1
+        out.append(j - i)
+        out.append(data[i])
+        i = j
+    return bytes(out), 7 * len(data)
 
 
 def bfsgraph(kernel, data: bytes):
@@ -46,6 +66,15 @@ def bfsgraph(kernel, data: bytes):
         frontier = nxt
     out = bytes((d + 1) & 0xFF for d in depth)
     return out, 14 * visited + 3 * 4 * n
+
+
+def stencil(kernel, data: bytes):
+    cells = list(data)
+    for __ in range(kernel.iterations):
+        prev = cells[:]
+        for i in range(1, len(cells) - 1):
+            cells[i] = (prev[i - 1] + 2 * prev[i] + prev[i + 1]) // 4
+    return bytes(cells), 4 * kernel.size * kernel.iterations
 
 
 def crcsweep(kernel, data: bytes):
@@ -114,8 +143,56 @@ def kmeans(kernel, data: bytes):
 #: Kernel name -> reference transform.
 REFERENCES = {
     "matmul": matmul,
+    "rle": rle,
     "bfsgraph": bfsgraph,
+    "stencil": stencil,
     "crcsweep": crcsweep,
     "lzwindow": lzwindow,
     "kmeans": kmeans,
+}
+
+
+# -- Inputs: one ``randrange`` call per value --------------------------------
+
+def matmul_input(kernel):
+    rng = kernel.rng()
+    cells = 2 * kernel.size * kernel.size
+    return bytes(rng.randrange(256) for __ in range(cells))
+
+
+def rle_input(kernel):
+    rng = kernel.rng()
+    out = bytearray()
+    while len(out) < kernel.size:
+        out.extend(bytes([rng.randrange(32)]) * rng.randrange(1, 24))
+    return bytes(out[: kernel.size])
+
+
+def bfsgraph_input(kernel):
+    rng = kernel.rng()
+    n = kernel.size
+    edges = bytearray()
+    for node in range(n):
+        for __ in range(4):
+            edges += rng.randrange(n).to_bytes(4, "little")
+    return bytes(edges)
+
+
+def byte_input(kernel):
+    """``QSortK``, ``Stencil``, ``Histogram``, ``CRCSweep`` and
+    ``KMeans`` all drew their input with this one body."""
+    rng = kernel.rng()
+    return bytes(rng.randrange(256) for __ in range(kernel.size))
+
+
+#: Kernel name -> reference ``generate_input``.
+INPUT_REFERENCES = {
+    "matmul": matmul_input,
+    "qsortk": byte_input,
+    "rle": rle_input,
+    "bfsgraph": bfsgraph_input,
+    "stencil": byte_input,
+    "histogram": byte_input,
+    "crcsweep": byte_input,
+    "kmeans": byte_input,
 }

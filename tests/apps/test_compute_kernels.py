@@ -20,9 +20,11 @@ from repro.apps.compute import (
     ShaLoop,
     Stencil,
     StrSearch,
+    _randbelow_many,
+    _randbytes,
 )
 
-from tests.apps.reference_kernels import REFERENCES
+from tests.apps.reference_kernels import INPUT_REFERENCES, REFERENCES
 
 
 @pytest.mark.parametrize("kernel_cls", COMPUTE_SUITE,
@@ -174,8 +176,10 @@ _SIZES = (1, 2, 5, 64, 500, 4096, 0, 77777)  # 0 selects the default size
 _GENERATED = (
     [("matmul", k) for k in (1, 2, 3, 17, 56)]
     + [("bfsgraph", size) for size in _SIZES if size <= 20000]
-    + [(name, size) for name in ("crcsweep", "lzwindow", "kmeans")
+    + [(name, size) for name in ("rle", "crcsweep", "lzwindow", "kmeans")
        for size in _SIZES]
+    # Stencil's reference loop costs 10 sweeps per cell.
+    + [("stencil", size) for size in (1, 2, 3, 4, 5, 64, 500, 4096, 0)]
 )
 
 
@@ -198,7 +202,8 @@ _HANDMADE = {
 }
 
 
-@pytest.mark.parametrize("name", ["crcsweep", "lzwindow", "kmeans"])
+@pytest.mark.parametrize("name",
+                         ["rle", "stencil", "crcsweep", "lzwindow", "kmeans"])
 @pytest.mark.parametrize("label", list(_HANDMADE))
 def test_transform_matches_reference_on_handmade_input(name, label):
     kernel = _KERNELS[name]()
@@ -227,3 +232,70 @@ def test_bfsgraph_matches_reference_on_handmade_graph(label, peers):
     data = b"".join(peer.to_bytes(4, "little")
                     for node in range(n) for peer in peers(node, n))
     assert kernel.transform(data) == REFERENCES["bfsgraph"](kernel, data)
+
+
+@pytest.mark.parametrize("label,data", [
+    ("empty", b""),
+    ("run-255", b"z" * 255),
+    ("run-256", b"z" * 256),
+    ("run-511", b"z" * 511),
+    ("newline-runs", b"\n" * 300 + b"a" + b"\n" * 3),
+    ("alternating", b"\x00\xff" * 400),
+])
+def test_rle_matches_reference_on_edge_runs(label, data):
+    kernel = RLECompress()
+    assert kernel.transform(data) == REFERENCES["rle"](kernel, data)
+
+
+@pytest.mark.parametrize("label,data", [
+    ("empty", b""),
+    ("saturated", b"\xff" * 1000),
+    ("alternating", b"\x00\xff" * 500),
+    ("spike-at-edges", b"\xff" + bytes(998) + b"\xff"),
+])
+def test_stencil_matches_reference_on_extremes(label, data):
+    kernel = Stencil(size=len(data))
+    assert kernel.transform(data) == REFERENCES["stencil"](kernel, data)
+
+
+# -- Bulk input draws against one randrange call per value ------------------
+
+_INPUT_SIZES = (1, 2, 3, 5, 64, 777, 0, 77777)  # 0 selects the default size
+_INPUTS = (
+    [("matmul", k) for k in _INPUT_SIZES if k <= 777]
+    + [("bfsgraph", size) for size in _INPUT_SIZES if size <= 20000]
+    + [(name, size) for name in ("qsortk", "rle", "stencil", "histogram",
+                                 "crcsweep", "kmeans")
+       for size in _INPUT_SIZES]
+)
+
+
+@pytest.mark.parametrize("name,size", _INPUTS,
+                         ids=[f"{n}-{s or 'default'}" for n, s in _INPUTS])
+def test_input_matches_reference(name, size):
+    kernel = _KERNELS[name](size=size)
+    assert kernel.generate_input() == INPUT_REFERENCES[name](kernel)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 23, 32, 255, 256, 257, 12000,
+                                   2**31])
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_randbelow_many_is_randrange(bound, count):
+    bulk, single = random.Random(bound + count), random.Random(bound + count)
+    assert _randbelow_many(bulk, count, bound) == \
+        [single.randrange(bound) for __ in range(count)]
+    assert bulk.random() == single.random()
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_randbytes_is_randrange_256(count):
+    bulk, single = random.Random(count), random.Random(count)
+    assert _randbytes(bulk, count) == \
+        bytes(single.randrange(256) for __ in range(count))
+    assert bulk.random() == single.random()
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2**32])
+def test_randbelow_many_rejects_bounds_beyond_one_word(bound):
+    with pytest.raises(ValueError):
+        _randbelow_many(random.Random(0), 1, bound)
