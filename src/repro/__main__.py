@@ -6,7 +6,7 @@ Usage::
     python -m repro r-f1 r-t2     # run selected experiments
     python -m repro --list        # show available experiments
     python -m repro faults        # differential conformance + fault matrix
-    python -m repro wallclock     # host-speed harness -> BENCH_wallclock.json
+    python -m repro wallclock     # virtual-cycle pin -> BENCH_wallclock.json
     python -m repro trace mb-read4k --cloaked --out trace.json
                                   # probe-bus trace -> Perfetto-loadable JSON
     python -m repro fuzz           # seeded differential fuzzing campaign

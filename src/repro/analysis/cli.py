@@ -18,8 +18,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static invariant checker for the Overshadow "
-                    "reproduction (trust boundary, determinism, cycle "
-                    "accounting, exception/secret hygiene, layering).",
+                    "reproduction (import boundary, determinism, cycle "
+                    "accounting, exception discipline, secret flow, "
+                    "probe indirection, cloak-state lattice, TLB "
+                    "coherence).",
     )
     parser.add_argument("paths", nargs="*",
                         help="files/directories to analyse (default: the "

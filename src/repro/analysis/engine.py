@@ -2,8 +2,9 @@
 
 The engine is rule-agnostic.  It turns every Python file under the
 analysed paths into a :class:`ModuleInfo` (source, AST, dotted module
-name, scope map, inline suppressions) and hands it to each registered
-rule; rules yield :class:`Finding` objects.  A finding is silenced only by
+name, scope map, inline suppressions) and hands it, with the run's
+shared project context, to each registered rule; rules yield
+:class:`Finding` objects.  A finding is silenced only by
 an inline ``# repro: allow(RULE-ID) — reason`` on the offending line
 (or alone on the line above it); the reason is mandatory, and an allow
 that silences nothing fails the run.
@@ -238,12 +239,14 @@ class Analyzer:
             root: Optional[Path] = None) -> Report:
         """Run every rule over every discovered file.
 
-        The run is two-phase: all files parse first, then rules check
-        them, so interprocedural rules (which implement
-        ``begin_project``) see the *whole* tree before the first
-        per-module verdict.  Findings are displayed relative to
-        ``root`` when they lie under it.
+        The run is two-phase: all files parse first, then every rule
+        checks each module against the run's one ``ProjectContext``
+        (:mod:`repro.analysis.flow`), so interprocedural rules see the
+        *whole* tree before the first per-module verdict.  Findings are
+        displayed relative to ``root`` when they lie under it.
         """
+        from repro.analysis.flow import ProjectContext
+
         report = Report()
         rule_ids = {rule.rule_id for rule in self.rules}
         modules: List[ModuleInfo] = []
@@ -257,17 +260,11 @@ class Analyzer:
                 continue
             modules.append(mod)
 
-        project_rules = [r for r in self.rules if hasattr(r, "begin_project")]
-        if project_rules:
-            from repro.analysis.flow import ProjectContext
-            project = ProjectContext(modules)
-            for rule in project_rules:
-                rule.begin_project(project)
-
+        project = ProjectContext(modules)
         for mod in modules:
             report.files_checked += 1
             for rule in self.rules:
-                for finding in rule.check(mod):
+                for finding in rule.check(mod, project):
                     if mod.is_suppressed(finding.rule, finding.line):
                         report.suppressed.append(finding)
                     else:

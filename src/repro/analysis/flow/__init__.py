@@ -1,20 +1,20 @@
 """Interprocedural dataflow infrastructure shared by rules.
 
-:class:`ProjectContext` is the engine's hand-off to interprocedural
-rules: it owns the parsed modules of one analysis run and lazily
-builds the shared :class:`~repro.analysis.flow.callgraph.CallGraph`
-and :class:`~repro.analysis.flow.taint.TaintAnalysis` exactly once,
-however many rules consume them.  Rules that implement
-``begin_project(project)`` receive it before any per-module ``check``
-call; when a rule is exercised on a lone module outside an engine run
-(unit tests), it builds a single-module context on the fly and the
-same code paths apply, just without cross-module edges.
+:class:`ProjectContext` is the engine's hand-off to every rule: each
+``check(mod, project)`` call receives the context of its run.  It owns
+the parsed modules and lazily builds the shared
+:class:`~repro.analysis.flow.callgraph.CallGraph`,
+:class:`~repro.analysis.flow.taint.TaintAnalysis` and per-function
+CFGs exactly once, however many rules consume them; rules that never
+touch them pay nothing.  A unit test checks a lone module with
+``ProjectContext([mod])``: the same code paths, just without
+cross-module edges.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import ModuleInfo
-from repro.analysis.flow.callgraph import CallGraph, FunctionNode
+from repro.analysis.flow.callgraph import CallGraph, FuncKey, FunctionNode
 from repro.analysis.flow.cfg import CFG, build_cfg
 from repro.analysis.flow.taint import TaintAnalysis
 
@@ -27,13 +27,11 @@ class ProjectContext:
 
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules: List[ModuleInfo] = list(modules)
-        self._ids = {id(m) for m in self.modules}
         self._callgraph: Optional[CallGraph] = None
         self._taint: Optional[TaintAnalysis] = None
+        self._callers: Optional[Dict[FuncKey, List[Tuple]]] = None
         self._cfgs: Dict[int, CFG] = {}
-
-    def __contains__(self, mod: ModuleInfo) -> bool:
-        return id(mod) in self._ids
+        self._memos: Dict[str, Dict] = {}
 
     @property
     def callgraph(self) -> CallGraph:
@@ -46,6 +44,23 @@ class ProjectContext:
         if self._taint is None:
             self._taint = TaintAnalysis(self.callgraph)
         return self._taint
+
+    @property
+    def callers(self) -> Dict[FuncKey, List[Tuple[FunctionNode, object]]]:
+        """Reverse call edges: callee key -> ``(caller, call node)``."""
+        if self._callers is None:
+            self._callers = {}
+            for fn in self.callgraph.functions.values():
+                for site in fn.calls:
+                    if site.callee is not None:
+                        self._callers.setdefault(site.callee, []).append(
+                            (fn, site.node))
+        return self._callers
+
+    def memo(self, name: str) -> Dict:
+        """A dict that lives as long as this run, for a rule's own
+        caches (keyed by rule id)."""
+        return self._memos.setdefault(name, {})
 
     def cfg_for(self, fn: FunctionNode) -> CFG:
         """The function's CFG, built once and shared across every rule

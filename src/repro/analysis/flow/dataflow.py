@@ -22,6 +22,8 @@ import ast
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Set, Tuple)
 
+from repro.analysis.rules.base import dotted_name
+
 from .cfg import CFG, Edge
 
 # ----------------------------------------------------------------------
@@ -110,18 +112,6 @@ class Transition:
         self.key = key
         self.prior = prior
         self.target = target
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` -> "a.b.c" for pure Name/Attribute chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class _State:
@@ -217,13 +207,13 @@ class AttrStateAnalysis:
         if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             return self._assign(stmt, stmt.target, stmt.value, state)
         if isinstance(stmt, ast.AugAssign):
-            key = _dotted(stmt.target)
+            key = dotted_name(stmt.target)
             if key is not None:
                 state = state.drop_attr(key)
             return state
         if isinstance(stmt, (ast.Delete,)):
             for target in stmt.targets:
-                key = _dotted(target)
+                key = dotted_name(target)
                 if key is not None:
                     state = state.drop_attr(key)
         return state
@@ -234,7 +224,7 @@ class AttrStateAnalysis:
         # <obj>.<attr> = ...
         if (isinstance(target, ast.Attribute)
                 and target.attr == lattice.attr):
-            key = _dotted(target.value)
+            key = dotted_name(target.value)
             if key is None:
                 return state
             members = self._value_members(value, state)
@@ -284,7 +274,7 @@ class AttrStateAnalysis:
         # <other>.state copies the source's set when tracked.
         if (isinstance(value, ast.Attribute)
                 and value.attr == self.lattice.attr):
-            key = _dotted(value.value)
+            key = dotted_name(value.value)
             if key is not None and key in state.attrs:
                 return state.attrs[key]
         return None
@@ -300,12 +290,12 @@ class AttrStateAnalysis:
                 continue
             exposed: Set[str] = set()
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                key = _dotted(arg)
+                key = dotted_name(arg)
                 if key is not None and key in tracked:
                     exposed.add(key)
             # Method call on the tracked object itself: md.foo().
             if isinstance(node.func, ast.Attribute):
-                key = _dotted(node.func.value)
+                key = dotted_name(node.func.value)
                 if key is not None:
                     for candidate in tracked:
                         if candidate == key or candidate.startswith(key + "."):
@@ -328,7 +318,7 @@ class AttrStateAnalysis:
             # md.state is/== CloakState.X  |  md.state in (X, Y)
             if (isinstance(left, ast.Attribute)
                     and left.attr == lattice.attr):
-                key = _dotted(left.value)
+                key = dotted_name(left.value)
                 if key is None:
                     return None
                 if isinstance(op, (ast.Is, ast.Eq)):

@@ -1,8 +1,7 @@
 """Interprocedural secret-flow (taint) analysis over the call graph.
 
 Overshadow's guarantee is that key material and cloaked plaintext are
-never *guest-visible*.  SEC001 checks that syntactically (no printing
-of secret-named identifiers); this pass checks it as dataflow: a value
+never *guest-visible*.  This pass checks it as dataflow: a value
 *derived from* a secret must not reach a guest-visible sink, no matter
 how many assignments, helpers, containers or f-strings it transits.
 
@@ -11,16 +10,24 @@ Sources
     ``keystream`` / ``derive_key`` calls (classified by call-site name,
     which is what keeps the ``decrypt = encrypt`` alias honest);
   * reads of the key-material attributes ``_enc_key`` / ``_mac_key`` /
-    ``_master``;
-  * secret-named parameters of functions in ``repro.core.crypto`` and
-    ``repro.core.domains`` (``master``, ``plaintext``, ...).
+    ``_master``, wherever they occur;
+  * secret-named parameters of functions in ``repro.core``.  A name
+    is secret-named when any ``_``-separated segment is in
+    :data:`SECRET_WORDS`, so ``enc_key`` and ``master`` are sources
+    and ``keyboard`` is not;
+  * reads of secret-named locals and attributes in ``repro.core``
+    (``key = ...``, ``self._keystream``).  These carry the weaker
+    :data:`NAMED` token, which only log sinks enforce: a name says a
+    value must not be printed, not that every frame write of a
+    structure called ``_plaintext_frames`` leaks plaintext.
 
 Sanitizers (derived data becomes safe to expose)
   ``encrypt`` / ``encrypt_page`` / ``seal_message`` / ``page_mac`` /
   ``hash_image`` / ``macs_equal`` / ``verify_page``.
 
 Sinks (guest-visible surfaces; enforced per package — ``SINK_POLICY``)
-  * ``print`` / ``logging`` calls;
+  * ``print`` / ``logging`` calls, and ``return`` from ``__repr__`` /
+    ``__str__`` (the string every log line and traceback renders);
   * exception constructor arguments (messages propagate across the
     trust boundary when the violation is reported);
   * ``write_frame`` / ``PhysicalMemory.write`` of tainted data — a
@@ -33,27 +40,37 @@ The TCB (``repro.core``/``repro.hw``) is held to all five kinds.
 legitimately but may not re-expose them: log and persist sinks are
 enforced there too.
 
-Each function gets a *summary* — ``returns_tainted``, the params whose
-taint flows to the return value, and ``params_that_reach_sinks`` — so
+Each function gets a *summary* — the sources and params whose taint
+flows to the return value, and ``params_that_reach_sinks`` — so
 taint follows calls in both directions: a helper's return value stays
 hot, and passing a secret into a leaking callee is flagged at the call
 site.  Summaries are computed to a fixpoint over the whole graph.
+
+Known gap: a secret rendered into a string that a plain function
+returns is not flagged there; it is flagged where that string reaches
+a sink (the caller's ``print``, ``raise``, ...).
 """
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import ModuleInfo
 from repro.analysis.flow.callgraph import CallGraph, FunctionNode, FuncKey
+from repro.analysis.rules.base import dotted_name
 
 #: Taint token meaning "derived from an actual secret".
 SECRET = -1
-#: Other tokens are parameter indices of the function under analysis.
+#: Taint token meaning "read from a secret-named local or attribute";
+#: only log sinks enforce it.
+NAMED = -2
+#: Other tokens (>= 0) are parameter indices of the function under
+#: analysis.
 Token = int
 Taint = FrozenSet[Token]
 
 EMPTY: Taint = frozenset()
 HOT: Taint = frozenset({SECRET})
+NAMED_HOT: Taint = frozenset({NAMED})
 
 #: Call-site names whose result is secret.
 SOURCE_CALLS = {"decrypt_page", "decrypt", "open_message", "keystream",
@@ -70,16 +87,19 @@ BENIGN_CALLS = {"len", "range", "isinstance", "min", "max", "enumerate",
 #: Attribute reads that *are* key material, wherever they occur.
 SECRET_ATTRS = {"_enc_key", "_mac_key", "_master"}
 
-#: Modules whose secret-named parameters are taint at entry.
-SOURCE_PARAM_MODULES = {"repro.core.crypto", "repro.core.domains"}
+#: Package whose secret-named names and attributes are taint sources.
+SOURCE_NAME_PACKAGE = "repro.core"
 
-#: Secret-named identifier segments (mirrors SEC001's vocabulary).
+#: Secret-named identifier segments.
 SECRET_WORDS = {"key", "keys", "keystream", "secret", "secrets", "master",
                 "plaintext", "passphrase", "password"}
 
 #: Guest-readable output calls.
 LOG_SINKS = {"print", "debug", "info", "warning", "error", "critical",
              "exception", "log"}
+
+#: Methods whose return value is rendered into logs and tracebacks.
+RENDER_METHODS = {"__repr__", "__str__"}
 
 #: Physical-frame writes by terminal name / by resolved callee.
 FRAME_SINK_NAMES = {"write_frame"}
@@ -128,25 +148,20 @@ def sink_kinds_for(module_name: str) -> FrozenSet[str]:
     return kinds
 
 
-def _checked(module_name: str) -> bool:
-    return bool(sink_kinds_for(module_name))
-
-
 class Summary:
     """What a caller needs to know about one function."""
 
-    __slots__ = ("returns_tainted", "taints_return_from",
-                 "params_that_reach_sinks")
+    __slots__ = ("taints_return_from", "params_that_reach_sinks")
 
     def __init__(self) -> None:
-        self.returns_tainted = False
-        #: Param indices whose taint flows to the return value.
+        #: Tokens (sources and param indices) that flow to the return
+        #: value.
         self.taints_return_from: Set[int] = set()
         #: Param index -> (sink kind, human description of the sink).
         self.params_that_reach_sinks: Dict[int, Tuple[str, str]] = {}
 
     def snapshot(self):
-        return (self.returns_tainted, frozenset(self.taints_return_from),
+        return (frozenset(self.taints_return_from),
                 frozenset(self.params_that_reach_sinks.items()))
 
 
@@ -225,17 +240,14 @@ class _FunctionPass:
         self.env: Dict[str, Taint] = {}
         self._recording = False
         self._policy = sink_kinds_for(fn.key[0])
-        self._seed_params()
+        module = fn.key[0]
+        self._source_names = (module == SOURCE_NAME_PACKAGE or
+                              module.startswith(SOURCE_NAME_PACKAGE + "."))
+        for index, name in enumerate(fn.params):
+            secret = self._source_names and _secret_named(name)
+            self.env[name] = frozenset({index, SECRET} if secret else {index})
 
-    # -- setup ------------------------------------------------------------------
-
-    def _seed_params(self) -> None:
-        source_params = self.fn.key[0] in SOURCE_PARAM_MODULES
-        for index, name in enumerate(self.fn.params):
-            taint: Set[Token] = {index}
-            if source_params and _secret_named(name):
-                taint.add(SECRET)
-            self.env[name] = frozenset(taint)
+    # -- walk -------------------------------------------------------------------
 
     def run(self) -> List[TaintFinding]:
         body = self._body()
@@ -329,7 +341,7 @@ class _FunctionPass:
                     else taint
                 self._assign(sub, sub_taint, sub_value)
         elif isinstance(target, ast.Attribute):
-            dotted = _dotted(target)
+            dotted = dotted_name(target)
             if dotted is not None:
                 self.env[dotted] = (self.env.get(dotted, EMPTY) | taint
                                     if augment else taint)
@@ -339,7 +351,7 @@ class _FunctionPass:
             if isinstance(base, ast.Name):
                 self.env[base.id] = self.env.get(base.id, EMPTY) | taint
             else:
-                dotted = _dotted(base)
+                dotted = dotted_name(base)
                 if dotted is not None:
                     self.env[dotted] = self.env.get(dotted, EMPTY) | taint
         elif isinstance(target, ast.Starred):
@@ -351,15 +363,16 @@ class _FunctionPass:
         taint = self._eval(stmt.value)
         if not self._recording:
             return
-        if SECRET in taint:
-            self.summary.returns_tainted = True
-        for token in taint:
-            if token != SECRET:
-                self.summary.taints_return_from.add(token)
+        self.summary.taints_return_from |= taint
         if self.fn.name.startswith("_hc_") and KIND_HC_RETURN in self._policy:
             self._sink(stmt, taint, KIND_HC_RETURN,
                        "secret-derived value returned as a hypercall "
                        "payload")
+        elif self.fn.name in RENDER_METHODS:
+            self._sink(stmt, taint, KIND_LOG,
+                       f"secret-derived value returned from "
+                       f"'{self.fn.name}' — rendered into guest-readable "
+                       "logs and tracebacks")
 
     def _raise(self, stmt: ast.Raise) -> None:
         if stmt.exc is None:
@@ -385,12 +398,17 @@ class _FunctionPass:
         if expr is None:
             return EMPTY
         if isinstance(expr, ast.Name):
-            return self.env.get(expr.id, EMPTY)
+            taint = self.env.get(expr.id, EMPTY)
+            if self._source_names and _secret_named(expr.id):
+                taint |= NAMED_HOT
+            return taint
         if isinstance(expr, ast.Attribute):
             taint = self._eval(expr.value)
             if expr.attr in SECRET_ATTRS:
                 taint |= HOT
-            dotted = _dotted(expr)
+            elif self._source_names and _secret_named(expr.attr):
+                taint |= NAMED_HOT
+            dotted = dotted_name(expr)
             if dotted is not None and dotted in self.env:
                 taint |= self.env[dotted]
             return taint
@@ -502,9 +520,7 @@ class _FunctionPass:
     def _apply_summary(self, call: ast.Call, site, arg_taints, kw_taints) -> Taint:
         callee = self.graph.functions[site.callee]
         summary = self.analysis.summaries[site.callee]
-        result: Set[Token] = set()
-        if summary.returns_tainted:
-            result.add(SECRET)
+        result = {t for t in summary.taints_return_from if t < 0}
 
         def param_index(pos: Optional[int], kw: Optional[str]) -> Optional[int]:
             if kw is not None:
@@ -526,13 +542,14 @@ class _FunctionPass:
             reached = summary.params_that_reach_sinks.get(index)
             if reached is not None:
                 kind, description = reached
-                if SECRET in taint and self._recording:
-                    self._sink(call, HOT, kind,
+                sources = frozenset(t for t in taint if t < 0)
+                if sources and self._recording:
+                    self._sink(call, sources, kind,
                                f"secret-derived value passed to "
                                f"'{callee.qualname}', where it reaches "
                                f"{description}")
                 for token in taint:
-                    if token != SECRET and self._recording:
+                    if token >= 0 and self._recording:
                         self.summary.params_that_reach_sinks.setdefault(
                             token, (kind, f"{description} (via "
                                           f"'{callee.qualname}')"))
@@ -567,7 +584,8 @@ class _FunctionPass:
         # Findings are filtered by the *anchoring* function's package
         # policy; summaries below stay unfiltered so callers in stricter
         # packages still see where their arguments end up.
-        if SECRET in taint and self.collect and kind in self._policy:
+        hot = SECRET in taint or (NAMED in taint and kind == KIND_LOG)
+        if hot and self.collect and kind in self._policy:
             key = (id(node), kind)
             if key not in self._emitted:
                 self._emitted.add(key)
@@ -575,7 +593,7 @@ class _FunctionPass:
                     TaintFinding(self.fn.module, node, kind, message))
         if self._recording:
             for token in taint:
-                if token != SECRET:
+                if token >= 0:
                     self.summary.params_that_reach_sinks.setdefault(
                         token, (kind, _SINK_DESCRIPTIONS[kind]))
 
@@ -587,14 +605,3 @@ _SINK_DESCRIPTIONS = {
     KIND_HC_RETURN: "a hypercall return payload",
     KIND_PERSIST: "an unsealed disk write",
 }
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

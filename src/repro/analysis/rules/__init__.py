@@ -1,7 +1,9 @@
 """Rule registry.
 
 A rule is any object with a ``rule_id``, ``name``, ``summary`` and a
-``check(mod: ModuleInfo) -> Iterable[Finding]`` method.  Adding a rule
+``check(mod, project) -> Iterable[Finding]`` method (see
+:class:`repro.analysis.rules.base.Rule`).  Rules are stateless: every
+run-scoped cache lives on the project context.  Adding a rule
 means writing the module, instantiating it here, and giving it a
 fixture-backed positive and negative test under ``tests/analysis/``
 (see docs/ANALYSIS.md, "Adding a rule").
@@ -13,25 +15,20 @@ from repro.analysis.rules.cloak_state import CloakStateRule
 from repro.analysis.rules.cycle_accounting import CycleAccountingRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
-from repro.analysis.rules.layering import LayeringRule
+from repro.analysis.rules.import_boundary import ImportBoundaryRule
 from repro.analysis.rules.obs import ProbeIndirectionRule
-from repro.analysis.rules.perf import FreshBootLoopRule, PerByteLoopRule
+from repro.analysis.rules.perf import FreshBootLoopRule
 from repro.analysis.rules.secret_flow import SecretFlowRule, UnsealedPersistRule
-from repro.analysis.rules.secrets import SecretHygieneRule
 from repro.analysis.rules.suppression_hygiene import SuppressionHygieneRule
 from repro.analysis.rules.tlb_coherence import TlbCoherenceRule
-from repro.analysis.rules.trust_boundary import TrustBoundaryRule
 
 ALL_RULES = (
-    TrustBoundaryRule(),
+    ImportBoundaryRule(),
     DeterminismRule(),
     CycleAccountingRule(),
     ExceptionDisciplineRule(),
-    SecretHygieneRule(),
     SecretFlowRule(),
     UnsealedPersistRule(),
-    LayeringRule(),
-    PerByteLoopRule(),
     FreshBootLoopRule(),
     ProbeIndirectionRule(),
     CloakStateRule(),

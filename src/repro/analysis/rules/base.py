@@ -7,13 +7,19 @@ from repro.analysis.engine import Finding, ModuleInfo
 
 
 class Rule:
-    """Base class: id/metadata plus a Finding factory."""
+    """Base class: id/metadata plus a Finding factory.
+
+    ``check(mod, project)`` yields the findings for one module;
+    ``project`` is the run's :class:`~repro.analysis.flow.ProjectContext`
+    (shared call graph, taint analysis, CFGs), which rules that look
+    at one module at a time simply ignore.
+    """
 
     rule_id = "XX000"
     name = "unnamed"
     summary = ""
 
-    def check(self, mod: ModuleInfo):
+    def check(self, mod: ModuleInfo, project):
         raise NotImplementedError
 
     def finding(self, mod: ModuleInfo, node: ast.AST,

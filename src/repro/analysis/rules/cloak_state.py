@@ -84,22 +84,9 @@ class CloakStateRule(Rule):
     summary = ("cloak-state writes must follow the paper's transition "
                "lattice and stay inside the cloaking TCB")
 
-    def __init__(self):
-        self._project = None
-
-    def begin_project(self, project) -> None:
-        self._project = project
-
-    def _project_for(self, mod: ModuleInfo):
-        if self._project is not None and mod in self._project:
-            return self._project
-        from repro.analysis.flow import ProjectContext
-        return ProjectContext([mod])
-
-    def check(self, mod: ModuleInfo) -> Iterable[Finding]:
+    def check(self, mod: ModuleInfo, project) -> Iterable[Finding]:
         if "CloakState" not in mod.source:
             return
-        project = self._project_for(mod)
         trusted = mod.module in TRUSTED_MODULES
         for fn in project.callgraph.functions_in(mod,
                                                  include_module_scope=True):

@@ -74,22 +74,11 @@ class CycleAccountingRule(Rule):
                "primitives must charge the CycleAccount (directly or "
                "via any helper reachable on the shared call graph)")
 
-    def __init__(self) -> None:
-        self._project = None
-
-    def begin_project(self, project) -> None:
-        self._project = project
-
-    def _graph_for(self, mod: ModuleInfo) -> CallGraph:
-        if self._project is not None and mod in self._project:
-            return self._project.callgraph
-        return CallGraph.build([mod])
-
-    def check(self, mod: ModuleInfo) -> Iterator:
+    def check(self, mod: ModuleInfo, project) -> Iterator:
         if not any(mod.module == p or mod.module.startswith(p + ".")
                    for p in CHECKED_PREFIXES):
             return
-        graph = self._graph_for(mod)
+        graph = project.callgraph
         for fn in graph.functions_in(mod):
             primitive_sites = [
                 site for site in fn.calls

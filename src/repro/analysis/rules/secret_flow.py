@@ -1,17 +1,17 @@
 """SEC002/SEC003: interprocedural secret-flow enforcement.
 
-SEC001 catches the *syntactic* leak (printing a variable literally
-named ``key``); these two rules catch the *semantic* one — a value
-derived from key material or decrypted page contents that reaches a
-guest-visible surface through any chain of assignments, helper calls,
-containers or string formatting.  Both ride on the shared call graph
-and taint engine in :mod:`repro.analysis.flow`; see that module's
-docstring for the source/sanitizer/sink model.
+A value derived from key material, decrypted page contents or a
+secret-named ``repro.core`` parameter must not reach a guest-visible
+surface, and a secret-named ``repro.core`` local or attribute must not
+reach a log sink, through any chain of assignments, helper calls, containers or
+string formatting.  Both rules ride on the shared call graph and taint
+engine in :mod:`repro.analysis.flow`; see :mod:`.taint` for the
+source/sanitizer/sink model.
 
 * ``SEC002`` — a secret escapes to a guest-visible sink: a
-  ``print``/``logging`` call, an exception message, a physical-frame
-  write outside the cloak engine's encrypt path, or a hypercall
-  return payload.
+  ``print``/``logging`` call, a ``__repr__``/``__str__`` return, an
+  exception message, a physical-frame write outside the cloak
+  engine's encrypt path, or a hypercall return payload.
 * ``SEC003`` — secret-derived plaintext is persisted unsealed: it
   reaches ``write_block`` without passing through ``seal_message`` /
   ``encrypt_page``.
@@ -28,7 +28,7 @@ hypercall reply channel) carry inline ``repro: allow(...)`` comments
 at their sites, so the rule's job is to keep *every other* path shut.
 """
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.engine import ModuleInfo
 from repro.analysis.flow.taint import (KIND_FRAME, KIND_HC_RETURN, KIND_LOG,
@@ -38,29 +38,16 @@ from repro.analysis.rules.base import Rule
 
 
 class _TaintRule(Rule):
-    """Shared plumbing: resolve the project (or ad-hoc) taint analysis
-    and re-emit its findings through the standard Finding machinery."""
+    """Shared plumbing: re-emit the project's taint findings of this
+    rule's sink kinds through the standard Finding machinery."""
 
     kinds: Sequence[str] = ()
 
-    def __init__(self) -> None:
-        self._project = None
-
-    def begin_project(self, project) -> None:
-        self._project = project
-
-    def _taint_for(self, mod: ModuleInfo):
-        if self._project is not None and mod in self._project:
-            return self._project.taint
-        from repro.analysis.flow import ProjectContext
-        return ProjectContext([mod]).taint
-
-    def check(self, mod: ModuleInfo) -> Iterator:
+    def check(self, mod: ModuleInfo, project) -> Iterator:
         wanted = [k for k in self.kinds if k in sink_kinds_for(mod.module)]
         if not wanted:
             return
-        taint = self._taint_for(mod)
-        for leak in taint.findings_for(mod, wanted):
+        for leak in project.taint.findings_for(mod, wanted):
             yield self.finding(mod, leak.node, leak.message)
 
 
@@ -69,8 +56,9 @@ class SecretFlowRule(_TaintRule):
     name = "secret-flow"
     summary = ("no value derived from key material or decrypted page "
                "contents may reach a guest-visible sink (print/log, "
-               "exception message, raw frame write, hypercall return) "
-               "— interprocedural, over the shared call graph")
+               "__repr__/__str__, exception message, raw frame write, "
+               "hypercall return) — interprocedural, over the shared "
+               "call graph")
     kinds = (KIND_LOG, KIND_RAISE, KIND_FRAME, KIND_HC_RETURN)
 
 

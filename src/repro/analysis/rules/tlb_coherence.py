@@ -32,8 +32,7 @@ invalidation (recursively, to depth 3), the coherence obligation is
 discharged one frame up.  Zero known callers means no discharge.
 """
 
-import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set
 
 from repro.analysis.engine import Finding, ModuleInfo
 from repro.analysis.rules.base import Rule, dotted_name
@@ -66,45 +65,11 @@ class TlbCoherenceRule(Rule):
     summary = ("pagetable/cloak mutations must be post-dominated by a "
                "TLB/shadow invalidation on every path")
 
-    def __init__(self):
-        self._project = None
-        self._callers: Optional[Dict[Tuple[str, str], List]] = None
-        self._delegated: Dict[Tuple[str, str], bool] = {}
-
-    def begin_project(self, project) -> None:
-        self._project = project
-        self._callers = None
-        self._delegated = {}
-
-    def _project_for(self, mod: ModuleInfo):
-        if self._project is not None and mod in self._project:
-            return self._project
-        from repro.analysis.flow import ProjectContext
-        project = ProjectContext([mod])
-        self._callers = None
-        self._delegated = {}
-        self._standalone = project
-        return project
-
-    # -- reverse call map ------------------------------------------------------
-
-    def _caller_map(self, project) -> Dict[Tuple[str, str], List]:
-        if self._callers is None:
-            callers: Dict[Tuple[str, str], List] = {}
-            for fn in project.callgraph.functions.values():
-                for site in fn.calls:
-                    if site.callee is not None:
-                        callers.setdefault(site.callee, []).append(
-                            (fn, site.node))
-            self._callers = callers
-        return self._callers
-
     # -- the check -------------------------------------------------------------
 
-    def check(self, mod: ModuleInfo) -> Iterable[Finding]:
+    def check(self, mod: ModuleInfo, project) -> Iterable[Finding]:
         if mod.module in EXEMPT_MODULES:
             return
-        project = self._project_for(mod)
         for fn in project.callgraph.functions_in(mod,
                                                  include_module_scope=True):
             mutations = [site for site in fn.calls
@@ -158,12 +123,13 @@ class TlbCoherenceRule(Rule):
                    visited: frozenset) -> bool:
         """True iff *every* known caller invalidates after calling
         ``fn`` (directly or by its own delegation)."""
-        cached = self._delegated.get(fn.key)
+        delegated = project.memo(self.rule_id)
+        cached = delegated.get(fn.key)
         if cached is not None:
             return cached
-        callers = self._caller_map(project).get(fn.key, [])
+        callers = project.callers.get(fn.key, [])
         if not callers or depth <= 0:
-            self._delegated[fn.key] = False
+            delegated[fn.key] = False
             return False
         ok = True
         for caller, call_node in callers:
@@ -180,5 +146,5 @@ class TlbCoherenceRule(Rule):
                                    visited | {caller.key}):
                 ok = False
                 break
-        self._delegated[fn.key] = ok
+        delegated[fn.key] = ok
         return ok

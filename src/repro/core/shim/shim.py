@@ -19,7 +19,7 @@ Thereafter every syscall the application issues is adapted per
 
 from typing import Callable, Iterator, List, Optional, Tuple
 
-# repro: allow(API001) — the shim runs *inside* the application's
+# repro: allow(TB001) — the shim runs *inside* the application's
 # address space (paper §3.3) and is linked against the program model;
 # it imports the runtime ABI, not application logic.
 from repro.apps.program import BaseRuntime, Program, _Frame

@@ -25,8 +25,8 @@ production-style evaluation:
 Layering: ``repro.serve`` sits *above* the simulated world — it may
 import ``repro.apps``, ``repro.machine``, ``repro.obs`` and the guest
 ABI (``repro.guestos.uapi``), and never ``repro.hw`` or ``repro.core``
-internals (API001 enforces this via
-``repro.analysis.matrix.LAYER_MATRIX``).
+internals (TB001 enforces this via
+``repro.analysis.rules.import_boundary.BOUNDARY``).
 """
 
 from repro.serve.ring import HashRing

@@ -2,8 +2,8 @@
 
 Fixture modules are written under ``tmp_path/repro/...`` so the
 engine's module-name anchoring resolves them exactly like the real
-tree (``repro.guestos.evil`` etc.), which is what the trust/layering
-rules key on.
+tree (``repro.guestos.evil`` etc.), which is what the import-boundary
+rule keys on.
 """
 
 import textwrap
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.engine import Analyzer, ModuleInfo
+from repro.analysis.flow import ProjectContext
 
 
 class FixtureTree:
@@ -41,5 +42,5 @@ def tree(tmp_path):
 
 def check(rule, mod: ModuleInfo):
     """Run one rule over one module, honouring inline suppressions."""
-    return [f for f in rule.check(mod)
+    return [f for f in rule.check(mod, ProjectContext([mod]))
             if not mod.is_suppressed(f.rule, f.line)]

@@ -71,8 +71,10 @@ def test_rules_filter(tmp_path):
 def test_list_rules(tmp_path):
     code, text = run_cli(["--list-rules"])
     assert code == 0
-    for rule_id in ("TB001", "DET001", "CYC001", "ERR001", "SEC001", "API001"):
+    for rule_id in ("TB001", "DET001", "CYC001", "ERR001", "SEC002", "OBS001"):
         assert rule_id in text
+    for rule_id in ("API001", "SEC001", "PERF001"):
+        assert rule_id not in text
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,9 @@
 """The driving test: ``src/repro`` satisfies every invariant, always.
 
-This is what makes the analyzer part of tier-1: any future PR that
-imports TCB internals from untrusted code, reads the wall clock,
-skips the cycle ledger, swallows a violation, leaks a key name, or
-breaks layering fails ``pytest`` right here.
+This is what makes the analyzer part of tier-1: any future change
+that crosses the import boundary, reads the wall clock, skips the
+cycle ledger, swallows a violation, or leaks a secret fails ``pytest``
+right here.
 """
 
 import shutil
@@ -39,9 +39,8 @@ def test_codebase_is_clean():
 
 def test_all_registered_rules_ran():
     assert sorted(r.rule_id for r in ALL_RULES) == [
-        "API001", "CYC001", "DET001", "ERR001", "MMU001", "OBS001",
-        "PERF001", "PERF002", "SEC001", "SEC002", "SEC003", "STATE001",
-        "SUP001", "TB001",
+        "CYC001", "DET001", "ERR001", "MMU001", "OBS001", "PERF002",
+        "SEC002", "SEC003", "STATE001", "SUP001", "TB001",
     ]
 
 
@@ -60,3 +59,16 @@ def test_injected_violation_is_caught(tmp_path, injection, expected_rule):
     report = Analyzer(get_rules()).run([tmp_path], root=tmp_path)
     assert any(f.rule == expected_rule for f in report.findings), (
         f"{expected_rule} did not fire on the injected violation")
+
+
+def test_injected_parent_package_import_in_core_is_caught(tmp_path):
+    """``import repro.guestos`` names no allowed ABI module: copied into
+    a real core module it is a TB001 finding, not a pass through the
+    ``guestos.uapi`` row."""
+    target = tmp_path / "repro" / "core" / "vmm.py"
+    target.parent.mkdir(parents=True)
+    shutil.copy(SRC_REPRO / "core" / "vmm.py", target)
+    target.write_text("import repro.guestos\n"
+                      + target.read_text(encoding="utf-8"), encoding="utf-8")
+    report = Analyzer(get_rules(["TB001"])).run([tmp_path], root=tmp_path)
+    assert [(f.rule, f.line) for f in report.findings] == [("TB001", 1)]

@@ -37,8 +37,8 @@ def test_parse_error_exits_one_even_with_no_findings(tmp_path):
 
 
 def test_interprocedural_rules_survive_a_broken_module(tree):
-    """begin_project sees only the parsable modules; taint findings in
-    healthy files are unaffected by a broken sibling."""
+    """The project context holds only the parsable modules; taint
+    findings in healthy files are unaffected by a broken sibling."""
     tree.write("repro/core/broken.py", BROKEN)
     tree.write("repro/core/leaky.py", """\
         def handler(cipher, frame):

@@ -1,6 +1,6 @@
 """OBS001: hot paths emit probes only through module-level indirection."""
 
-from repro.analysis.rules.layering import LayeringRule
+from repro.analysis.rules.import_boundary import ImportBoundaryRule
 from repro.analysis.rules.obs import ProbeIndirectionRule
 
 from tests.analysis.conftest import check
@@ -83,10 +83,10 @@ def test_outside_instrumented_scope_is_exempt(tree):
 
 
 def test_layering_admits_the_bus_everywhere(tree):
-    """API001 and OBS001 agree: `from repro.obs import bus` is legal in
+    """TB001 and OBS001 agree: `from repro.obs import bus` is legal in
     every instrumented layer."""
-    layering = LayeringRule()
+    boundary = ImportBoundaryRule()
     for relpath in ("repro/hw/a.py", "repro/core/b.py", "repro/guestos/c.py"):
         mod = tree.module(relpath, "from repro.obs import bus\n")
-        assert check(layering, mod) == []
+        assert check(boundary, mod) == []
         assert check(RULE, mod) == []

@@ -1,101 +1,10 @@
-"""PERF001/PERF002: per-byte XOR loops are banned on the hw/core hot
-paths; fresh boots are banned inside harness per-run loops."""
+"""PERF002: fresh boots are banned inside harness per-run loops."""
 
-from repro.analysis.rules.perf import FreshBootLoopRule, PerByteLoopRule
+from repro.analysis.rules.perf import FreshBootLoopRule
 
 from tests.analysis.conftest import check
 
-RULE = PerByteLoopRule()
 BOOT_RULE = FreshBootLoopRule()
-
-
-def test_xor_generator_over_zip_is_flagged(tree):
-    mod = tree.module("repro/core/slowcrypt.py", """\
-        def xor_bytes(data, pad):
-            return bytes(a ^ b for a, b in zip(data, pad))
-        """)
-    findings = check(RULE, mod)
-    assert len(findings) == 1
-    assert findings[0].rule == "PERF001"
-    assert "per-byte XOR" in findings[0].message
-
-
-def test_xor_list_comprehension_is_flagged(tree):
-    mod = tree.module("repro/hw/slowmix.py", """\
-        def mix(data, pad):
-            return bytes([x ^ y for x, y in zip(data, pad)])
-        """)
-    assert len(check(RULE, mod)) == 1
-
-
-def test_xor_for_loop_over_zip_is_flagged(tree):
-    mod = tree.module("repro/hw/slowloop.py", """\
-        def mask(frame, pad):
-            out = bytearray()
-            for a, b in zip(frame, pad):
-                out.append(a ^ b)
-            return bytes(out)
-        """)
-    findings = check(RULE, mod)
-    assert len(findings) == 1
-    assert "loop over zip" in findings[0].message
-
-
-def test_aliased_zip_is_still_caught(tree):
-    mod = tree.module("repro/core/sneaky.py", """\
-        from builtins import zip as pair
-        def xor(a, b):
-            return bytes(x ^ y for x, y in pair(a, b))
-        """)
-    # `from builtins import zip as pair` resolves to builtins.zip, not
-    # bare zip — the rule keys on the bare builtin, which is the only
-    # spelling that occurs in practice.  A direct alias still resolves:
-    mod2 = tree.module("repro/core/sneaky2.py", """\
-        def xor(a, b, pair=zip):
-            return bytes(x ^ y for x, y in zip(a, b))
-        """)
-    assert len(check(RULE, mod2)) == 1
-
-
-def test_whole_buffer_xor_is_clean(tree):
-    mod = tree.module("repro/core/fastcrypt.py", """\
-        def xor_bytes(data, pad):
-            size = len(data)
-            joined = int.from_bytes(data, "little") ^ int.from_bytes(
-                pad, "little")
-            return joined.to_bytes(size, "little")
-        """)
-    assert check(RULE, mod) == []
-
-
-def test_non_xor_zip_loops_are_clean(tree):
-    mod = tree.module("repro/core/pairwise.py", """\
-        def interleave(a, b):
-            return [pair for pair in zip(a, b)]
-
-        def add(a, b):
-            return [x + y for x, y in zip(a, b)]
-        """)
-    assert check(RULE, mod) == []
-
-
-def test_rule_scoped_to_hot_packages(tree):
-    # The same per-byte XOR in an app or the analysis layer is fine.
-    source = """\
-        def xor(a, b):
-            return bytes(x ^ y for x, y in zip(a, b))
-        """
-    assert check(RULE, tree.module("repro/apps/appxor.py", source)) == []
-    assert check(RULE, tree.module("repro/analysis/selfxor.py", source)) == []
-
-
-def test_inline_suppression_honoured(tree):
-    mod = tree.module("repro/hw/tagged.py", """\
-        def tag(a, b):
-            # repro: allow(PERF001) — 16-byte tag, not a page
-            return bytes(x ^ y for x, y in zip(a, b))
-        """)
-    assert check(RULE, mod) == []
 
 
 def test_boot_in_for_loop_is_flagged(tree):
@@ -184,14 +93,3 @@ def test_real_harness_modules_are_clean():
         mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))
         assert check(BOOT_RULE, mod) == [], rel
 
-
-def test_real_crypto_module_is_clean():
-    from pathlib import Path
-
-    from repro.analysis.engine import ModuleInfo
-
-    for rel in ("src/repro/core/crypto.py", "src/repro/hw/mmu.py",
-                "src/repro/hw/phys.py"):
-        path = Path(rel)
-        mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))
-        assert check(RULE, mod) == [], rel

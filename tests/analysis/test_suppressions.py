@@ -81,13 +81,13 @@ def test_allow_only_covers_named_rule(tree):
         """)
     report = run_all(tree)
     rules = {f.rule for f in report.findings}
-    assert rules == {"API001", "DET001"}
+    assert rules == {"TB001", "DET001"}
 
 
 def test_allow_accepts_multiple_rule_ids(tree):
     tree.write("repro/hw/combo.py", """\
         import time
-        from repro.guestos.kernel import K  # repro: allow(DET001, API001) — combo demo
+        from repro.guestos.kernel import K  # repro: allow(DET001, TB001) — combo demo
         t = time.time()  # repro: allow(DET001) — second site
         """)
     report = run_all(tree)

@@ -1,4 +1,4 @@
-"""The wall-clock harness: determinism, report shape, drift check."""
+"""The virtual-cycle pin: determinism, report shape, drift check."""
 
 import json
 
@@ -9,25 +9,18 @@ from repro.bench import wallclock
 
 @pytest.fixture(scope="module")
 def report():
-    # One reduced pass shared by the whole module; two repeats so the
-    # harness's own per-repeat cycle-drift assertion actually runs.
-    return wallclock.run(warmup=0, repeats=2,
-                         only=["forkstress", "fileio-protected"])
+    # One reduced pass shared by the whole module.
+    return wallclock.run(only=["forkstress", "fileio-protected"])
 
 
 class TestReportShape:
     def test_schema_and_keys(self, report):
-        assert report["schema"] == 1
+        assert report["schema"] == 2
+        assert set(report) == {"schema", "workloads", "cycle_hash"}
         assert set(report["workloads"]) == {"forkstress", "fileio-protected"}
         for entry in report["workloads"].values():
-            assert entry["seconds"] > 0
+            assert set(entry) == {"cycles"}  # cycles only: no host time
             assert entry["cycles"] > 0
-
-    def test_pages_per_sec_derived(self, report):
-        entry = report["workloads"]["fileio-protected"]
-        assert entry["pages"] > 0
-        assert entry["pages_per_sec"] == pytest.approx(
-            entry["pages"] / entry["seconds"], rel=0.01)
 
     def test_cycle_hash_is_pure_function_of_cycles(self, report):
         cycles = {name: entry["cycles"]
@@ -37,7 +30,7 @@ class TestReportShape:
 
 class TestDeterminism:
     def test_cycles_stable_across_runs(self, report):
-        again = wallclock.run(warmup=0, repeats=1, only=["forkstress"])
+        again = wallclock.run(only=["forkstress"])
         assert (again["workloads"]["forkstress"]["cycles"]
                 == report["workloads"]["forkstress"]["cycles"])
 
@@ -62,4 +55,28 @@ class TestCheck:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            wallclock.run(warmup=0, repeats=1, only=["no-such-workload"])
+            wallclock.run(only=["no-such-workload"])
+
+
+class TestCLI:
+    def test_check_and_subset_runs_never_rewrite_the_pin(
+            self, report, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        pin = tmp_path / "pin.json"
+        wallclock.write_report(report, pin)
+        before = pin.read_text()
+        assert wallclock.main(["--workloads", "forkstress",
+                               "--check", str(pin)]) == 0
+        assert wallclock.main(["--workloads", "forkstress"]) == 0
+        assert pin.read_text() == before
+        assert not (tmp_path / wallclock.DEFAULT_OUT).exists()
+        assert "wrote" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--warmup", "0"], ["--repeats", "1"], ["--out", "x.json"],
+    ])
+    def test_removed_timing_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            wallclock.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
