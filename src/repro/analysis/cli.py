@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list available rules and exit")
     parser.add_argument("--sanitize-run", metavar="WORKLOAD",
                         help="replay a benchmark workload with the "
-                             "dynamic STATE001/MMU001 sanitizer attached "
+                             "dynamic MMU001 coherence sanitizer attached "
                              "and differentially compare with the static "
                              "verdict (workloads: mb-suite)")
     return parser

@@ -1,12 +1,12 @@
-"""Interprocedural dataflow infrastructure shared by rules.
+"""Whole-program analyses shared by rules.
 
 :class:`ProjectContext` is the engine's hand-off to every rule: each
 ``check(mod, project)`` call receives the context of its run.  It owns
 the parsed modules and lazily builds the shared
 :class:`~repro.analysis.flow.callgraph.CallGraph`,
-:class:`~repro.analysis.flow.taint.TaintAnalysis` and per-function
-CFGs exactly once, however many rules consume them; rules that never
-touch them pay nothing.  A unit test checks a lone module with
+:class:`~repro.analysis.flow.taint.TaintAnalysis` (SEC002/SEC003) and
+the per-function post-dominator CFGs (MMU001) exactly once; rules that
+never touch them pay nothing.  A unit test checks a lone module with
 ``ProjectContext([mod])``: the same code paths, just without
 cross-module edges.
 """
@@ -63,8 +63,8 @@ class ProjectContext:
         return self._memos.setdefault(name, {})
 
     def cfg_for(self, fn: FunctionNode) -> CFG:
-        """The function's CFG, built once and shared across every rule
-        in the run (MMU001 and STATE001 both walk the same bodies)."""
+        """The function's CFG, built once per run: MMU001 asks for a
+        caller's graph again each time it checks a delegation."""
         key = id(fn.node)
         cfg = self._cfgs.get(key)
         if cfg is None:

@@ -1,26 +1,24 @@
-"""Intraprocedural control-flow graphs with (post)dominators.
+"""Intraprocedural control-flow graphs with post-dominators.
 
-The path-sensitive rules (STATE001, MMU001) need two facts the AST
-alone cannot give: *which statements can follow which* and *which
-statements lie on every path* between two points.  This module builds
-a statement-granularity CFG for one function body — one block per
-statement, labelled edges for branches — and computes dominators and
-post-dominators over it with the classic iterative set algorithm (the
-graphs are function-sized, so the simple fixpoint beats the engineering
-cost of Lengauer–Tarjan).
+MMU001 needs a fact the AST alone cannot give: *which statements lie
+on every path* from a point to function exit.  This module builds a
+statement-granularity CFG for one function body — one block per
+statement — and computes post-dominators over it with the classic
+iterative set algorithm (the graphs are function-sized, so the simple
+fixpoint beats the engineering cost of Lengauer–Tarjan).
 
 Modelling choices, deliberately conservative and documented here so
 rule semantics are auditable:
 
-* Every ``if``/``while``/``for`` test block gets a ``true`` edge into
-  the body and a ``false`` edge to the join/else — including
-  ``while True`` (constant tests are not folded; an extra path only
-  makes post-dominance *harder* to claim, never easier).
-* ``try`` bodies get one ``exc`` edge from the ``try`` statement's
-  block to each handler entry — handlers are reachable, but mid-body
-  implicit exceptions are not modelled (only explicit ``raise``
-  statements route to handlers).  Rules that rely on post-dominance
-  therefore reason about *normal* control flow plus explicit raises.
+* Every ``if``/``while``/``for`` test block gets an edge into the body
+  and an edge to the join/else — including ``while True`` (constant
+  tests are not folded; an extra path only makes post-dominance
+  *harder* to claim, never easier).
+* ``try`` bodies get one edge from the ``try`` statement's block to
+  each handler entry — handlers are reachable, but mid-body implicit
+  exceptions are not modelled (only explicit ``raise`` statements
+  route to handlers).  Rules that rely on post-dominance therefore
+  reason about *normal* control flow plus explicit raises.
 * ``finally`` bodies are built once and act as a funnel: every control
   transfer that crosses them (fallthrough, ``return``, ``raise``,
   ``break``, ``continue``) enters the funnel, and the funnel's exits
@@ -30,21 +28,12 @@ rule semantics are auditable:
 * Nested ``def``/``class`` statements are opaque single blocks; their
   bodies get their own CFGs.
 
-Public surface: :func:`build_cfg`, :class:`CFG` (``block_of``,
-``enclosing_block``, ``successors``, ``dominates``,
-``postdominates``, ``statements``).
+Public surface: :func:`build_cfg`, :class:`CFG` (``enclosing_block``,
+``successors``, ``postdominates``).
 """
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
-
-#: Edge labels.  ``None`` is plain fallthrough.
-TRUE = "true"
-FALSE = "false"
-EXC = "exc"
-
-#: (successor block index, edge label)
-Edge = Tuple[int, Optional[str]]
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 
 def _header_roots(stmt: ast.AST) -> List[ast.AST]:
@@ -88,15 +77,14 @@ def _header_roots(stmt: ast.AST) -> List[ast.AST]:
 class Block:
     """One CFG node: a single statement, or a synthetic marker."""
 
-    __slots__ = ("index", "stmt", "kind", "succs", "preds")
+    __slots__ = ("index", "stmt", "kind", "succs")
 
     def __init__(self, index: int, stmt: Optional[ast.stmt] = None,
                  kind: str = "stmt"):
         self.index = index
         self.stmt = stmt
         self.kind = kind  # "entry" | "exit" | "stmt" | "handler" | "finally"
-        self.succs: List[Edge] = []
-        self.preds: List[Edge] = []
+        self.succs: List[int] = []
 
     def __repr__(self) -> str:
         what = self.kind if self.stmt is None else type(self.stmt).__name__
@@ -112,35 +100,11 @@ class CFG:
         self.blocks = blocks
         self.entry = entry
         self.exit = exit_index
-        self._block_of: Dict[int, int] = {
-            b.index: b.index for b in blocks
-        }
-        self._stmt_block: Dict[int, int] = {}
-        for b in blocks:
-            if b.stmt is not None:
-                # A statement can sit in at most one block by construction.
-                self._stmt_block.setdefault(id(b.stmt), b.index)
         self._node_block: Optional[Dict[int, int]] = None
-        self._dom: Optional[Dict[int, FrozenSet[int]]] = None
         self._pdom: Optional[Dict[int, FrozenSet[int]]] = None
 
-    # -- structure -------------------------------------------------------------
-
-    def successors(self, index: int) -> Sequence[Edge]:
+    def successors(self, index: int) -> Sequence[int]:
         return self.blocks[index].succs
-
-    def predecessors(self, index: int) -> Sequence[Edge]:
-        return self.blocks[index].preds
-
-    def statements(self) -> Iterator[Tuple[int, ast.stmt]]:
-        """Every (block index, statement) pair, in construction order."""
-        for b in self.blocks:
-            if b.stmt is not None:
-                yield b.index, b.stmt
-
-    def block_of(self, stmt: ast.stmt) -> Optional[int]:
-        """Block carrying ``stmt`` itself (not its substatements)."""
-        return self._stmt_block.get(id(stmt))
 
     def enclosing_block(self, node: ast.AST) -> Optional[int]:
         """Block whose statement *executes* ``node`` (e.g. the call
@@ -164,62 +128,35 @@ class CFG:
             self._node_block = index
         return self._node_block.get(id(node))
 
-    # -- dominance -------------------------------------------------------------
-
-    def dominators(self) -> Dict[int, FrozenSet[int]]:
-        """block index -> the set of blocks dominating it."""
-        if self._dom is None:
-            self._dom = _dominator_sets(
-                [b.index for b in self.blocks], self.entry,
-                lambda n: [i for i, _ in self.blocks[n].preds])
-        return self._dom
-
     def postdominators(self) -> Dict[int, FrozenSet[int]]:
-        """block index -> the set of blocks post-dominating it."""
-        if self._pdom is None:
-            self._pdom = _dominator_sets(
-                [b.index for b in self.blocks], self.exit,
-                lambda n: [i for i, _ in self.blocks[n].succs])
-        return self._pdom
+        """block index -> the set of blocks post-dominating it.
 
-    def dominates(self, a: int, b: int) -> bool:
-        """True iff every entry->``b`` path passes through ``a``."""
-        return a in self.dominators()[b]
+        Classic iterative dataflow from the exit: pdom(n) = {n} ∪
+        ⋂ pdom(succ).  Blocks that cannot reach the exit keep the full
+        set (vacuously post-dominated), the conventional — and for
+        MMU001 conservative — answer.
+        """
+        if self._pdom is None:
+            everything = frozenset(b.index for b in self.blocks)
+            pdom = {b.index: everything for b in self.blocks}
+            pdom[self.exit] = frozenset({self.exit})
+            changed = True
+            while changed:
+                changed = False
+                for b in self.blocks:
+                    if b.index == self.exit or not b.succs:
+                        continue
+                    new = frozenset.intersection(
+                        *(pdom[s] for s in b.succs)) | {b.index}
+                    if new != pdom[b.index]:
+                        pdom[b.index] = new
+                        changed = True
+            self._pdom = pdom
+        return self._pdom
 
     def postdominates(self, a: int, b: int) -> bool:
         """True iff every ``b``->exit path passes through ``a``."""
         return a in self.postdominators()[b]
-
-
-def _dominator_sets(nodes, start, preds_of) -> Dict[int, FrozenSet[int]]:
-    """Classic iterative dataflow: dom(n) = {n} ∪ ⋂ dom(pred).
-
-    Works unchanged for post-dominators when ``preds_of`` yields
-    successors and ``start`` is the exit.  Nodes unreachable from
-    ``start`` keep the full set (vacuously dominated), which is the
-    conventional — and for our rules conservative — answer.
-    """
-    everything = frozenset(nodes)
-    dom: Dict[int, FrozenSet[int]] = {n: everything for n in nodes}
-    dom[start] = frozenset({start})
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n == start:
-                continue
-            preds = preds_of(n)
-            if preds:
-                acc = None
-                for p in preds:
-                    acc = dom[p] if acc is None else acc & dom[p]
-                new = frozenset(acc | {n})
-            else:
-                new = everything
-            if new != dom[n]:
-                dom[n] = new
-                changed = True
-    return dom
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +168,7 @@ class _LoopCtx:
 
     def __init__(self, header: int):
         self.header = header
-        self.breaks: List[Edge] = []
+        self.breaks: List[int] = []
 
 
 class _TryCtx:
@@ -264,17 +201,13 @@ class _Builder:
         self.blocks.append(block)
         return block.index
 
-    def _edge(self, a: int, b: int, label: Optional[str]) -> None:
-        self.blocks[a].succs.append((b, label))
-        self.blocks[b].preds.append((a, label))
-
-    def _connect(self, preds: List[Edge], target: int) -> None:
-        for index, label in preds:
-            self._edge(index, target, label)
+    def _connect(self, preds: List[int], target: int) -> None:
+        for index in preds:
+            self.blocks[index].succs.append(target)
 
     # -- exceptional / non-local routing ---------------------------------------
 
-    def _route_to_exit(self, preds: List[Edge]) -> None:
+    def _route_to_exit(self, preds: List[int]) -> None:
         """Return (or unhandled raise): through enclosing finallys."""
         for ctx in reversed(self.try_stack):
             if ctx.finally_entry is not None:
@@ -283,13 +216,12 @@ class _Builder:
                 return
         self._connect(preds, self.exit)
 
-    def _route_raise(self, preds: List[Edge]) -> None:
+    def _route_raise(self, preds: List[int]) -> None:
         """Explicit raise: nearest live handlers, else finallys + exit."""
         for ctx in reversed(self.try_stack):
             if ctx.handler_entries:
-                for index, _ in preds:
-                    for handler in ctx.handler_entries:
-                        self._edge(index, handler, EXC)
+                for handler in ctx.handler_entries:
+                    self._connect(preds, handler)
                 return
             if ctx.finally_entry is not None:
                 self._connect(preds, ctx.finally_entry)
@@ -297,7 +229,7 @@ class _Builder:
                 return
         self._connect(preds, self.exit)
 
-    def _route_break(self, preds: List[Edge], loop: _LoopCtx) -> None:
+    def _route_break(self, preds: List[int], loop: _LoopCtx) -> None:
         depth = self.loop_stack.index(loop) + 1
         for ctx in reversed(self.try_stack):
             if ctx.finally_entry is not None and ctx.loop_depth >= depth:
@@ -306,7 +238,7 @@ class _Builder:
                 return
         loop.breaks.extend(preds)
 
-    def _route_continue(self, preds: List[Edge], loop: _LoopCtx) -> None:
+    def _route_continue(self, preds: List[int], loop: _LoopCtx) -> None:
         depth = self.loop_stack.index(loop) + 1
         for ctx in reversed(self.try_stack):
             if ctx.finally_entry is not None and ctx.loop_depth >= depth:
@@ -318,71 +250,71 @@ class _Builder:
     # -- statement translation -------------------------------------------------
 
     def build(self) -> CFG:
-        exits = self._seq(self.func.body, [(self.entry, None)])
+        exits = self._seq(self.func.body, [self.entry])
         self._connect(exits, self.exit)
         return CFG(self.func, self.blocks, self.entry, self.exit)
 
-    def _seq(self, stmts: Sequence[ast.stmt], preds: List[Edge]) -> List[Edge]:
+    def _seq(self, stmts: Sequence[ast.stmt], preds: List[int]) -> List[int]:
         for stmt in stmts:
             preds = self._stmt(stmt, preds)
         return preds
 
-    def _stmt(self, stmt: ast.stmt, preds: List[Edge]) -> List[Edge]:
+    def _stmt(self, stmt: ast.stmt, preds: List[int]) -> List[int]:
         block = self._new(stmt)
         self._connect(preds, block)
 
         if isinstance(stmt, ast.If):
-            true_exits = self._seq(stmt.body, [(block, TRUE)])
+            true_exits = self._seq(stmt.body, [block])
             if stmt.orelse:
-                false_exits = self._seq(stmt.orelse, [(block, FALSE)])
+                false_exits = self._seq(stmt.orelse, [block])
             else:
-                false_exits = [(block, FALSE)]
+                false_exits = [block]
             return true_exits + false_exits
 
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             loop = _LoopCtx(block)
             self.loop_stack.append(loop)
-            body_exits = self._seq(stmt.body, [(block, TRUE)])
+            body_exits = self._seq(stmt.body, [block])
             self._connect(body_exits, block)  # back edge
             self.loop_stack.pop()
-            exits: List[Edge] = [(block, FALSE)]
+            exits: List[int] = [block]
             if stmt.orelse:
                 exits = self._seq(stmt.orelse, exits)
             return exits + loop.breaks
 
         if isinstance(stmt, ast.Break):
-            self._route_break([(block, None)], self.loop_stack[-1])
+            self._route_break([block], self.loop_stack[-1])
             return []
 
         if isinstance(stmt, ast.Continue):
-            self._route_continue([(block, None)], self.loop_stack[-1])
+            self._route_continue([block], self.loop_stack[-1])
             return []
 
         if isinstance(stmt, ast.Return):
-            self._route_to_exit([(block, None)])
+            self._route_to_exit([block])
             return []
 
         if isinstance(stmt, ast.Raise):
-            self._route_raise([(block, None)])
+            self._route_raise([block])
             return []
 
         if isinstance(stmt, ast.Try):
             return self._try(stmt, block)
 
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return self._seq(stmt.body, [(block, None)])
+            return self._seq(stmt.body, [block])
 
         if isinstance(stmt, ast.Match):
             exits = []
             for case in stmt.cases:
-                exits += self._seq(case.body, [(block, TRUE)])
-            exits.append((block, FALSE))  # no case matched
+                exits += self._seq(case.body, [block])
+            exits.append(block)  # no case matched
             return exits
 
         # Plain statement (incl. nested def/class, kept opaque).
-        return [(block, None)]
+        return [block]
 
-    def _try(self, stmt: ast.Try, block: int) -> List[Edge]:
+    def _try(self, stmt: ast.Try, block: int) -> List[int]:
         handler_entries = [self._new(h, kind="handler") for h in stmt.handlers]
         finally_entry = (self._new(kind="finally")
                          if stmt.finalbody else None)
@@ -390,22 +322,22 @@ class _Builder:
             # "Something in the body may raise": keeps handlers
             # reachable without severing every body statement's
             # post-dominance (see module docstring).
-            self._edge(block, handler, EXC)
+            self._connect([block], handler)
 
         ctx = _TryCtx(handler_entries, finally_entry, len(self.loop_stack))
         self.try_stack.append(ctx)
-        body_exits = self._seq(stmt.body, [(block, None)])
+        body_exits = self._seq(stmt.body, [block])
         if stmt.orelse:
             # Exceptions in else do not reach this try's handlers.
             ctx.handler_entries = []
             body_exits = self._seq(stmt.orelse, body_exits)
 
         ctx.handler_entries = []  # raises in handlers go outward
-        handler_exits: List[Edge] = []
+        handler_exits: List[int] = []
         for entry in handler_entries:
             handler_block = self.blocks[entry]
             handler_exits += self._seq(handler_block.stmt.body,
-                                       [(entry, None)])
+                                       [entry])
 
         normal_exits = body_exits + handler_exits
         self.try_stack.pop()
@@ -414,7 +346,7 @@ class _Builder:
             return normal_exits
 
         self._connect(normal_exits, finally_entry)
-        finally_exits = self._seq(stmt.finalbody, [(finally_entry, None)])
+        finally_exits = self._seq(stmt.finalbody, [finally_entry])
         # Fan the funnel out to every continuation routed through it.
         if ctx.pending_exit:
             self._route_to_exit(finally_exits)

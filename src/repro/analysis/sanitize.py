@@ -1,22 +1,18 @@
-"""``--sanitize-run``: dynamic cross-check of the static verdicts.
+"""``--sanitize-run``: dynamic cross-check of MMU001's static verdict.
 
-Static post-dominance and lattice tracking prove the *code* cannot
-reach a bad state; this module proves the *machine* does not, on a
-real workload, and that the two verdicts agree.  It replays
+Static post-dominance proves the *code* cannot leave a stale mapping
+live after a cloak-state change; this module proves the *machine* does
+not, on a real workload, and that the two verdicts agree.  It replays
 a benchmark workload with an obs-bus sink attached and asserts, event
-by event:
+by event, **TLB/shadow coherence** (the dynamic MMU001): after a
+frame's cloak state changes while mappings to it exist, no new mapping
+may be installed (``vmm.shadow_fill``) until the VMM reports the
+frame's mappings dropped (``vmm.coherence``).  Un-flushed frames
+remaining at workload end are violations too.
 
-* **cloak-protocol conformance** (the dynamic STATE001): every
-  transition probe (``cloak.zero_fill``/``decrypt``/``encrypt``/
-  ``ct_restore``/``dirty_upgrade``) must arrive while the page is in a
-  state the transition is legal from.  Pages are tracked per
-  (owner, vpn); first sight is UNKNOWN and accepted (the sink may
-  attach mid-lifecycle); ``cloak.discard`` ends a lifecycle.
-* **TLB/shadow coherence** (the dynamic MMU001): after a frame's cloak
-  state changes while mappings to it exist, no new mapping may be
-  installed (``vmm.shadow_fill``) until the VMM reports the frame's
-  mappings dropped (``vmm.coherence``).  Un-flushed frames remaining
-  at workload end are violations too.
+The cloak-state lattice itself needs no replay: every transition goes
+through ``PageMetadata.transition``, which raises on an illegal edge,
+so a replay that completes has taken only legal ones.
 
 Probes never charge cycles, so the replayed workload's virtual-cycle
 total must be bit-identical to the committed ``BENCH_wallclock.json``
@@ -28,53 +24,16 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-#: Transition probe -> states it may legally arrive from.
-EXPECT: Dict[str, frozenset] = {
-    "cloak.zero_fill": frozenset({"FRESH"}),
-    "cloak.decrypt": frozenset({"ENCRYPTED"}),
-    "cloak.encrypt": frozenset({"PLAINTEXT_CLEAN", "PLAINTEXT_DIRTY"}),
-    "cloak.ct_restore": frozenset({"PLAINTEXT_CLEAN"}),
-    "cloak.dirty_upgrade": frozenset({"PLAINTEXT_CLEAN",
-                                      "PLAINTEXT_DIRTY"}),
-}
-
-#: Transition probe -> state the page is in afterwards.
-RESULT: Dict[str, str] = {
-    "cloak.zero_fill": "PLAINTEXT_DIRTY",
-    "cloak.decrypt": "PLAINTEXT_CLEAN",
-    "cloak.encrypt": "ENCRYPTED",
-    "cloak.ct_restore": "ENCRYPTED",
-    "cloak.dirty_upgrade": "PLAINTEXT_DIRTY",
-}
-
-
-class TransitionChecker:
-    """Per-(owner, vpn) replay of the cloak-state machine."""
-
-    def __init__(self):
-        self.states: Dict[Tuple[int, int], str] = {}
-        self.violations: List[str] = []
-        self.events = 0
-
-    def on_transition(self, name: str, owner: int, vpn: int) -> None:
-        self.events += 1
-        key = (owner, vpn)
-        prior = self.states.get(key)
-        if prior is not None and prior not in EXPECT[name]:
-            self.violations.append(
-                f"{name} on page owner={owner} vpn={vpn:#x} arrived in "
-                f"state {prior}; legal from "
-                + "/".join(sorted(EXPECT[name])))
-        self.states[key] = RESULT[name]
-
-    def on_discard(self, owner: int, vpn: int) -> None:
-        self.events += 1
-        self.states.pop((owner, vpn), None)
+#: Cloak transition probes that carry the frame they changed, as
+#: ``(owner, vpn, gpfn, cost)`` per the PROBES catalog.
+FRAME_CHANGES = frozenset({
+    "cloak.zero_fill", "cloak.decrypt", "cloak.encrypt", "cloak.ct_restore",
+})
 
 
 class CoherenceChecker:
-    """Frames whose cloak state changed must shed mappings before any
-    new mapping is installed over them."""
+    """Obs-bus sink: frames whose cloak state changed must shed
+    mappings before any new mapping is installed over them."""
 
     def __init__(self):
         #: gpfn -> mappings installed and not yet dropped
@@ -83,6 +42,16 @@ class CoherenceChecker:
         self.pending: Set[int] = set()
         self.violations: List[str] = []
         self.events = 0
+
+    def on_event(self, name: str, cycle: int, args: tuple) -> None:
+        if name in FRAME_CHANGES:
+            self.on_cloak_change(name, args[2])
+        elif name == "vmm.shadow_fill":
+            self.on_shadow_fill(*args)
+        elif name == "vmm.coherence":
+            self.on_coherence(*args)
+        elif name == "tlb.invalidate":
+            self.on_tlb_invalidate(*args)
 
     def on_cloak_change(self, name: str, gpfn: int) -> None:
         self.events += 1
@@ -119,38 +88,7 @@ class CoherenceChecker:
                 "a cloak-state change (mappings never invalidated)")
 
 
-class SanitizerSink:
-    """Obs-bus sink fanning events into the two checkers."""
-
-    def __init__(self):
-        self.transitions = TransitionChecker()
-        self.coherence = CoherenceChecker()
-
-    def on_event(self, name: str, cycle: int, args: tuple) -> None:
-        if name in EXPECT:
-            # args: (owner, vpn[, gpfn, cost]) per the PROBES catalog.
-            self.transitions.on_transition(name, args[0], args[1])
-            if len(args) >= 3:
-                self.coherence.on_cloak_change(name, args[2])
-        elif name == "cloak.discard":
-            self.transitions.on_discard(args[0], args[1])
-        elif name == "vmm.shadow_fill":
-            self.coherence.on_shadow_fill(*args)
-        elif name == "vmm.coherence":
-            self.coherence.on_coherence(*args)
-        elif name == "tlb.invalidate":
-            self.coherence.on_tlb_invalidate(*args)
-
-    @property
-    def violations(self) -> List[str]:
-        return self.transitions.violations + self.coherence.violations
-
-    @property
-    def events(self) -> int:
-        return self.transitions.events + self.coherence.events
-
-
-def replay_mb_suite(sink: SanitizerSink) -> int:
+def replay_mb_suite(sink: CoherenceChecker) -> int:
     """Run the mb-suite workload with ``sink`` attached; returns the
     summed virtual-cycle total (must match BENCH_wallclock.json)."""
     from repro.apps.microbench import MICRO_SUITE
@@ -166,7 +104,7 @@ def replay_mb_suite(sink: SanitizerSink) -> int:
             cycles += result.cycles_total
     finally:
         bus.detach(sink)
-    sink.coherence.finish()
+    sink.finish()
     return cycles
 
 
@@ -183,8 +121,8 @@ def committed_cycles(root: Path, workload: str) -> Optional[int]:
 def sanitize_run(workload: str, out) -> int:
     """Entry point for ``python -m repro.analysis --sanitize-run``.
 
-    Runs the static STATE001/MMU001 verdict
-    and the dynamic replay, prints the differential comparison, and
+    Runs the static MMU001 verdict and the dynamic replay, prints the
+    differential comparison, and
     returns an exit code: 0 = both clean and cycles match, 1 = any
     disagreement/violation, 2 = usage error (unknown workload).
     """
@@ -197,7 +135,7 @@ def sanitize_run(workload: str, out) -> int:
               "(available: mb-suite)", file=out)
         return 2
 
-    static_rules = ["STATE001", "MMU001"]
+    static_rules = ["MMU001"]
     report = Analyzer(get_rules(static_rules)).run(
         [Path(repro.__file__).parent], root=Path.cwd())
     static_clean = not report.findings
@@ -208,7 +146,7 @@ def sanitize_run(workload: str, out) -> int:
     for finding in report.findings:
         print(f"  {finding.render()}", file=out)
 
-    sink = SanitizerSink()
+    sink = CoherenceChecker()
     cycles = replay_mb_suite(sink)
     dynamic_clean = not sink.violations
     print(f"dynamic: {workload} replay, {sink.events} events -> "

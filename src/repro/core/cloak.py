@@ -98,36 +98,24 @@ class CloakEngine:
         cloaked page.  Raises on integrity/freshness failure.
         """
         md = self.store.get_or_create(domain.domain_id, vpn, domain.lineage_id)
-        in_place = (
-            md.state in (CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY)
-            and md.resident_gpfn == gpfn
-        )
-        if in_place:
+        if md.state in (CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY):
+            if md.resident_gpfn != gpfn:
+                # Plaintext is live in a *different* frame: the OS
+                # remapped the page underneath the application.  The
+                # caller seals the old frame first (the VMM's shadow
+                # fill does), so the new frame must then verify as
+                # ciphertext; materialising here instead would leave
+                # the old frame's plaintext untracked.
+                self._stats.bump("cloak.violations")
+                raise IntegrityViolation(
+                    domain.domain_id, vpn, "live plaintext relocated unsealed"
+                )
             if access.is_write and md.state is CloakState.PLAINTEXT_CLEAN:
                 self._upgrade_to_dirty(md)
             return md
 
-        # The page is not plaintext in this frame: materialise it.
-        was_plaintext_elsewhere = md.state in (
-            CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY
-        )
-        if was_plaintext_elsewhere:
-            # Plaintext lives in a *different* frame: the OS remapped
-            # the page underneath the application.  The old frame stays
-            # tracked (any system touch encrypts it); the new frame's
-            # contents are untrusted and must verify as ciphertext.
-            self.store.note_not_plaintext(md)
-            self._stats.bump("cloak.relocations")
-
+        # The page is not plaintext anywhere: materialise it in gpfn.
         if not md.has_ciphertext_record:
-            if was_plaintext_elsewhere:
-                # Legitimate paging always encrypts on the way out, so
-                # live plaintext can never lawfully reappear as an
-                # unverifiable frame: the OS substituted the page.
-                self._stats.bump("cloak.violations")
-                raise IntegrityViolation(
-                    domain.domain_id, vpn, "live page substituted"
-                )
             self._zero_fill(md, gpfn)
         else:
             self._verify_and_decrypt(domain, md, gpfn)
@@ -138,9 +126,9 @@ class CloakEngine:
     def _zero_fill(self, md: PageMetadata, gpfn: int) -> None:
         """First touch of a fresh cloaked page: discard whatever the OS
         left in the frame and hand the application zeros."""
+        md.transition(CloakState.PLAINTEXT_DIRTY)
         self._phys.zero_frame(gpfn)
         self._cycles.charge("vmm", self._costs.zero_fill)
-        md.state = CloakState.PLAINTEXT_DIRTY
         md.cached_ciphertext = None
         self.store.note_plaintext(md, gpfn)
         self._stats.bump("cloak.zero_fills")
@@ -159,6 +147,7 @@ class CloakEngine:
             if stale is not None:
                 raise FreshnessViolation(domain.domain_id, md.vpn, stale)
             raise IntegrityViolation(domain.domain_id, md.vpn)
+        md.transition(CloakState.PLAINTEXT_CLEAN)
         if not self.config.integrity_only:
             plaintext = cipher.decrypt_page(md.iv, contents)
             # repro: allow(SEC002) — decrypt-in-place is the cloaking
@@ -168,7 +157,6 @@ class CloakEngine:
             # never becomes guest-kernel-visible.
             self._phys.write_frame(gpfn, plaintext)
             self._cycles.charge("crypto", self._costs.page_decrypt)
-        md.state = CloakState.PLAINTEXT_CLEAN
         if self.config.clean_page_optimization:
             md.cached_ciphertext = contents
         self.store.note_plaintext(md, gpfn)
@@ -180,7 +168,7 @@ class CloakEngine:
             bus.cloak_decrypt(md.owner_id, md.vpn, gpfn, cost)
 
     def _upgrade_to_dirty(self, md: PageMetadata) -> None:
-        md.state = CloakState.PLAINTEXT_DIRTY
+        md.transition(CloakState.PLAINTEXT_DIRTY)
         md.cached_ciphertext = None
         self._stats.bump("cloak.dirty_upgrades")
         bus.cloak_dirty_upgrade(md.owner_id, md.vpn)
@@ -191,8 +179,12 @@ class CloakEngine:
         """Make ``gpfn`` safe for the system world to map.
 
         Called by the VMM when the kernel or another application
-        touches a frame currently holding cloaked plaintext.
+        touches a frame currently holding cloaked plaintext.  A page
+        that is not plaintext is already safe: a no-op, never a second
+        encryption of its ciphertext.
         """
+        if md.state not in (CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY):
+            return
         if md.state is CloakState.PLAINTEXT_CLEAN and (
             self.config.clean_page_optimization and md.cached_ciphertext is not None
         ):
@@ -203,7 +195,7 @@ class CloakEngine:
                                  self._costs.ciphertext_restore)
         else:
             self._encrypt(md, gpfn)
-        md.state = CloakState.ENCRYPTED
+        md.transition(CloakState.ENCRYPTED)
         self.store.note_not_plaintext(md)
         md.resident_gpfn = gpfn
 
@@ -319,8 +311,8 @@ class CloakEngine:
         saved = self.file_store.load(lineage_id, file_id, page_index)
         if saved is not None and not md.has_ciphertext_record:
             version, iv, mac = saved
+            md.transition(CloakState.ENCRYPTED)
             md.version = version
             md.iv = iv
             md.mac = mac
-            md.state = CloakState.ENCRYPTED
         return md

@@ -17,9 +17,10 @@ decision (reject) is identical either way.
 """
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.crypto import IV_LEN, MAC_LEN
+from repro.core.errors import IntegrityViolation
 from repro.obs import bus
 
 
@@ -39,6 +40,28 @@ class CloakState(enum.Enum):
     #: Frame holds modified plaintext; owner-only; re-encryption must
     #: bump the version.
     PLAINTEXT_DIRTY = "plaintext-dirty"
+
+
+#: The paper's page-state lattice: every (prior, target) edge a page
+#: may take.  Any other edge either exposes plaintext the guest could
+#: read (skipping encrypt) or loses the dirty bit that forces
+#: re-encryption.  The one self-loop is the idempotent dirty upgrade.
+TRANSITIONS: FrozenSet[Tuple[CloakState, CloakState]] = frozenset({
+    # first app touch zero-fills; image adoption
+    (CloakState.FRESH, CloakState.PLAINTEXT_DIRTY),
+    # a cloaked-file page seeded from its persistent metadata
+    (CloakState.FRESH, CloakState.ENCRYPTED),
+    # owner access: verify MAC, decrypt in place
+    (CloakState.ENCRYPTED, CloakState.PLAINTEXT_CLEAN),
+    # first owner write after decrypt
+    (CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY),
+    # system access: restore cached ciphertext (or re-encrypt)
+    (CloakState.PLAINTEXT_CLEAN, CloakState.ENCRYPTED),
+    # system access: bump version, encrypt + MAC
+    (CloakState.PLAINTEXT_DIRTY, CloakState.ENCRYPTED),
+    # owner write to a page already dirty
+    (CloakState.PLAINTEXT_DIRTY, CloakState.PLAINTEXT_DIRTY),
+})
 
 
 #: How many superseded versions to remember for replay *labelling*.
@@ -88,6 +111,17 @@ class PageMetadata:
         #: (file_id, page_index) when this page is a window onto a
         #: cloaked file; keeps persistent file metadata in sync.
         self.file_binding: Optional[Tuple[int, int]] = None
+
+    def transition(self, target: CloakState) -> None:
+        """Move to ``target``; the one writer of :attr:`state` after
+        construction.  An edge outside :data:`TRANSITIONS` raises
+        :class:`IntegrityViolation` before anything is mutated."""
+        if (self.state, target) not in TRANSITIONS:
+            raise IntegrityViolation(
+                self.owner_id, self.vpn,
+                f"illegal cloak-state transition {self.state.name} -> "
+                f"{target.name}")
+        self.state = target
 
     @property
     def has_ciphertext_record(self) -> bool:

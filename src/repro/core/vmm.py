@@ -202,6 +202,16 @@ class VMM(TranslationAuthority):
                     # Frame holds some *other* page's plaintext: protect
                     # it before this domain can observe the frame.
                     self._encrypt_frame(holder, gpfn)
+                md = self.metadata.lookup(domain.domain_id, vpn)
+                if md is not None and md.resident_gpfn != gpfn and md.state in (
+                        CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY):
+                    # The OS remapped the page while its plaintext is
+                    # live in another frame: seal that frame first, so
+                    # it never leaks and the new frame must verify as
+                    # this page's latest ciphertext (a rollback to an
+                    # older one is a freshness violation).
+                    self._encrypt_frame(md, md.resident_gpfn)
+                    self.stats.bump("cloak.relocations")
                 self.cloak.resolve_app_access(domain, vpn, gpfn, access)
                 self._invalidate_frame_mappings(gpfn)
                 return
@@ -571,7 +581,7 @@ class VMM(TranslationAuthority):
                 continue
             md = self.metadata.get_or_create(domain.domain_id, vpn,
                                              domain.lineage_id)
-            md.state = CloakState.PLAINTEXT_DIRTY
+            md.transition(CloakState.PLAINTEXT_DIRTY)
             md.cached_ciphertext = None
             self.metadata.note_plaintext(md, gpfn)
             self._invalidate_frame_mappings(gpfn)

@@ -1,38 +1,25 @@
-"""STATE001: the cloak-state lattice rule.
+"""STATE001: cloak state is written only inside ``repro.core.metadata``.
 
-Includes the mutation test from the PR's acceptance criteria: insert
-an illegal transition into a copy of the real transition engine and
-watch the rule catch it.
+Includes the mutation test: insert an illegal transition into a copy
+of the real transition engine and watch the rule catch the direct
+write.  Which edges are legal is checked at run time by
+``PageMetadata.transition`` (tests/core/test_metadata.py).
 """
 
 import shutil
 from pathlib import Path
 
 import repro
-from repro.analysis.rules.cloak_state import (ALLOWED, STATES,
-                                              CloakStateRule)
-from repro.core.metadata import CloakState
+from repro.analysis.rules.cloak_state import CloakStateRule
 
 from tests.analysis.conftest import check
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
 
-def test_states_mirror_the_real_enum():
-    """The rule's lattice is a mirror of repro.core.metadata.CloakState;
-    this pin fails if the enum gains/loses/renames a member without the
-    rule being updated."""
-    assert set(STATES) == {member.name for member in CloakState}
-    assert set(ALLOWED) == set(STATES)
-    for source, targets in ALLOWED.items():
-        assert targets <= set(STATES)
-        assert source not in targets  # self-loops are implicit
-
-
 def test_illegal_transition_in_trusted_module_fires(tree):
-    """Mutation test: ENCRYPTED -> PLAINTEXT_DIRTY skips the decrypt
-    step — a real copy of cloak.py with that edge added must trip
-    STATE001."""
+    """Mutation test: a real copy of cloak.py with a direct
+    ENCRYPTED -> PLAINTEXT_DIRTY write added must trip STATE001."""
     target = tree.root / "repro" / "core" / "cloak.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     shutil.copy(SRC_REPRO / "core" / "cloak.py", target)
@@ -43,10 +30,8 @@ def test_illegal_transition_in_trusted_module_fires(tree):
             "        md.state = CloakState.PLAINTEXT_DIRTY\n"),
         encoding="utf-8")
     report = tree.run([CloakStateRule()])
-    assert any(f.rule == "STATE001"
-               and "ENCRYPTED -> PLAINTEXT_DIRTY" in f.message
-               for f in report.findings), \
-        [f.render() for f in report.findings]
+    assert [(f.rule, f.line) for f in report.findings] == [
+        ("STATE001", len(target.read_text(encoding="utf-8").splitlines()))]
 
 
 def test_real_cloak_engine_is_clean(tree):
@@ -58,24 +43,13 @@ def test_real_cloak_engine_is_clean(tree):
 
 
 def test_legal_guarded_transition_passes(tree):
+    """A legal edge written through the checked method is clean."""
     mod = tree.module("repro/core/cloak.py", """\
         from repro.core.metadata import CloakState
 
         def ok(md):
             if md.state is CloakState.PLAINTEXT_DIRTY:
-                md.state = CloakState.ENCRYPTED
-        """)
-    assert check(CloakStateRule(), mod) == []
-
-
-def test_unknown_prior_state_is_trusted(tree):
-    """A write whose source state the function cannot know is the
-    caller's responsibility — no finding."""
-    mod = tree.module("repro/core/cloak.py", """\
-        from repro.core.metadata import CloakState
-
-        def adopt(md):
-            md.state = CloakState.ENCRYPTED
+                md.transition(CloakState.ENCRYPTED)
         """)
     assert check(CloakStateRule(), mod) == []
 
@@ -89,17 +63,30 @@ def test_state_write_outside_tcb_fires(tree):
         """)
     findings = check(CloakStateRule(), mod)
     assert len(findings) == 1
-    assert "outside the cloaking TCB" in findings[0].message
+    assert "repro.guestos.evil" in findings[0].message
 
 
 def test_constructor_then_illegal_write_fires(tree):
-    mod = tree.module("repro/core/metadata.py", """\
-        from repro.core.metadata import CloakState, PageMetadata
+    """FRESH -> PLAINTEXT_CLEAN written directly in a core module
+    other than metadata (here spelled through the module) is a finding:
+    only transition() may write."""
+    mod = tree.module("repro/core/vmm.py", """\
+        from repro.core import metadata
+        from repro.core.metadata import PageMetadata
 
-        def bad():
+        def adopt():
             md = PageMetadata(1, 2, 3)
-            md.state = CloakState.PLAINTEXT_CLEAN
+            md.state = metadata.CloakState.PLAINTEXT_CLEAN
         """)
     findings = check(CloakStateRule(), mod)
     assert len(findings) == 1
-    assert "FRESH -> PLAINTEXT_CLEAN" in findings[0].message
+    assert "PageMetadata.transition" in findings[0].message
+
+
+def test_metadata_module_may_write_state(tree):
+    mod = tree.module("repro/core/metadata.py", """\
+        class PageMetadata:
+            def __init__(self):
+                self.state = CloakState.FRESH
+        """)
+    assert check(CloakStateRule(), mod) == []

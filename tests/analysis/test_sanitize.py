@@ -1,56 +1,8 @@
-"""The dynamic STATE001/MMU001 sanitizer behind ``--sanitize-run``."""
+"""The dynamic MMU001 coherence sanitizer behind ``--sanitize-run``."""
 
 import io
 
-from repro.analysis.sanitize import (EXPECT, RESULT, CoherenceChecker,
-                                     SanitizerSink, TransitionChecker,
-                                     sanitize_run)
-from repro.core.metadata import CloakState
-from repro.obs import bus
-
-
-def test_expectation_tables_cover_the_probe_catalog():
-    """Every cloak transition probe has a legal-from set and a result
-    state, and both speak real CloakState member names."""
-    assert set(EXPECT) == set(RESULT)
-    members = {m.name for m in CloakState}
-    for probe, legal in EXPECT.items():
-        assert probe in bus.PROBES
-        assert legal <= members
-        assert RESULT[probe] in members
-
-
-def test_legal_lifecycle_is_clean():
-    tc = TransitionChecker()
-    tc.on_transition("cloak.zero_fill", 1, 0x10)   # first sight
-    tc.on_transition("cloak.encrypt", 1, 0x10)     # DIRTY -> ENCRYPTED
-    tc.on_transition("cloak.decrypt", 1, 0x10)     # ENCRYPTED -> CLEAN
-    tc.on_transition("cloak.ct_restore", 1, 0x10)  # CLEAN -> ENCRYPTED
-    assert tc.violations == []
-    assert tc.states[(1, 0x10)] == "ENCRYPTED"
-
-
-def test_illegal_transition_is_flagged():
-    tc = TransitionChecker()
-    tc.on_transition("cloak.zero_fill", 1, 0x10)  # -> PLAINTEXT_DIRTY
-    tc.on_transition("cloak.decrypt", 1, 0x10)    # legal only from ENCRYPTED
-    assert len(tc.violations) == 1
-    assert "PLAINTEXT_DIRTY" in tc.violations[0]
-
-
-def test_first_sight_is_accepted_mid_lifecycle():
-    tc = TransitionChecker()
-    tc.on_transition("cloak.decrypt", 3, 0x20)  # attach mid-run: UNKNOWN
-    assert tc.violations == []
-    assert tc.states[(3, 0x20)] == "PLAINTEXT_CLEAN"
-
-
-def test_discard_ends_a_lifecycle():
-    tc = TransitionChecker()
-    tc.on_transition("cloak.zero_fill", 1, 0x10)
-    tc.on_discard(1, 0x10)
-    tc.on_transition("cloak.decrypt", 1, 0x10)  # fresh lifecycle, OK
-    assert tc.violations == []
+from repro.analysis.sanitize import CoherenceChecker, sanitize_run
 
 
 def test_shadow_fill_over_unflushed_frame_is_flagged():
@@ -98,16 +50,15 @@ def test_unflushed_frame_at_end_is_flagged():
 
 
 def test_sink_dispatch_routes_probes():
-    sink = SanitizerSink()
+    sink = CoherenceChecker()
     sink.on_event("cloak.zero_fill", 0, (1, 0x10, 7, 100))
     sink.on_event("vmm.shadow_fill", 0, (1, 0, 0x10, 7))
     sink.on_event("vmm.coherence", 0, (7, 1))
     sink.on_event("tlb.invalidate", 0, (1, 0x10, 1))
+    sink.on_event("cloak.dirty_upgrade", 0, (1, 0x10))  # no frame: ignored
     sink.on_event("cloak.discard", 0, (1, 0x10))
     sink.on_event("tlb.hits", 0, (5,))  # unrelated probes: ignored
-    # zero_fill counts twice: once as a transition, once as a cloak
-    # change on its carrying frame.
-    assert sink.events == 6
+    assert sink.events == 4
     assert sink.violations == []
 
 
@@ -115,11 +66,11 @@ def test_sink_dispatch_routes_sync_probes():
     """VLock("crypto.memo") still emits sync.* probes during a replayed
     workload; the sink has no checker for them and must drop them
     without counting or flagging anything."""
-    sink = SanitizerSink()
+    sink = CoherenceChecker()
     sink.on_event("sync.acquire", 0, ("crypto.memo", 0))
     sink.on_event("sync.access", 0, ("repro.core.crypto:_derive_memo", 0))
     sink.on_event("sync.release", 0, ("crypto.memo", 0))
-    sink.coherence.finish()
+    sink.finish()
     assert sink.events == 0
     assert sink.violations == []
 

@@ -112,6 +112,16 @@ class TestEncryptDecryptCycle:
         assert phys.read(new_gpfn, 0, 11) == b"SECRET DATA"
         assert md.resident_gpfn == new_gpfn
 
+    def test_unsealed_relocation_refused(self):
+        """Live plaintext the caller did not seal first stays tracked in
+        its frame; the engine refuses to materialise the page elsewhere."""
+        engine, domain, phys, __, __ = make_engine()
+        md = self._materialise_secret(engine, domain, phys)
+        with pytest.raises(IntegrityViolation, match="relocated unsealed"):
+            engine.resolve_app_access(domain, VPN, 9, AccessKind.READ)
+        assert engine.store.plaintext_in_frame(GPFN) is md
+        assert md.state is CloakState.PLAINTEXT_DIRTY
+
     def test_ciphertext_relocated_to_other_vpn_rejected(self):
         """MAC binds the vpn: swapping two pages' ciphertext fails."""
         engine, domain, phys, __, __ = make_engine()
@@ -131,6 +141,17 @@ class TestEncryptDecryptCycle:
         with pytest.raises(IntegrityViolation):
             engine.resolve_app_access(domain, other_vpn, other_gpfn,
                                       AccessKind.READ)
+
+    def test_repeated_system_access_does_not_reencrypt(self):
+        """A second system touch finds ciphertext already: a no-op, so
+        the owner still decrypts its own data afterwards."""
+        engine, domain, phys, __, stats = make_engine()
+        md = self._materialise_secret(engine, domain, phys)
+        engine.resolve_system_access(md, GPFN)
+        engine.resolve_system_access(md, GPFN)
+        engine.resolve_app_access(domain, VPN, GPFN, AccessKind.READ)
+        assert phys.read(GPFN, 0, 11) == b"SECRET DATA"
+        assert md.version == 1 and stats.get("cloak.encrypts") == 1
 
     def test_foreign_ciphertext_at_fresh_vpn_discarded(self):
         """Relocating ciphertext to a never-used vpn leaks nothing:
@@ -287,6 +308,7 @@ def test_kernel_never_sees_plaintext_property(ops):
     engine, domain, phys, __, __ = make_engine()
     secret = b"TOP-SECRET-BYTES"
     app_visible = False
+    written = False
     md = None
     for op in ops:
         if op == "app_r":
@@ -295,7 +317,7 @@ def test_kernel_never_sees_plaintext_property(ops):
         elif op == "app_w":
             md = engine.resolve_app_access(domain, VPN, GPFN, AccessKind.WRITE)
             phys.write(GPFN, 0, secret)
-            app_visible = True
+            app_visible = written = True
         else:
             if md is not None:
                 engine.resolve_system_access(md, GPFN)
@@ -304,3 +326,5 @@ def test_kernel_never_sees_plaintext_property(ops):
         assert secret not in phys.read_frame(GPFN)
     # And the application can always get its data back afterwards:
     engine.resolve_app_access(domain, VPN, GPFN, AccessKind.READ)
+    if written:
+        assert phys.read(GPFN, 0, len(secret)) == secret

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.crypto import PageCipher
+from repro.core.errors import IntegrityViolation
 from repro.core.metadata import (
     CloakState,
     FileMetadataStore,
@@ -10,6 +11,7 @@ from repro.core.metadata import (
     METADATA_BYTES_PER_PAGE,
     MetadataStore,
     PageMetadata,
+    TRANSITIONS,
 )
 from repro.hw.params import PAGE_SIZE
 
@@ -45,6 +47,44 @@ class TestPageMetadata:
         assert md.matches_stale_version(cipher, old_ct) == 1
         assert md.matches_stale_version(cipher, new_ct) is None
         assert md.matches_stale_version(cipher, b"\x00" * PAGE_SIZE) is None
+
+
+#: The paper's five edges plus the idempotent dirty upgrade, spelled
+#: out independently of the table under test.
+LEGAL = {
+    ("FRESH", "PLAINTEXT_DIRTY"), ("FRESH", "ENCRYPTED"),
+    ("ENCRYPTED", "PLAINTEXT_CLEAN"),
+    ("PLAINTEXT_CLEAN", "PLAINTEXT_DIRTY"), ("PLAINTEXT_CLEAN", "ENCRYPTED"),
+    ("PLAINTEXT_DIRTY", "ENCRYPTED"), ("PLAINTEXT_DIRTY", "PLAINTEXT_DIRTY"),
+}
+
+
+def test_transition_table_is_the_paper_lattice():
+    assert {(a.name, b.name) for a, b in TRANSITIONS} == LEGAL
+
+
+@pytest.mark.parametrize("prior", list(CloakState), ids=lambda s: s.name)
+@pytest.mark.parametrize("target", list(CloakState), ids=lambda s: s.name)
+def test_transition(prior, target):
+    """Legal edges move the state; illegal ones raise before any
+    field of the record changes."""
+    md = PageMetadata(1, 0x40, lineage_id=10)
+    md.record_encryption(1, b"iv1", b"mac1")
+    md.record_encryption(2, b"iv2", b"mac2")
+    md.resident_gpfn = 7
+    md.cached_ciphertext = b"ct"
+    md.file_binding = (3, 4)
+    md.state = prior
+    before = {slot: getattr(md, slot) for slot in PageMetadata.__slots__}
+    if (prior.name, target.name) in LEGAL:
+        md.transition(target)
+        assert md.state is target
+        before["state"] = target
+    else:
+        with pytest.raises(IntegrityViolation, match="illegal cloak-state"):
+            md.transition(target)
+    assert {slot: getattr(md, slot) for slot in PageMetadata.__slots__} \
+        == before
 
 
 class TestMetadataStore:
