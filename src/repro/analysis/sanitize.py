@@ -22,13 +22,17 @@ cycle.
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 #: Cloak transition probes that carry the frame they changed, as
 #: ``(owner, vpn, gpfn, cost)`` per the PROBES catalog.
 FRAME_CHANGES = frozenset({
     "cloak.zero_fill", "cloak.decrypt", "cloak.encrypt", "cloak.ct_restore",
 })
+
+
+def _ignore(*args) -> None:
+    """Handler for every probe the checker has no rule for."""
 
 
 class CoherenceChecker:
@@ -43,15 +47,15 @@ class CoherenceChecker:
         self.violations: List[str] = []
         self.events = 0
 
-    def on_event(self, name: str, cycle: int, args: tuple) -> None:
+    def bind(self, name: str, clock: Callable[[], int]) -> Callable:
         if name in FRAME_CHANGES:
-            self.on_cloak_change(name, args[2])
-        elif name == "vmm.shadow_fill":
-            self.on_shadow_fill(*args)
-        elif name == "vmm.coherence":
-            self.on_coherence(*args)
-        elif name == "tlb.invalidate":
-            self.on_tlb_invalidate(*args)
+            return lambda owner, vpn, gpfn, cost: \
+                self.on_cloak_change(name, gpfn)
+        return {
+            "vmm.shadow_fill": self.on_shadow_fill,
+            "vmm.coherence": self.on_coherence,
+            "tlb.invalidate": self.on_tlb_invalidate,
+        }.get(name, _ignore)
 
     def on_cloak_change(self, name: str, gpfn: int) -> None:
         self.events += 1

@@ -58,8 +58,9 @@ class _ProbeSink:
     def __init__(self):
         self.names = set()
 
-    def on_event(self, name, cycle, args) -> None:
-        self.names.add(name)
+    def bind(self, name, clock):
+        add = self.names.add
+        return lambda *args: add(name)
 
 
 def app_spec_for(seed: int, spec: GenSpec) -> Tuple[AppSpec, "OpPlan"]:

@@ -20,17 +20,17 @@ class CycleAccount:
     """
 
     def __init__(self) -> None:
-        self._total = 0
+        #: Grand total of every category, written only by :meth:`charge`
+        #: and :meth:`reset`.  A plain attribute, not a property, so hot
+        #: readers (the machine loop's timeslice check, the probe bus
+        #: clock) enter no Python frame.
+        self.total = 0
         self._by_category: Dict[str, int] = {}
-
-    @property
-    def total(self) -> int:
-        return self._total
 
     def charge(self, category: str, cycles: int) -> None:
         """Add ``cycles`` to ``category`` (and the grand total)."""
         if cycles > 0:
-            self._total += cycles
+            self.total += cycles
             cats = self._by_category
             if category in cats:
                 cats[category] += cycles
@@ -48,7 +48,7 @@ class CycleAccount:
 
     def snapshot(self) -> Tuple[int, Dict[str, int]]:
         """Capture the current ledger state for later :meth:`since`."""
-        return self._total, dict(self._by_category)
+        return self.total, dict(self._by_category)
 
     def since(self, snap: Tuple[int, Dict[str, int]]) -> "CycleDelta":
         """Cycles accumulated since ``snap`` was taken."""
@@ -58,14 +58,14 @@ class CycleAccount:
             for name, count in self._by_category.items()
             if count != base_cats.get(name, 0)
         }
-        return CycleDelta(self._total - base_total, cats)
+        return CycleDelta(self.total - base_total, cats)
 
     def reset(self) -> None:
-        self._total = 0
+        self.total = 0
         self._by_category.clear()
 
     def __repr__(self) -> str:
-        return f"CycleAccount(total={self._total})"
+        return f"CycleAccount(total={self.total})"
 
 
 class CycleDelta:

@@ -18,13 +18,15 @@ evaluation::
     if bus.ACTIVE:
         bus.vmm_hypercall(number.name)
 
-When a sink attaches, :func:`attach` rebinds every probe name in this
-module's globals to an emitter closure that stamps the event with the
-shared virtual-cycle clock and delivers it to each sink.  Detaching
-the last sink swaps the no-ops back.  The indirection is the contract
-OBS001 enforces: instrumented modules import *the bus module*, never a
-frozen probe function and never a sink, so the swap stays visible and
-the sinks stay out of the TCB's import graph.
+When a sink attaches, :func:`attach` asks it for one *handler* per
+probe and rebinds every probe name in this module's globals.  With one
+sink attached the probe global **is** that sink's handler, so a firing
+probe costs exactly one call; with several, it is a fan-out over their
+handlers.  Detaching the last sink swaps the no-ops back.  The
+indirection is the contract OBS001 enforces: instrumented modules
+import *the bus module*, never a frozen probe function and never a
+sink, so the swap stays visible and the sinks stay out of the TCB's
+import graph.
 
 Probes never charge cycles, never mutate machine state, and carry only
 plain ints/strings — attaching and detaching a sink leaves the
@@ -34,14 +36,23 @@ virtual-cycle ledger bit-identical (the determinism tests and the
 Sink protocol::
 
     class MySink:
-        def on_event(self, name: str, cycle: int, args: tuple) -> None:
-            ...
+        def bind(self, name: str, clock: Callable[[], int]) -> Callable:
+            def handler(*args) -> None:
+                ...  # clock() is the event's virtual-cycle stamp
+            return handler
 
-``args`` is positional, in the field order :data:`PROBES` declares for
-``name``.  All sinks attached at once must share one clock (one
-machine); trace one machine at a time.
+:func:`attach` calls ``bind`` once per catalogued probe, again on every
+later attach or detach of any sink, so state a sink keeps across
+bindings lives on the sink, not in the handler.  A handler receives the
+probe's arguments positionally, in the field order :data:`PROBES`
+declares for ``name``.  ``clock`` is a zero-argument reader of the
+virtual-cycle clock; for a :class:`repro.hw.cycles.CycleAccount` it
+enters no Python frame.  All sinks attached at once must share one
+clock (one machine); trace one machine at a time.
 """
 
+import operator
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Probe catalog: name -> field names, in emission order.  The name's
@@ -118,6 +129,8 @@ def _noop(*args) -> None:
 
 
 _sinks: List[object] = []
+#: The clock object the attached sinks share, and its zero-arg reader.
+_clock_raw: object = None
 _clock: Optional[Callable[[], int]] = None
 
 
@@ -129,16 +142,23 @@ def attach(sink: object, clock) -> None:
     :class:`repro.hw.cycles.CycleAccount`).  All concurrently attached
     sinks must share the same clock object.
     """
-    global _clock, ACTIVE
+    global _clock, _clock_raw
     if any(existing is sink for existing in _sinks):
         raise RuntimeError("sink is already attached")
-    if not callable(getattr(sink, "on_event", None)):
-        raise TypeError(f"sink {sink!r} has no on_event(name, cycle, args)")
-    if _sinks and clock is not _raw_clock():
+    if not callable(getattr(sink, "bind", None)):
+        raise TypeError(f"sink {sink!r} has no bind(name, clock)")
+    if _sinks and clock is not _clock_raw:
         raise RuntimeError(
             "all attached sinks must share one clock (one machine); "
             "detach the current sinks first")
-    _set_clock(clock)
+    if callable(clock):
+        reader = clock
+    elif hasattr(clock, "total"):
+        # A C-level reader: no Python frame per timestamp.
+        reader = partial(operator.attrgetter("total"), clock)
+    else:
+        raise TypeError(f"clock {clock!r} is neither callable nor has .total")
+    _clock_raw, _clock = clock, reader
     _sinks.append(sink)
     _rebind()
 
@@ -164,47 +184,16 @@ def attached_sinks() -> Tuple[object, ...]:
     return tuple(_sinks)
 
 
-_clock_raw: object = None
+def _fan_out(handlers: Tuple[Callable, ...]) -> Callable:
+    def fan_out(*args) -> None:
+        for handler in handlers:
+            handler(*args)
 
-
-def _raw_clock() -> object:
-    return _clock_raw
-
-
-def _set_clock(clock) -> None:
-    global _clock, _clock_raw
-    if callable(clock):
-        reader = clock
-    else:
-        if getattr(type(clock), "total", None) is None:
-            raise TypeError(
-                f"clock {clock!r} is neither callable nor has .total")
-        reader = lambda c=clock: c.total  # noqa: E731 — tiny hot closure
-    _clock_raw = clock
-    _clock = reader
-
-
-def _make_emitter(name: str):
-    clock = _clock
-    if len(_sinks) == 1:
-        on_event = _sinks[0].on_event
-
-        def emit_one(*args, _on=on_event, _clock=clock, _name=name) -> None:
-            _on(_name, _clock(), args)
-
-        return emit_one
-    sinks = tuple(_sinks)
-
-    def emit_many(*args, _sinks=sinks, _clock=clock, _name=name) -> None:
-        cycle = _clock()
-        for sink in _sinks:
-            sink.on_event(_name, cycle, args)
-
-    return emit_many
+    return fan_out
 
 
 def _rebind() -> None:
-    """Swap every probe global between no-op and live emitter."""
+    """Swap every probe global between no-op and the sinks' handlers."""
     global ACTIVE, _clock, _clock_raw
     g = globals()
     if not _sinks:
@@ -215,7 +204,9 @@ def _rebind() -> None:
             g[probe_attr(name)] = _noop
         return
     for name in PROBES:
-        g[probe_attr(name)] = _make_emitter(name)
+        handlers = tuple(sink.bind(name, _clock) for sink in _sinks)
+        g[probe_attr(name)] = \
+            handlers[0] if len(handlers) == 1 else _fan_out(handlers)
     ACTIVE = True
 
 

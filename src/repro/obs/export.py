@@ -18,7 +18,7 @@ emitted file; keeping it next to the writer keeps the two honest.
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.obs import bus
 
@@ -37,8 +37,13 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.events: List[Event] = []
 
-    def on_event(self, name: str, cycle: int, args: tuple) -> None:
-        self.events.append((name, cycle, args))
+    def bind(self, name: str, clock: Callable[[], int]) -> Callable:
+        append = self.events.append
+
+        def record(*args) -> None:
+            append((name, clock(), args))
+
+        return record
 
     def __len__(self) -> int:
         return len(self.events)

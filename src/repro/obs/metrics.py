@@ -1,21 +1,24 @@
 """Metrics registry: counters and cycle histograms over probe events.
 
-A :class:`MetricsRegistry` is a probe-bus sink that folds the event
-stream into:
+A :class:`MetricsRegistry` is a probe-bus sink whose per-probe
+handlers record only raw tallies — event count, summed ``cost``, a
+power-of-two histogram of that cost, and per-domain events and cycles
+for probes that carry an owner or domain field.  :meth:`snapshot`
+folds them into:
 
 * per-probe event counters (``"cloak.encrypt": 12``);
-* per-component counters and transition-cost totals, with a power-of-
-  two histogram of the per-event ``cost`` field where the probe
-  carries one (the cloak transitions);
-* per-domain counters and cycle totals for probes that carry an owner
-  or domain field, answering "which protection domain paid".
+* per-component counters and transition-cost totals, with the
+  power-of-two cost histogram where the probes carry a ``cost`` (the
+  cloak transitions);
+* per-domain counters and cycle totals, answering "which protection
+  domain paid".
 
 Snapshots are deterministic JSON: keys sorted, integers only, no
 wall-clock anywhere — two identical runs serialize byte-identically.
 """
 
 import json
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.obs import bus
 
@@ -39,55 +42,108 @@ def _field_indexes() -> Dict[str, Tuple[int, int]]:
     return table
 
 
+_INDEXES = _field_indexes()
+
+
+class _Tally:
+    """Raw per-probe tallies, kept across every binding of the probe."""
+
+    __slots__ = ("events", "cycles", "buckets")
+
+    def __init__(self) -> None:
+        self.events = 0
+        #: summed cost field.
+        self.cycles = 0
+        #: log2 bucket of the cost field -> events.
+        self.buckets: Dict[int, int] = {}
+
+
 class MetricsRegistry:
     """Probe-bus sink accumulating counters and cycle histograms."""
 
     def __init__(self) -> None:
-        self._indexes = _field_indexes()
-        #: probe name -> events seen.
-        self.counters: Dict[str, int] = {}
-        #: component -> events seen.
-        self._component_events: Dict[str, int] = {}
-        #: component -> summed cost cycles.
-        self._component_cycles: Dict[str, int] = {}
-        #: component -> {log2 bucket -> events} over the cost field.
-        self._histograms: Dict[str, Dict[int, int]] = {}
-        #: domain id -> (events, cost cycles).
+        #: probe name -> raw tallies, created at first bind.
+        self._tallies: Dict[str, _Tally] = {}
+        #: [first, last] cycle of any event ever, -1 before the first.
+        self._span: List[int] = [-1, -1]
+        #: domain id -> events / summed cost cycles.
         self._domain_events: Dict[int, int] = {}
         self._domain_cycles: Dict[int, int] = {}
-        self.first_cycle: int = -1
-        self.last_cycle: int = -1
 
     # -- sink protocol -----------------------------------------------------
 
-    def on_event(self, name: str, cycle: int, args: tuple) -> None:
-        self.counters[name] = self.counters.get(name, 0) + 1
-        if self.first_cycle < 0:
-            self.first_cycle = cycle
-        self.last_cycle = cycle
-        component = bus.component_of(name)
-        self._component_events[component] = \
-            self._component_events.get(component, 0) + 1
-        cost_idx, domain_idx = self._indexes.get(name, (-1, -1))
+    def bind(self, name: str, clock: Callable[[], int]) -> Callable:
+        # Handlers are closures (cell reads), not keyword defaults:
+        # one probe firing is one call of exactly this code.
+        tally = self._tallies.get(name)
+        if tally is None:
+            tally = self._tallies[name] = _Tally()
+        cost_idx, domain_idx = _INDEXES.get(name, (-1, -1))
+        span = self._span
+        domain_events = self._domain_events
+        domain_cycles = self._domain_cycles
+
         if cost_idx >= 0:
-            cost = args[cost_idx]
-            self._component_cycles[component] = \
-                self._component_cycles.get(component, 0) + cost
-            bucket = int(cost).bit_length()  # 0 cost -> bucket 0
-            hist = self._histograms.setdefault(component, {})
-            hist[bucket] = hist.get(bucket, 0) + 1
+            buckets = tally.buckets
+
+            def on_cost_probe(*args) -> None:
+                cycle = clock()
+                if span[0] < 0:
+                    span[0] = cycle
+                span[1] = cycle
+                tally.events += 1
+                cost = args[cost_idx]
+                tally.cycles += cost
+                bucket = int(cost).bit_length()  # 0 cost -> bucket 0
+                buckets[bucket] = buckets.get(bucket, 0) + 1
+                if domain_idx >= 0:
+                    domain = args[domain_idx]
+                    domain_events[domain] = domain_events.get(domain, 0) + 1
+                    domain_cycles[domain] = \
+                        domain_cycles.get(domain, 0) + cost
+
+            return on_cost_probe
+
         if domain_idx >= 0:
-            domain = args[domain_idx]
-            self._domain_events[domain] = \
-                self._domain_events.get(domain, 0) + 1
-            if cost_idx >= 0:
-                self._domain_cycles[domain] = \
-                    self._domain_cycles.get(domain, 0) + args[cost_idx]
+            def on_domain_probe(*args) -> None:
+                cycle = clock()
+                if span[0] < 0:
+                    span[0] = cycle
+                span[1] = cycle
+                tally.events += 1
+                domain = args[domain_idx]
+                domain_events[domain] = domain_events.get(domain, 0) + 1
+
+            return on_domain_probe
+
+        def on_probe(*args) -> None:
+            cycle = clock()
+            if span[0] < 0:
+                span[0] = cycle
+            span[1] = cycle
+            tally.events += 1
+
+        return on_probe
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """probe name -> events seen, for every probe that fired."""
+        return {name: tally.events
+                for name, tally in sorted(self._tallies.items())
+                if tally.events}
+
+    @property
+    def first_cycle(self) -> int:
+        return self._span[0]
+
+    @property
+    def last_cycle(self) -> int:
+        return self._span[1]
+
     def total_events(self) -> int:
-        return sum(self.counters.values())
+        return sum(tally.events for tally in self._tallies.values())
 
     @property
     def cow_faults(self) -> int:
@@ -96,21 +152,27 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict:
         """Plain-dict snapshot; deterministic given a deterministic run."""
-        components = {}
-        for component in sorted(self._component_events):
-            entry = {
-                "events": self._component_events[component],
-                "cycles": self._component_cycles.get(component, 0),
+        counters = self.counters
+        components: Dict[str, Dict] = {}
+        histograms: Dict[str, Dict[int, int]] = {}
+        for name, count in counters.items():
+            tally = self._tallies[name]
+            component = bus.component_of(name)
+            entry = components.setdefault(component,
+                                          {"events": 0, "cycles": 0})
+            entry["events"] += count
+            entry["cycles"] += tally.cycles
+            if tally.buckets:
+                hist = histograms.setdefault(component, {})
+                for bucket, events in tally.buckets.items():
+                    hist[bucket] = hist.get(bucket, 0) + events
+        for component, hist in histograms.items():
+            # Bucket k covers costs in [2^(k-1), 2^k); rendered as
+            # the inclusive upper bound so readers need no legend.
+            components[component]["cost_histogram"] = {
+                f"<{1 << bucket}": count
+                for bucket, count in sorted(hist.items())
             }
-            hist = self._histograms.get(component)
-            if hist:
-                # Bucket k covers costs in [2^(k-1), 2^k); rendered as
-                # the inclusive upper bound so readers need no legend.
-                entry["cost_histogram"] = {
-                    f"<{1 << bucket}": count
-                    for bucket, count in sorted(hist.items())
-                }
-            components[component] = entry
         domains = {
             str(domain): {
                 "events": self._domain_events[domain],
@@ -121,11 +183,11 @@ class MetricsRegistry:
         return {
             "schema": 1,
             "clock": "virtual-cycles",
-            "span": [self.first_cycle, self.last_cycle],
-            "total_events": self.total_events(),
-            "probes": {name: self.counters[name]
-                       for name in sorted(self.counters)},
-            "components": components,
+            "span": list(self._span),
+            "total_events": sum(counters.values()),
+            "probes": counters,
+            "components": {name: components[name]
+                           for name in sorted(components)},
             "domains": domains,
         }
 

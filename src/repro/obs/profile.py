@@ -20,7 +20,7 @@ The profiler is a pure observer: it charges nothing, mutates nothing,
 and two identical runs produce identical reports.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hw.cycles import CycleAccount
 from repro.obs import bus
@@ -118,13 +118,21 @@ class CycleProfiler:
 
     # -- sink protocol -----------------------------------------------------
 
-    def on_event(self, name: str, cycle: int, args: tuple) -> None:
-        self.probe_counts[name] = self.probe_counts.get(name, 0) + 1
+    def bind(self, name: str, clock: Callable[[], int]) -> Callable:
+        counts = self.probe_counts
         kind = TRANSITION_KINDS.get(name)
-        if kind is not None:
-            owner, vpn, gpfn, cost = args
-            self.transitions.append(
-                Transition(cycle, kind, owner, vpn, gpfn, cost))
+        if kind is None:
+            def count(*args) -> None:
+                counts[name] = counts.get(name, 0) + 1
+
+            return count
+        append = self.transitions.append
+
+        def record(owner, vpn, gpfn, cost) -> None:
+            counts[name] = counts.get(name, 0) + 1
+            append(Transition(clock(), kind, owner, vpn, gpfn, cost))
+
+        return record
 
     # -- attribution -------------------------------------------------------
 

@@ -5,6 +5,11 @@ import io
 from repro.analysis.sanitize import CoherenceChecker, sanitize_run
 
 
+def fire(sink, name, *args):
+    """Deliver one probe event through the sink's bound handler."""
+    sink.bind(name, lambda: 0)(*args)
+
+
 def test_shadow_fill_over_unflushed_frame_is_flagged():
     cc = CoherenceChecker()
     cc.on_shadow_fill(1, 0, 0x10, 7)
@@ -51,13 +56,13 @@ def test_unflushed_frame_at_end_is_flagged():
 
 def test_sink_dispatch_routes_probes():
     sink = CoherenceChecker()
-    sink.on_event("cloak.zero_fill", 0, (1, 0x10, 7, 100))
-    sink.on_event("vmm.shadow_fill", 0, (1, 0, 0x10, 7))
-    sink.on_event("vmm.coherence", 0, (7, 1))
-    sink.on_event("tlb.invalidate", 0, (1, 0x10, 1))
-    sink.on_event("cloak.dirty_upgrade", 0, (1, 0x10))  # no frame: ignored
-    sink.on_event("cloak.discard", 0, (1, 0x10))
-    sink.on_event("tlb.hits", 0, (5,))  # unrelated probes: ignored
+    fire(sink, "cloak.zero_fill", 1, 0x10, 7, 100)
+    fire(sink, "vmm.shadow_fill", 1, 0, 0x10, 7)
+    fire(sink, "vmm.coherence", 7, 1)
+    fire(sink, "tlb.invalidate", 1, 0x10, 1)
+    fire(sink, "cloak.dirty_upgrade", 1, 0x10)  # no frame: ignored
+    fire(sink, "cloak.discard", 1, 0x10)
+    fire(sink, "tlb.hits", 5)  # unrelated probes: ignored
     assert sink.events == 4
     assert sink.violations == []
 
@@ -67,9 +72,9 @@ def test_sink_dispatch_routes_sync_probes():
     workload; the sink has no checker for them and must drop them
     without counting or flagging anything."""
     sink = CoherenceChecker()
-    sink.on_event("sync.acquire", 0, ("crypto.memo", 0))
-    sink.on_event("sync.access", 0, ("repro.core.crypto:_derive_memo", 0))
-    sink.on_event("sync.release", 0, ("crypto.memo", 0))
+    fire(sink, "sync.acquire", "crypto.memo", 0)
+    fire(sink, "sync.access", "repro.core.crypto:_derive_memo", 0)
+    fire(sink, "sync.release", "crypto.memo", 0)
     sink.finish()
     assert sink.events == 0
     assert sink.violations == []

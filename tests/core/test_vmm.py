@@ -354,3 +354,69 @@ def test_resource_report(h):
     assert report["page_metadata_entries"] >= 1
     assert report["page_metadata_bytes"] > 0
     assert report["shadow_entries"] >= 1
+
+
+class TestFrameCoherence:
+    """Every path that changes, zeroes or forgets a mapped frame's cloak
+    state must drop that frame's shadow mappings and TLB entries, or a
+    stale entry keeps exposing the frame across the change."""
+
+    @staticmethod
+    def assert_unmapped(h, gpfn):
+        assert h.vmm.shadows.mappings_of_frame(gpfn) == set()
+        assert [key for key, entry in h.mmu.tlb.entries()
+                if entry.pfn == gpfn] == []
+
+    @staticmethod
+    def mapped_plaintext(h, vpn=DATA_VPN):
+        """The app writes ``vpn``: its frame holds live plaintext, mapped."""
+        h.app_write(vpn << 12, b"live plaintext")
+        gpfn = h.frames[vpn]
+        assert h.vmm.shadows.mappings_of_frame(gpfn)
+        assert any(entry.pfn == gpfn for __, entry in h.mmu.tlb.entries())
+        return gpfn
+
+    def test_uncloak_range_drops_the_zeroed_frame(self, h):
+        h.make_cloaked_app()
+        gpfn = self.mapped_plaintext(h)
+        assert h.vmm.hypercall(Hypercall.UNCLOAK_RANGE,
+                               (DATA_VPN, DATA_VPN + 16))
+        assert h.phys.read_frame(gpfn) == bytes(PAGE_SIZE)
+        self.assert_unmapped(h, gpfn)
+
+    def test_page_recycle_drops_the_zeroed_frame(self, h):
+        h.make_cloaked_app()
+        gpfn = self.mapped_plaintext(h)
+        assert h.vmm.hypercall(Hypercall.PAGE_RECYCLE, (DATA_VPN, 1)) == 1
+        assert h.phys.read_frame(gpfn) == bytes(PAGE_SIZE)
+        self.assert_unmapped(h, gpfn)
+
+    def test_file_unbind_drops_the_sealed_frame(self, h):
+        h.make_cloaked_app()
+        h.vmm.enter_user(PID, ASID)
+        h.vmm.hypercall(Hypercall.FILE_BIND, (DATA_VPN, 7, 0, 1))
+        gpfn = self.mapped_plaintext(h)
+        assert h.vmm.hypercall(Hypercall.FILE_UNBIND, (DATA_VPN, 1)) == 1
+        assert b"live plaintext" not in h.phys.read_frame(gpfn)
+        self.assert_unmapped(h, gpfn)
+
+    def test_adopt_image_drops_the_loaders_mapping(self, h):
+        """The kernel maps the image page it loaded; adopting the page
+        as cloaked plaintext must revoke that system-view mapping."""
+        h.make_cloaked_app()
+        gpfn = h.frames[CODE_VPN]
+        h.phys.write(gpfn, 0, IMAGE)
+        assert h.kernel_read(CODE_VPN << 12, len(IMAGE)) == IMAGE
+        assert h.vmm.shadows.mappings_of_frame(gpfn)
+        h.vmm.enter_user(PID, ASID)
+        h.vmm.hypercall(Hypercall.ADOPT_IMAGE, (CODE_VPN << 12, len(IMAGE)))
+        self.assert_unmapped(h, gpfn)
+        assert h.kernel_read(CODE_VPN << 12, len(IMAGE)) != IMAGE
+
+    def test_eager_exit_drops_every_sealed_frame(self):
+        h = Harness(VMMConfig(eager_reencrypt=True))
+        h.make_cloaked_app()
+        gpfn = self.mapped_plaintext(h)
+        h.vmm.exit_user(PID, ExitReason.INTERRUPT)
+        assert b"live plaintext" not in h.phys.read_frame(gpfn)
+        self.assert_unmapped(h, gpfn)

@@ -11,8 +11,8 @@ class RecordingSink:
     def __init__(self):
         self.events = []
 
-    def on_event(self, name, cycle, args):
-        self.events.append((name, args))
+    def bind(self, name, clock):
+        return lambda *args: self.events.append((name, args))
 
 
 def record(fn):

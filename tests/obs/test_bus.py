@@ -1,7 +1,10 @@
 """The probe bus: rebinding, sink lifecycle, clock discipline."""
 
+import sys
+
 import pytest
 
+from repro.hw.cycles import CycleAccount
 from repro.obs import bus
 
 
@@ -9,8 +12,8 @@ class Collector:
     def __init__(self):
         self.events = []
 
-    def on_event(self, name, cycle, args):
-        self.events.append((name, cycle, args))
+    def bind(self, name, clock):
+        return lambda *args: self.events.append((name, clock(), args))
 
 
 class FakeClock:
@@ -73,6 +76,43 @@ class TestRebinding:
         bus.detach(sink)
         assert [cycle for __, cycle, __a in sink.events] == [7, 8]
 
+    def test_one_sink_handler_is_the_probe_itself(self):
+        """With one sink attached a firing probe is one call: every
+        probe global is the handler the sink's bind returned."""
+        handlers = {}
+
+        class Binder:
+            def bind(self, name, clock):
+                handlers[name] = lambda *args: None
+                return handlers[name]
+
+        sink = Binder()
+        bus.attach(sink, FakeClock())
+        try:
+            for name in bus.PROBES:
+                assert getattr(bus, bus.probe_attr(name)) is handlers[name]
+        finally:
+            bus.detach(sink)
+
+    def test_cycle_account_clock_reads_total_without_a_frame(self):
+        sink = Collector()
+        account = CycleAccount()
+        bus.attach(sink, account)
+        account.charge("user", 5)
+        bus.sched_slice(1)
+        clock = bus._clock
+        bus.detach(sink)
+        assert sink.events == [("sched.slice", 5, (1,))]
+        python_calls = []
+        sys.setprofile(lambda frame, event, arg: python_calls.append(
+            frame.f_code.co_name) if event == "call" else None)
+        try:
+            stamp = clock()
+        finally:
+            sys.setprofile(None)
+        assert stamp == 5
+        assert python_calls == []
+
     def test_multiple_sinks_all_receive_each_event(self):
         a, b = Collector(), Collector()
         clock = FakeClock()
@@ -99,7 +139,7 @@ class TestLifecycleErrors:
         with pytest.raises(RuntimeError):
             bus.detach(Collector())
 
-    def test_sink_without_on_event_rejected(self):
+    def test_sink_without_bind_rejected(self):
         with pytest.raises(TypeError):
             bus.attach(object(), FakeClock())
         assert not bus.ACTIVE
