@@ -13,7 +13,7 @@ lifecycle), all of which the VMM merely *observes*.
 import hashlib
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import crypto
 from repro.core.cloak import CloakConfig, CloakEngine
@@ -22,17 +22,21 @@ from repro.core.domains import DomainTable, ProtectionDomain, SYSTEM_DOMAIN
 from repro.core.errors import (FreshnessViolation, HypercallError,
                                IdentityViolation, IntegrityViolation)
 from repro.core.hypercall import Hypercall, HypercallDispatcher
-from repro.core.metadata import CloakState, FileMetadataStore, MetadataStore
+from repro.core.metadata import (CloakState, FileMetadataStore, MetadataStore,
+                                 PageMetadata)
 from repro.core.multishadow import MultiShadow, POLICY_FLUSH, POLICY_TAGGED
-from repro.hw.cpu import CPUMode, VirtualCPU
+from repro.hw.cpu import VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.faults import AccessKind, PageFault, PageFaultReason
-from repro.hw.mmu import MMU, SYSTEM_VIEW, TranslationAuthority
+from repro.hw.mmu import (MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW,
+                          TranslationAuthority)
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.params import CostTable, PAGE_SHIFT
 from repro.hw.phys import PhysicalMemory
 from repro.hw.tlb import TLBEntry
 from repro.obs import bus
+
+_WRITE = AccessKind.WRITE
 
 
 @dataclass(frozen=True)
@@ -129,21 +133,19 @@ class VMM(TranslationAuthority):
     # view at once.
     def fill(self, asid: int, view: int, vpn: int, access: AccessKind,
              mode: str) -> TLBEntry:
+        is_write = access is _WRITE
         shadow_entry = self.shadows.lookup(asid, view, vpn)
-        if shadow_entry is not None and (not access.is_write or shadow_entry.dirty):
+        if shadow_entry is not None and (not is_write or shadow_entry.dirty):
             return shadow_entry
 
         root = self._address_spaces.get(asid)
         if root is None:
             raise PageFault(vpn << PAGE_SHIFT, access, PageFaultReason.NOT_PRESENT)
         self._cycles.charge("mmu", 2 * self._costs.pt_walk_level)
-        leaf = self._walker.walk(root, vpn, set_accessed=True)
+        # One walk sets A, and D only for a permitted write.
+        leaf = self._walker.walk(root, vpn, access)
         if leaf is None:
             raise PageFault(vpn << PAGE_SHIFT, access, PageFaultReason.NOT_PRESENT)
-        if access.is_write and leaf.writable:
-            # Hardware sets the guest D bit only when the write will
-            # actually be permitted.
-            leaf = self._walker.walk(root, vpn, set_dirty=True)
         gpfn = leaf.pfn
         if self.faults is not None and view != SYSTEM_VIEW \
                 and self.domains.get(view).is_cloaked(vpn):
@@ -161,21 +163,16 @@ class VMM(TranslationAuthority):
             eligible = md is not None and md.state is CloakState.ENCRYPTED
             gpfn = self.faults.translate_gpfn(asid, vpn, gpfn, eligible)
 
-        self._resolve_cloaking(view, vpn, gpfn, access)
-
-        dirty = leaf.dirty or access.is_write
-        if view != SYSTEM_VIEW:
-            domain = self.domains.get(view)
-            if domain.is_cloaked(vpn):
-                # The shadow's dirty bit is VMM-controlled for cloaked
-                # pages: a clean (just-decrypted) page must take a
-                # cloak fault on its first write so the CLEAN -> DIRTY
-                # upgrade is observed — the guest PTE's stale D bit
-                # must not short-circuit it.
-                md = self.metadata.lookup(domain.domain_id, vpn)
-                dirty = access.is_write or (
-                    md is not None and md.state is CloakState.PLAINTEXT_DIRTY
-                )
+        md = self._resolve_cloaking(view, vpn, gpfn, access)
+        if md is None:
+            dirty = leaf.dirty or is_write
+        else:
+            # The shadow's dirty bit is VMM-controlled for cloaked
+            # pages: a clean (just-decrypted) page must take a cloak
+            # fault on its first write so the CLEAN -> DIRTY upgrade is
+            # observed — the guest PTE's stale D bit must not
+            # short-circuit it.
+            dirty = is_write or md.state is CloakState.PLAINTEXT_DIRTY
 
         entry = TLBEntry(
             vpn, gpfn,
@@ -190,8 +187,12 @@ class VMM(TranslationAuthority):
         return entry
 
     def _resolve_cloaking(self, view: int, vpn: int, gpfn: int,
-                          access: AccessKind) -> None:
-        """Apply the cloaking protocol before a mapping is exposed."""
+                          access: AccessKind) -> Optional[PageMetadata]:
+        """Apply the cloaking protocol before a mapping is exposed.
+
+        Returns the page's metadata when ``vpn`` is a cloaked page of
+        the accessing domain, else ``None``.
+        """
         if view != SYSTEM_VIEW:
             domain = self.domains.get(view)
             if domain.is_cloaked(vpn):
@@ -212,9 +213,9 @@ class VMM(TranslationAuthority):
                     # older one is a freshness violation).
                     self._encrypt_frame(md, md.resident_gpfn)
                     self.stats.bump("cloak.relocations")
-                self.cloak.resolve_app_access(domain, vpn, gpfn, access)
+                md = self.cloak.resolve_app_access(domain, vpn, gpfn, access)
                 self._invalidate_frame_mappings(gpfn)
-                return
+                return md
         # System view, or an uncloaked page of a cloaked app: the frame
         # must not expose anyone's plaintext.
         holder = self.metadata.plaintext_in_frame(gpfn)
@@ -225,8 +226,9 @@ class VMM(TranslationAuthority):
                         and holder.vpn == vpn):
                     # Own plaintext reached through an uncloaked alias
                     # vaddr; treat as the owner's access.
-                    return
+                    return None
             self._encrypt_frame(holder, gpfn)
+        return None
 
     def _encrypt_frame(self, md, gpfn: int) -> None:
         self.cloak.resolve_system_access(md, gpfn)
@@ -315,6 +317,9 @@ class VMM(TranslationAuthority):
         self._thread_domain[pid] = domain_id
         self._domain_threads.setdefault(domain_id, set()).add(pid)
 
+    # A world switch writes the MMU's access context (the machine's
+    # one copy of asid, view and mode) directly, once per switch.
+
     def enter_user(self, pid: int, asid: int) -> int:
         """Transfer control to user mode for thread ``pid``.
 
@@ -327,7 +332,10 @@ class VMM(TranslationAuthority):
             bus.vmm_enter_user(pid, domain_id)
         if self._policy_is_flush:
             self._apply_shadow_policy(asid, domain_id)
-        self._cpu.enter_context(asid, domain_id, CPUMode.USER)
+        mmu = self._mmu
+        mmu.asid = asid
+        mmu.view = domain_id
+        mmu.mode = MODE_USER
         if domain_id != SYSTEM_DOMAIN:
             ctc = self.ctcs.get(pid)
             if ctc.valid:
@@ -346,7 +354,7 @@ class VMM(TranslationAuthority):
         return domain_id
 
     def exit_user(self, pid: int, reason: ExitReason,
-                  visible_regs: Tuple[str, ...] = ()) -> None:
+                  visible_regs: Sequence[str] = ()) -> None:
         """Transfer from user mode to the guest kernel.
 
         For cloaked threads, registers are saved into the CTC and
@@ -356,12 +364,14 @@ class VMM(TranslationAuthority):
         domain_id = self._thread_domain.get(pid, SYSTEM_DOMAIN)
         if bus.ACTIVE:
             bus.vmm_exit_user(pid, reason.name, domain_id)
+        mmu = self._mmu
         if self._policy_is_flush:
-            self._apply_shadow_policy(self._cpu.asid, SYSTEM_VIEW)
+            self._apply_shadow_policy(mmu.asid, SYSTEM_VIEW)
         if domain_id != SYSTEM_DOMAIN:
-            ctc = self.ctcs.get(pid)
-            ctc.save(self._cpu.regs.snapshot(), reason)
-            self._cpu.regs.scrub(keep=visible_regs)
+            regs = self._cpu.regs
+            # The CTC's save is the one copy of the register file.
+            self.ctcs.get(pid).save(regs.live, reason)
+            regs.scrub(keep=visible_regs)
             self._cycles.charge(
                 "vmm", self._costs.world_switch + self._costs.ctc_save)
             self.stats.bump("vmm.cloaked_exits")
@@ -377,7 +387,8 @@ class VMM(TranslationAuthority):
                         self._invalidate_frame_mappings(md.resident_gpfn)
         else:
             self._cycles.charge("vmm", self._costs.world_switch)
-        self._cpu.enter_kernel()
+        mmu.view = SYSTEM_VIEW
+        mmu.mode = MODE_KERNEL
 
     def _apply_shadow_policy(self, asid: int, view: int) -> None:
         if self.config.shadow_policy != POLICY_FLUSH:
@@ -397,7 +408,7 @@ class VMM(TranslationAuthority):
 
     def hypercall(self, number: Hypercall, args: Tuple = ()) -> Any:
         """Execute a hypercall from the currently running user context."""
-        caller = self._cpu.view
+        caller = self._mmu.view
         self._cycles.charge("vmm", self._costs.hypercall + self._costs.world_switch)
         self.stats.bump("vmm.hypercalls")
         if bus.ACTIVE:
@@ -450,9 +461,8 @@ class VMM(TranslationAuthority):
         self.stats.bump("vmm.domains_created")
         # The hypercall returns into the now-cloaked application: the
         # current user context continues under the new domain's view.
-        if self._cpu.mode is CPUMode.USER:
-            self._cpu.enter_context(self._cpu.asid, domain.domain_id,
-                                    CPUMode.USER)
+        if self._mmu.mode == MODE_USER:
+            self._mmu.view = domain.domain_id
         return domain.domain_id
 
     def _hc_cloak_range(self, caller: int, start_vpn: int, end_vpn: int,
@@ -553,7 +563,7 @@ class VMM(TranslationAuthority):
         stops a compromised loader from substituting a trojan before
         cloaking engages (thereafter, MACs take over)."""
         domain = self.domains.get(caller)
-        asid = self._cpu.asid
+        asid = self._mmu.asid
         root = self._address_spaces.get(asid)
         if root is None:
             raise HypercallError("caller has no registered address space")

@@ -17,7 +17,7 @@ from repro.guestos.ramfs import InodeType, RamFS
 from repro.guestos.scheduler import Scheduler
 from repro.guestos.uapi import Blocked, Syscall, WaitChannel
 from repro.guestos.vfs import VFS, VFSError
-from repro.hw.cpu import CPUMode, VirtualCPU
+from repro.hw.cpu import VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.disk import Disk
 from repro.hw.faults import PageFault, PageFaultReason

@@ -13,7 +13,7 @@ which is the chokepoint where the VMM's multi-shadowing and cloaking
 logic interposes.
 """
 
-from repro.hw.cpu import CPUMode, VirtualCPU
+from repro.hw.cpu import VirtualCPU
 from repro.hw.cycles import CycleAccount
 from repro.hw.disk import Disk
 from repro.hw.faults import (
@@ -32,7 +32,6 @@ from repro.hw.tlb import SoftwareTLB, TLBEntry
 
 __all__ = [
     "AccessKind",
-    "CPUMode",
     "CloakFault",
     "CycleAccount",
     "Disk",

@@ -4,16 +4,15 @@ Program *logic* in this simulation executes as Python generators (see
 :mod:`repro.apps.program`), so the CPU does not fetch-decode-execute.
 What it does model is everything Overshadow's protection argument
 touches: an architectural register file that traps expose to the
-kernel (and that the VMM must scrub), privilege modes, the current
-address-space/view pair selecting translations, and cycle charging for
-compute.
+kernel (and that the VMM must scrub), and cycle charging for compute
+and traps.  The privilege mode and the address-space/view pair that
+select translations are the MMU's access context, its only copy.
 """
 
-import enum
 from typing import Dict, List
 
 from repro.hw.cycles import CycleAccount
-from repro.hw.mmu import MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW
+from repro.hw.mmu import MMU
 from repro.hw.params import CostTable
 
 #: Architectural general-purpose register names.  By convention,
@@ -22,11 +21,6 @@ from repro.hw.params import CostTable
 GP_REGISTERS = ("r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7")
 SPECIAL_REGISTERS = ("pc", "sp")
 ALL_REGISTERS = GP_REGISTERS + SPECIAL_REGISTERS
-
-
-class CPUMode(enum.Enum):
-    USER = MODE_USER
-    KERNEL = MODE_KERNEL
 
 
 class RegisterFile:
@@ -42,6 +36,12 @@ class RegisterFile:
         if name not in self._regs:
             raise KeyError(f"no register {name!r}")
         self._regs[name] = value & 0xFFFFFFFFFFFFFFFF
+
+    @property
+    def live(self) -> Dict[str, int]:
+        """The register dict itself, not a copy.  A caller that keeps
+        the values must copy them (the CTC's ``save`` does)."""
+        return self._regs
 
     def snapshot(self) -> Dict[str, int]:
         return dict(self._regs)
@@ -83,26 +83,8 @@ class VirtualCPU:
         self.cycles = cycles
         self._costs = costs
         self.regs = RegisterFile()
-        self.mode = CPUMode.KERNEL
-        self.asid = 0
-        self.view = SYSTEM_VIEW
         self.trap_count = 0
         self.interrupt_count = 0
-
-    # -- context switching ---------------------------------------------------
-
-    def enter_context(self, asid: int, view: int, mode: CPUMode) -> None:
-        """Set the (address space, view, privilege) the CPU runs under."""
-        self.asid = asid
-        self.view = view
-        self.mode = mode
-        self.mmu.set_context(asid, view, mode.value)
-
-    def enter_kernel(self) -> None:
-        """Ring crossing into the guest kernel (view becomes SYSTEM)."""
-        self.mode = CPUMode.KERNEL
-        self.view = SYSTEM_VIEW
-        self.mmu.set_context(self.asid, SYSTEM_VIEW, MODE_KERNEL)
 
     # -- costs ----------------------------------------------------------------
 

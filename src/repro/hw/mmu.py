@@ -30,6 +30,9 @@ SYSTEM_VIEW = 0
 MODE_USER = "user"
 MODE_KERNEL = "kernel"
 
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+
 
 class TranslationAuthority:
     """Interface the MMU calls on a TLB miss.
@@ -65,10 +68,13 @@ class MMU:
         self._cycles = cycles
         self._costs = costs
         self._authority: Optional[TranslationAuthority] = None
-        # Current access context; see module docstring.
-        self._asid = 0
-        self._view = SYSTEM_VIEW
-        self._mode = MODE_KERNEL
+        # The access context (see module docstring).  This is the only
+        # copy in the machine: the VMM's world switches write it, the
+        # kernel sets it before touching user memory, and the CPU reads
+        # it from here.
+        self.asid = 0
+        self.view = SYSTEM_VIEW
+        self.mode = MODE_KERNEL
 
     # -- wiring ------------------------------------------------------------
 
@@ -82,13 +88,13 @@ class MMU:
     # -- context -----------------------------------------------------------
 
     def set_context(self, asid: int, view: int, mode: str) -> None:
-        self._asid = asid
-        self._view = view
-        self._mode = mode
+        self.asid = asid
+        self.view = view
+        self.mode = mode
 
     @property
     def context(self) -> Tuple[int, int, str]:
-        return self._asid, self._view, self._mode
+        return self.asid, self.view, self.mode
 
     # -- translation -------------------------------------------------------
 
@@ -101,93 +107,83 @@ class MMU:
     # purpose: a dirty-bit upgrade through either reference must be
     # visible to both, exactly like a hardware TLB caching the shadow PTE.
     def _translate_page(self, vpn: int, vaddr: int, access: AccessKind) -> TLBEntry:
-        if self._authority is None:
-            raise RuntimeError("MMU has no translation authority attached")
-        entry = self._tlb.lookup(self._asid, self._view, vpn)
-        if entry is not None and access is not AccessKind.WRITE:
-            # Read hit: the case that dominates every workload.
-            # One TLB probe, no fill decision, straight to the
-            # permission check.
-            self._check_permissions(entry, vaddr, access)
-            return entry
-        needs_fill = entry is None or (access.is_write and not entry.dirty)
-        if needs_fill:
+        """TLB probe, refill when needed, then the permission check.
+
+        A refill happens on a miss and on a write through a clean
+        entry (so the guest PTE's dirty bit gets set, x86 TLB
+        behaviour).  The probe always goes through ``lookup``: a fault
+        plan's TLB audits every use of an entry there.
+        """
+        asid = self.asid
+        view = self.view
+        entry = self._tlb.lookup(asid, view, vpn)
+        if entry is None or (access is _WRITE and not entry.dirty):
+            authority = self._authority
+            if authority is None:
+                raise RuntimeError("MMU has no translation authority attached")
             if entry is not None:
-                # Write through a clean entry: refill so the guest
-                # PTE's dirty bit gets set (x86 TLB behaviour).
-                self._tlb.invalidate_page(vpn, asid=self._asid)
+                self._tlb.invalidate_page(vpn, asid=asid)
             self._cycles.charge("mmu", self._costs.tlb_fill)
-            entry = self._authority.fill(self._asid, self._view, vpn, access, self._mode)
-            self._tlb.insert(self._asid, self._view, entry)
+            entry = authority.fill(asid, view, vpn, access, self.mode)
+            self._tlb.insert(asid, view, entry)
             if bus.ACTIVE:
-                bus.tlb_fill(self._asid, self._view, vpn)
-        self._check_permissions(entry, vaddr, access)
+                bus.tlb_fill(asid, view, vpn)
+        if not entry.user and self.mode == MODE_USER:
+            raise PageFault(vaddr, access, PageFaultReason.USER_SUPERVISOR)
+        if access is _WRITE and not entry.writable:
+            raise PageFault(vaddr, access, PageFaultReason.PROTECTION)
         return entry
 
-    def _check_permissions(self, entry: TLBEntry, vaddr: int, access: AccessKind) -> None:
-        if self._mode == MODE_USER and not entry.user:
-            raise PageFault(vaddr, access, PageFaultReason.USER_SUPERVISOR)
-        if access.is_write and not entry.writable:
-            raise PageFault(vaddr, access, PageFaultReason.PROTECTION)
-
     # -- data access ---------------------------------------------------------
+
+    # Each access is charged once, after its data has moved: one memory
+    # operation for up to eight bytes, else the copy cost (never less
+    # than one operation).  A zero-length access translates nothing but
+    # still costs one operation.
 
     def read(self, vaddr: int, size: int) -> bytes:
         """Read ``size`` bytes at ``vaddr`` (may span pages)."""
         if size < 0:
             raise ValueError("negative read size")
-        if size == 0:
-            # Zero-length access: no translation, but the access itself
-            # still costs one memory operation (same as before the
-            # fast-path split; see _charge_transfer).
-            self._charge_transfer(0)
-            return b""
         offset = vaddr & (PAGE_SIZE - 1)
-        if offset + size <= PAGE_SIZE:
-            # Single-page fast path: one translation, one physical
-            # read, no chunk list or join.
-            entry = self._translate_page(vaddr >> PAGE_SHIFT, vaddr, AccessKind.READ)
-            data = self._phys.read(entry.pfn, offset, size)
-            self._charge_transfer(size)
-            return data
-        chunks: List[bytes] = []
-        for page_vaddr, offset, length in self._split(vaddr, size):
-            entry = self._translate_page(page_vaddr >> PAGE_SHIFT, page_vaddr, AccessKind.READ)
-            chunks.append(self._phys.read(entry.pfn, offset, length))
-        self._charge_transfer(size)
-        return b"".join(chunks)
+        if 0 < size and offset + size <= PAGE_SIZE:
+            data = self._phys.read(
+                self._translate_page(vaddr >> PAGE_SHIFT, vaddr, _READ).pfn,
+                offset, size)
+        else:
+            chunks: List[bytes] = []
+            for page_vaddr, offset, length in self._split(vaddr, size):
+                entry = self._translate_page(page_vaddr >> PAGE_SHIFT,
+                                             page_vaddr, _READ)
+                chunks.append(self._phys.read(entry.pfn, offset, length))
+            data = b"".join(chunks)
+        costs = self._costs
+        self._cycles.charge("mem", costs.mem_access if size <= 8 else
+                            max(costs.mem_access, costs.copy_cost(size)))
+        return data
 
     def write(self, vaddr: int, data: bytes) -> None:
         """Write ``data`` at ``vaddr`` (may span pages)."""
         size = len(data)
-        if size == 0:
-            self._charge_transfer(0)
-            return
         offset = vaddr & (PAGE_SIZE - 1)
-        if offset + size <= PAGE_SIZE:
-            entry = self._translate_page(vaddr >> PAGE_SHIFT, vaddr, AccessKind.WRITE)
-            self._phys.write(entry.pfn, offset, data)
-            self._charge_transfer(size)
-            return
-        pos = 0
-        for page_vaddr, offset, length in self._split(vaddr, size):
-            entry = self._translate_page(page_vaddr >> PAGE_SHIFT, page_vaddr, AccessKind.WRITE)
-            self._phys.write(entry.pfn, offset, data[pos : pos + length])
-            pos += length
-        self._charge_transfer(size)
-
-    def _charge_transfer(self, size: int) -> None:
-        if size <= 8:
-            self._cycles.charge("mem", self._costs.mem_access)
+        if 0 < size and offset + size <= PAGE_SIZE:
+            self._phys.write(
+                self._translate_page(vaddr >> PAGE_SHIFT, vaddr, _WRITE).pfn,
+                offset, data)
         else:
-            self._cycles.charge("mem", max(self._costs.mem_access,
-                                           self._costs.copy_cost(size)))
+            pos = 0
+            for page_vaddr, offset, length in self._split(vaddr, size):
+                entry = self._translate_page(page_vaddr >> PAGE_SHIFT,
+                                             page_vaddr, _WRITE)
+                self._phys.write(entry.pfn, offset, data[pos : pos + length])
+                pos += length
+        costs = self._costs
+        self._cycles.charge("mem", costs.mem_access if size <= 8 else
+                            max(costs.mem_access, costs.copy_cost(size)))
 
     @staticmethod
     def _split(vaddr: int, size: int):
         """Break (vaddr, size) into per-page (page_vaddr, offset, length)."""
-        if size <= 0:
-            return
         remaining = size
         cursor = vaddr
         while remaining > 0:

@@ -22,6 +22,7 @@ can go stale — which is what multi-shadowing has to manage.
 import struct
 from typing import Optional, Tuple
 
+from repro.hw.faults import AccessKind
 from repro.hw.params import PAGE_SIZE
 from repro.hw.phys import PhysicalMemory
 
@@ -40,6 +41,8 @@ FLAG_ACCESSED = 1 << 3
 FLAG_DIRTY = 1 << 4
 
 _PTE = struct.Struct("<I")
+
+_WRITE = AccessKind.WRITE
 
 
 class PageTableEntry:
@@ -140,14 +143,16 @@ class PageTableWalker:
 
     # -- translation -----------------------------------------------------
 
-    def walk(self, root_pfn: int, vpn: int, set_accessed: bool = False,
-             set_dirty: bool = False) -> Optional[PageTableEntry]:
+    def walk(self, root_pfn: int, vpn: int,
+             access: Optional[AccessKind] = None) -> Optional[PageTableEntry]:
         """Translate ``vpn`` under the table rooted at ``root_pfn``.
 
         Returns the leaf PTE, or ``None`` when either level is
-        not-present.  When ``set_accessed``/``set_dirty`` are given, the
-        walker updates the leaf's A/D bits in memory, as x86 hardware
-        does.
+        not-present.  With no ``access`` the walk only reads.  For an
+        access it updates the leaf's A/D bits in memory the way x86
+        hardware does: any access sets A, and a write sets D only when
+        the leaf is writable, i.e. when the write will be permitted.
+        Both bits land in one store.
         """
         # Raw-word walk: the hottest path in the simulator decodes
         # exactly one PTE object (the returned leaf) instead of three.
@@ -162,13 +167,13 @@ class PageTableWalker:
                                 l2 * PTE_SIZE)[0]
         if not word & FLAG_PRESENT:
             return None
-        if (set_accessed and not word & FLAG_ACCESSED) or (
-                set_dirty and not word & FLAG_DIRTY):
-            if set_accessed:
-                word |= FLAG_ACCESSED
-            if set_dirty:
-                word |= FLAG_DIRTY
-            phys.write(table_pfn, l2 * PTE_SIZE, _PTE.pack(word))
+        if access is not None:
+            touched = word | FLAG_ACCESSED
+            if access is _WRITE and word & FLAG_WRITE:
+                touched |= FLAG_DIRTY
+            if touched != word:
+                word = touched
+                phys.write(table_pfn, l2 * PTE_SIZE, _PTE.pack(word))
         return PageTableEntry.decode(word)
 
     # -- kernel-side table editing ----------------------------------------

@@ -131,6 +131,12 @@ class PhysicalMemory:
         self._check(pfn)
         return self._materialize(pfn)
 
+    # ``read``, ``write`` and ``frame_view`` are on every guest access
+    # or page-table walk, so they check the pfn inline rather than
+    # through ``_check``: a negative pfn is refused explicitly (it
+    # would otherwise index from the end), and one past the end raises
+    # IndexError from the frame-table lookup itself.
+
     def frame_view(self, pfn: int) -> memoryview:
         """Read-only zero-copy view of one whole frame.
 
@@ -139,7 +145,8 @@ class PhysicalMemory:
         that consume the bytes immediately (hashing, XOR, struct
         unpacking) should prefer this over :meth:`read_frame`.
         """
-        self._check(pfn)
+        if pfn < 0:
+            raise IndexError(f"bad pfn {pfn}")
         view = self._views[pfn]
         if view is None:
             base = self._base
@@ -153,10 +160,11 @@ class PhysicalMemory:
         return view
 
     def read(self, pfn: int, offset: int, size: int) -> bytes:
-        self._check(pfn)
+        if pfn < 0:
+            raise IndexError(f"bad pfn {pfn}")
+        view = self._views[pfn]
         if offset < 0 or size < 0 or offset + size > PAGE_SIZE:
             raise ValueError(f"bad intra-frame range {offset}+{size}")
-        view = self._views[pfn]
         if view is None:
             base = self._base
             if base is not None:
@@ -167,13 +175,15 @@ class PhysicalMemory:
         return bytes(view[offset : offset + size])
 
     def write(self, pfn: int, offset: int, data: bytes) -> None:
-        self._check(pfn)
-        if offset < 0 or offset + len(data) > PAGE_SIZE:
-            raise ValueError(f"bad intra-frame range {offset}+{len(data)}")
+        if pfn < 0:
+            raise IndexError(f"bad pfn {pfn}")
         frame = self._frames[pfn]
+        end = offset + len(data)
+        if offset < 0 or end > PAGE_SIZE:
+            raise ValueError(f"bad intra-frame range {offset}+{len(data)}")
         if frame is None:
             frame = self._materialize(pfn)
-        frame[offset : offset + len(data)] = data
+        frame[offset:end] = data
 
     def read_frame(self, pfn: int) -> bytes:
         self._check(pfn)

@@ -51,7 +51,8 @@ from repro.faults.plan import SITE_EVICT_UNDER_USE, FaultPlan
 from repro.guestos import uapi
 from repro.obs import bus
 
-#: Registers left kernel-visible on an intentional syscall.
+#: The syscall argument window: a syscall's integer arguments are
+#: staged here, and only the registers so staged stay kernel-visible.
 VISIBLE_SYSCALL_REGS = ("r0", "r1", "r2", "r3", "r4", "r5")
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -539,16 +540,18 @@ class Machine:
                 self.vmm.enter_user(proc.pid, proc.asid)
 
     def _execute_syscall(self, proc: Process, op: SyscallOp) -> Tuple[str, Any]:
-        # Stage integer arguments in the argument registers — this is
-        # what the kernel is allowed to see (CTC scrubbing keeps the
-        # rest hidden for cloaked threads).  zip truncates at six args,
-        # matching the register file's argument window.
-        regs = self.cpu.regs
+        # Stage integer arguments in the argument registers — those,
+        # and only those, are what the kernel is allowed to see (CTC
+        # scrubbing hides the rest for cloaked threads, including
+        # argument registers the call does not use).  zip truncates at
+        # six args, matching the register file's argument window.
+        regs = self.cpu.regs.live
+        staged = []
         for name, arg in zip(VISIBLE_SYSCALL_REGS, op.args):
             if isinstance(arg, int):
                 regs[name] = arg & _MASK64
-        self.vmm.exit_user(proc.pid, ExitReason.SYSCALL,
-                           visible_regs=VISIBLE_SYSCALL_REGS)
+                staged.append(name)
+        self.vmm.exit_user(proc.pid, ExitReason.SYSCALL, visible_regs=staged)
         self.cpu.trap_cost()
 
         runtime_before = proc.runtime
@@ -563,7 +566,7 @@ class Machine:
         # kernels): fatal defaults take effect before the next
         # instruction, handlers run before the syscall result is
         # consumed... exactly POSIX's "interrupted at the boundary".
-        if self._deliver_signals(proc):
+        if proc.pending_signals and self._deliver_signals(proc):
             return "stop", None
         if proc.runtime is not runtime_before:
             # exec(2): a fresh runtime; nothing to deliver to the old one.

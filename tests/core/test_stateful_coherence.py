@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from repro.core.errors import OvershadowError
 from repro.core.hypercall import Hypercall
 from repro.core.vmm import VMM
-from repro.hw.cpu import CPUMode, VirtualCPU
+from repro.hw.cpu import VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
-from repro.hw.mmu import MMU, MODE_KERNEL, SYSTEM_VIEW
+from repro.hw.mmu import MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.params import CostTable, PAGE_SIZE
 from repro.hw.phys import FrameAllocator, PhysicalMemory
@@ -63,7 +63,7 @@ class CloakCoherence(RuleBasedStateMachine):
         self.vmm.register_address_space(ASID, self.root)
 
         self.vmm.register_identity("app", IMAGE)
-        self.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         self.vmm.hypercall(Hypercall.CLOAK_INIT, ("app", IMAGE, PID))
 
         self.frames = {}
@@ -120,7 +120,6 @@ class CloakCoherence(RuleBasedStateMachine):
     def kernel_read(self, index):
         if self.dead:
             return
-        self.cpu.enter_kernel()
         self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_KERNEL)
         observed = self.mmu.read(self._vaddr(index), 32)
         expected = self.model[BASE_VPN + index]
@@ -133,7 +132,6 @@ class CloakCoherence(RuleBasedStateMachine):
         if self.dead:
             return
         vpn = BASE_VPN + index
-        self.cpu.enter_kernel()
         self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_KERNEL)
         self.mmu.read(self._vaddr(index), 1)  # encrypt if plaintext
         old_pfn = self.frames[vpn]
@@ -152,7 +150,6 @@ class CloakCoherence(RuleBasedStateMachine):
         if self.dead:
             return
         vpn = BASE_VPN + index
-        self.cpu.enter_kernel()
         self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_KERNEL)
         current = self.mmu.read(self._vaddr(index) + offset, 1)
         self.mmu.write(self._vaddr(index) + offset,

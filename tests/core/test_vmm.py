@@ -13,10 +13,10 @@ from repro.core.hypercall import Hypercall
 from repro.core.metadata import CloakState
 from repro.core.multishadow import POLICY_FLUSH
 from repro.core.vmm import VMM, VMMConfig
-from repro.hw.cpu import CPUMode, VirtualCPU
+from repro.hw.cpu import VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
-from repro.hw.faults import PageFault
-from repro.hw.mmu import MMU, SYSTEM_VIEW
+from repro.hw.faults import PageFault, PageFaultReason
+from repro.hw.mmu import MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.params import CostTable, PAGE_SIZE
 from repro.hw.phys import FrameAllocator, PhysicalMemory
@@ -64,18 +64,18 @@ class Harness:
         self.frames[vpn] = pfn
 
     def kernel_read(self, vaddr, size):
-        self.cpu.enter_kernel()
+        self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_KERNEL)
         return self.mmu.read(vaddr, size)
 
     def kernel_write(self, vaddr, data):
-        self.cpu.enter_kernel()
+        self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_KERNEL)
         self.mmu.write(vaddr, data)
 
     # -- app-role actions --------------------------------------------------------
 
     def make_cloaked_app(self):
         self.vmm.register_identity("app", IMAGE)
-        self.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        self.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         did = self.vmm.hypercall(
             Hypercall.CLOAK_INIT, ("app", IMAGE, PID)
         )
@@ -104,27 +104,83 @@ def h():
 class TestUncloakedBaseline:
     def test_plain_translation(self, h):
         h.kmap(0x50)
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         addr = 0x50 << 12
         h.mmu.write(addr, b"plain")
         assert h.mmu.read(addr, 5) == b"plain"
 
     def test_unmapped_page_faults(self, h):
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         with pytest.raises(PageFault):
             h.mmu.read(0x77 << 12, 1)
 
     def test_unknown_asid_faults(self, h):
-        h.cpu.enter_context(99, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(99, SYSTEM_VIEW, MODE_USER)
         with pytest.raises(PageFault):
             h.mmu.read(0x50 << 12, 1)
 
     def test_kernel_sees_uncloaked_app_memory(self, h):
         """Without Overshadow, the kernel reads everything — baseline."""
         h.kmap(0x50)
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         h.mmu.write(0x50 << 12, b"exposed")
         assert h.kernel_read(0x50 << 12, 7) == b"exposed"
+
+
+class TestWorldSwitchContext:
+    """World switches write the MMU's access context, the machine's
+    only copy of (asid, view, mode)."""
+
+    def test_enter_user_sets_user_context(self, h):
+        did = h.make_cloaked_app()
+        h.mmu.set_context(ASID + 1, SYSTEM_VIEW, MODE_KERNEL)
+        assert h.vmm.enter_user(PID, ASID) == did
+        assert h.mmu.context == (ASID, did, MODE_USER)
+
+    def test_exit_user_sets_kernel_context(self, h):
+        h.make_cloaked_app()
+        h.vmm.enter_user(PID, ASID)
+        h.vmm.exit_user(PID, ExitReason.INTERRUPT)
+        assert h.mmu.context == (ASID, SYSTEM_VIEW, MODE_KERNEL)
+
+
+class TestGuestAccessedDirtyBits:
+    """The shadow fill walks the guest table once and updates the
+    leaf's A/D bits by the x86 rule: any access sets A, a write sets D
+    only when it will be permitted."""
+
+    VPN = 0x60
+
+    def _guest_pte(self, h):
+        return h.walker.walk(h.root, self.VPN)
+
+    def test_read_fill_sets_accessed_only(self, h):
+        h.kmap(self.VPN)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
+        h.mmu.read(self.VPN << 12, 4)
+        pte = self._guest_pte(h)
+        assert pte.accessed and not pte.dirty
+
+    def test_permitted_write_sets_both_and_walks_once(self, h):
+        h.kmap(self.VPN)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
+        costs = CostTable()
+        before = h.cycles.get("mmu")
+        h.mmu.write(self.VPN << 12, b"x")
+        pte = self._guest_pte(h)
+        assert pte.accessed and pte.dirty
+        # One TLB fill and one two-level walk, not two walks.
+        assert h.cycles.get("mmu") - before == \
+            costs.tlb_fill + 2 * costs.pt_walk_level
+
+    def test_write_to_read_only_mapping_leaves_dirty_clear(self, h):
+        h.kmap(self.VPN, writable=False)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
+        with pytest.raises(PageFault) as exc:
+            h.mmu.write(self.VPN << 12, b"x")
+        assert exc.value.reason is PageFaultReason.PROTECTION
+        pte = self._guest_pte(h)
+        assert pte.accessed and not pte.dirty
 
 
 class TestCloakingThroughMMU:
@@ -237,7 +293,7 @@ class TestRegisterProtection:
         assert h.cpu.regs["r5"] == 1234
 
     def test_uncloaked_thread_registers_not_scrubbed(self, h):
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         h.cpu.regs["r5"] = 77
         h.vmm.exit_user(999, ExitReason.SYSCALL)
         assert h.cpu.regs["r5"] == 77
@@ -291,7 +347,7 @@ class TestForkAndTeardown:
 
 class TestHypercallAuthorization:
     def test_cloak_range_requires_cloaked_caller(self, h):
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         with pytest.raises(HypercallError):
             h.vmm.hypercall(Hypercall.CLOAK_RANGE, (0, 1, ""))
 
@@ -302,13 +358,13 @@ class TestHypercallAuthorization:
             h.vmm.hypercall(Hypercall.CLOAK_INIT, ("app", IMAGE, PID))
 
     def test_unregistered_identity_rejected(self, h):
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         with pytest.raises(HypercallError):
             h.vmm.hypercall(Hypercall.CLOAK_INIT, ("ghost", IMAGE, PID))
 
     def test_wrong_image_hash_rejected(self, h):
         h.vmm.register_identity("app", IMAGE)
-        h.cpu.enter_context(ASID, SYSTEM_VIEW, CPUMode.USER)
+        h.mmu.set_context(ASID, SYSTEM_VIEW, MODE_USER)
         with pytest.raises(IdentityViolation):
             h.vmm.hypercall(
                 Hypercall.CLOAK_INIT, ("app", b"trojaned image", PID)

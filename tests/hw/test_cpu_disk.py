@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.hw.cpu import ALL_REGISTERS, CPUMode, RegisterFile, VirtualCPU
+from repro.hw.cpu import ALL_REGISTERS, RegisterFile, VirtualCPU
 from repro.hw.cycles import CycleAccount
 from repro.hw.disk import Disk
-from repro.hw.mmu import MMU, SYSTEM_VIEW
+from repro.hw.mmu import MMU
 from repro.hw.params import CostTable, PAGE_SIZE
 from repro.hw.phys import PhysicalMemory
 from repro.hw.tlb import SoftwareTLB
@@ -72,19 +72,6 @@ class TestVirtualCPU:
         cpu, __ = make_cpu()
         with pytest.raises(ValueError):
             cpu.execute(-1)
-
-    def test_enter_context_updates_mmu(self):
-        cpu, __ = make_cpu()
-        cpu.enter_context(3, 7, CPUMode.USER)
-        assert cpu.mmu.context == (3, 7, "user")
-
-    def test_enter_kernel_switches_to_system_view(self):
-        cpu, __ = make_cpu()
-        cpu.enter_context(3, 7, CPUMode.USER)
-        cpu.enter_kernel()
-        assert cpu.mode is CPUMode.KERNEL
-        assert cpu.view == SYSTEM_VIEW
-        assert cpu.mmu.context == (3, SYSTEM_VIEW, "kernel")
 
     def test_trap_and_interrupt_counters(self):
         cpu, cycles = make_cpu()

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hw.faults import AccessKind
 from repro.hw.pagetable import (
     ENTRIES_PER_TABLE,
     PageTableEntry,
@@ -82,12 +83,20 @@ class TestWalker:
         walker.map(root, 3, 8, True, True, alloc.alloc)
         leaf = walker.walk(root, 3)
         assert not leaf.accessed and not leaf.dirty
-        walker.walk(root, 3, set_accessed=True)
+        walker.walk(root, 3, AccessKind.READ)
         leaf = walker.walk(root, 3)
         assert leaf.accessed and not leaf.dirty
-        walker.walk(root, 3, set_dirty=True)
+        walker.walk(root, 3, AccessKind.WRITE)
         leaf = walker.walk(root, 3)
         assert leaf.dirty
+
+    def test_write_walk_leaves_read_only_leaf_clean(self, setup):
+        """x86: D is set only when the write will be permitted."""
+        __, alloc, walker, root = setup
+        walker.map(root, 3, 8, False, True, alloc.alloc)
+        leaf = walker.walk(root, 3, AccessKind.WRITE)
+        assert leaf.accessed and not leaf.dirty
+        assert not walker.walk(root, 3).dirty
 
     def test_set_writable(self, setup):
         __, alloc, walker, root = setup

@@ -49,10 +49,11 @@ class TestPhysicalMemory:
 
     def test_bad_pfn_rejected(self):
         mem = PhysicalMemory(2)
-        with pytest.raises(IndexError):
-            mem.read(2, 0, 1)
-        with pytest.raises(IndexError):
-            mem.write(-1, 0, b"x")
+        for pfn in (-1, 2):  # negative, and one past the end
+            with pytest.raises(IndexError):
+                mem.read(pfn, 0, 1)
+            with pytest.raises(IndexError):
+                mem.write(pfn, 0, b"x")
 
     def test_cross_frame_range_rejected(self):
         mem = PhysicalMemory(2)

@@ -11,6 +11,7 @@ exact sequence.
 
 import random
 
+from repro.hw.faults import AccessKind
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.phys import PhysicalMemory
 from repro.hw.tlb import SoftwareTLB, TLBEntry
@@ -36,12 +37,13 @@ class _PageTableModel:
     def unmap(self, vpn):
         return self.pages.pop(vpn, None) is not None
 
-    def walk(self, vpn, set_accessed, set_dirty):
+    def walk(self, vpn, access):
         leaf = self.pages.get(vpn)
         if leaf is None:
             return None
-        leaf[3] = leaf[3] or set_accessed
-        leaf[4] = leaf[4] or set_dirty
+        # Any access sets A; a write sets D only on a writable leaf.
+        leaf[3] = leaf[3] or access is not None
+        leaf[4] = leaf[4] or (access is AccessKind.WRITE and leaf[1])
         return tuple(leaf)
 
 
@@ -72,10 +74,9 @@ def _pagetable_case(seed: int) -> None:
             expected = model.unmap(vpn)
             assert (real is not None) == expected, where
         else:
-            set_accessed, set_dirty = rng.random() < 0.5, rng.random() < 0.3
-            leaf = walker.walk(root, vpn, set_accessed=set_accessed,
-                               set_dirty=set_dirty)
-            expected = model.walk(vpn, set_accessed, set_dirty)
+            access = rng.choice((None, AccessKind.READ, AccessKind.WRITE))
+            leaf = walker.walk(root, vpn, access)
+            expected = model.walk(vpn, access)
             if expected is None:
                 assert leaf is None, where
             else:
@@ -88,7 +89,7 @@ def _pagetable_case(seed: int) -> None:
     # bits persisted in simulated physical memory, not Python state.
     for vpn in vpns:
         leaf = walker.walk(root, vpn)
-        expected = model.walk(vpn, False, False)
+        expected = model.walk(vpn, None)
         if expected is None:
             assert leaf is None, f"seed={seed} final vpn={vpn:#x}"
         else:

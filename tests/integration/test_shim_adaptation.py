@@ -202,11 +202,11 @@ class TestHypercallRobustness:
         # Enter the victim's view without consuming its CTC (a real
         # shim issues hypercalls from inside the running context; the
         # test fakes only the view selection).
-        from repro.hw.cpu import CPUMode
+        from repro.hw.mmu import MODE_USER
 
-        machine.cpu.enter_context(proc.asid,
-                                  machine.vmm.thread_domain(proc.pid),
-                                  CPUMode.USER)
+        machine.mmu.set_context(proc.asid,
+                                machine.vmm.thread_domain(proc.pid),
+                                MODE_USER)
         bad_calls = [
             (Hypercall.CLOAK_RANGE, (5, 5, "")),          # empty range
             (Hypercall.CLOAK_RANGE, (0x100, 0x120, "x")), # overlaps code
@@ -229,11 +229,11 @@ class TestHypercallRobustness:
         vaddr = proc.runtime.program.secret_vaddr
         vpn = vaddr >> 12
         pfn = proc.aspace.frame_of(vpn)
-        from repro.hw.cpu import CPUMode
+        from repro.hw.mmu import MODE_USER
 
-        machine.cpu.enter_context(proc.asid,
-                                  machine.vmm.thread_domain(proc.pid),
-                                  CPUMode.USER)
+        machine.mmu.set_context(proc.asid,
+                                machine.vmm.thread_domain(proc.pid),
+                                MODE_USER)
         # The data VMA was cloaked as one big range by the shim.
         removed = machine.vmm.hypercall(
             Hypercall.UNCLOAK_RANGE,
