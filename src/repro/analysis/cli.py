@@ -20,8 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Static invariant checker for the Overshadow "
                     "reproduction (import boundary, determinism, cycle "
                     "accounting, exception discipline, secret flow, "
-                    "probe indirection, cloak-state lattice, TLB "
-                    "coherence).",
+                    "probe indirection, cloak-state lattice).",
     )
     parser.add_argument("paths", nargs="*",
                         help="files/directories to analyse (default: the "
@@ -32,11 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "only for the rules that ran")
     parser.add_argument("--list-rules", action="store_true",
                         help="list available rules and exit")
-    parser.add_argument("--sanitize-run", metavar="WORKLOAD",
-                        help="replay a benchmark workload with the "
-                             "dynamic MMU001 coherence sanitizer attached "
-                             "and differentially compare with the static "
-                             "verdict (workloads: mb-suite)")
     return parser
 
 
@@ -71,10 +65,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         for rule in ALL_RULES:
             print(f"{rule.rule_id}  {rule.name}: {rule.summary}", file=out)
         return 0
-
-    if args.sanitize_run is not None:
-        from repro.analysis.sanitize import sanitize_run
-        return sanitize_run(args.sanitize_run, out)
 
     try:
         rules = _select_rules(args.rules)

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Inline suppression syntax.  The reason is mandatory: a bare
 #: ``allow(...)`` with no justification does not suppress anything.
-#: Both ``allow(MMU001)`` and ``allow[MMU001]`` brackets are accepted.
+#: Both ``allow(SEC002)`` and ``allow[SEC002]`` brackets are accepted.
 SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow[\(\[]\s*([A-Z]{2,4}\d{3}(?:\s*,\s*[A-Z]{2,4}\d{3})*)"
     r"\s*[\)\]]\s*(?:[—–-]+|:)\s*(\S.*)?$"

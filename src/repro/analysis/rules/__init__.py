@@ -20,7 +20,6 @@ from repro.analysis.rules.obs import ProbeIndirectionRule
 from repro.analysis.rules.perf import FreshBootLoopRule
 from repro.analysis.rules.secret_flow import SecretFlowRule, UnsealedPersistRule
 from repro.analysis.rules.suppression_hygiene import SuppressionHygieneRule
-from repro.analysis.rules.tlb_coherence import TlbCoherenceRule
 
 ALL_RULES = (
     ImportBoundaryRule(),
@@ -32,7 +31,6 @@ ALL_RULES = (
     FreshBootLoopRule(),
     ProbeIndirectionRule(),
     CloakStateRule(),
-    TlbCoherenceRule(),
     SuppressionHygieneRule(),
 )
 

@@ -11,7 +11,7 @@ class Rule:
 
     ``check(mod, project)`` yields the findings for one module;
     ``project`` is the run's :class:`~repro.analysis.flow.ProjectContext`
-    (shared call graph, taint analysis, CFGs), which rules that look
+    (shared call graph and taint analysis), which rules that look
     at one module at a time simply ignore.
     """
 

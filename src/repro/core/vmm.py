@@ -235,6 +235,12 @@ class VMM(TranslationAuthority):
         self._invalidate_frame_mappings(gpfn)
         self.stats.bump("vmm.system_encrypt_faults")
 
+    def _zero_frame(self, gpfn: int) -> None:
+        """Discard a frame's contents and every mapping of it."""
+        self._phys.zero_frame(gpfn)
+        self._cycles.charge("vmm", self._costs.zero_fill)
+        self._invalidate_frame_mappings(gpfn)
+
     def _invalidate_frame_mappings(self, gpfn: int) -> None:
         """A frame's cloak state changed: purge every stale mapping."""
         dropped = 0
@@ -376,10 +382,6 @@ class VMM(TranslationAuthority):
                 "vmm", self._costs.world_switch + self._costs.ctc_save)
             self.stats.bump("vmm.cloaked_exits")
             if self.config.eager_reencrypt:
-                # repro: allow[MMU001] — the loop below invalidates the
-                # frame mappings of every resident page; the only path
-                # that skips it is zero iterations, i.e. no resident
-                # pages, so there is nothing stale to invalidate.
                 self.cloak.encrypt_all_plaintext(domain_id)
                 # Eager mode invalidates wholesale; cheap to be exact:
                 for md in self.metadata.pages():
@@ -477,9 +479,7 @@ class VMM(TranslationAuthority):
             for vpn in range(start_vpn, end_vpn):
                 md = self.metadata.lookup(domain.domain_id, vpn)
                 if md is not None and md.resident_gpfn is not None:
-                    self._phys.zero_frame(md.resident_gpfn)
-                    self._cycles.charge("vmm", self._costs.zero_fill)
-                    self._invalidate_frame_mappings(md.resident_gpfn)
+                    self._zero_frame(md.resident_gpfn)
                 if md is not None:
                     self.metadata.remove(domain.domain_id, vpn)
         return removed
@@ -546,9 +546,7 @@ class VMM(TranslationAuthority):
             if md.state in (CloakState.PLAINTEXT_CLEAN,
                             CloakState.PLAINTEXT_DIRTY) \
                     and md.resident_gpfn is not None:
-                self._phys.zero_frame(md.resident_gpfn)
-                self._cycles.charge("vmm", self._costs.zero_fill)
-                self._invalidate_frame_mappings(md.resident_gpfn)
+                self._zero_frame(md.resident_gpfn)
             self.metadata.remove(domain.domain_id, vpn)
             count += 1
         if count:

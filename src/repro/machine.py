@@ -412,8 +412,7 @@ class Machine:
         # per-iteration attribute lookup hoisted; the op classes are
         # leaf types (uapi declares no subclasses), so `cls is Alu`
         # decides exactly what `isinstance(op, Alu)` decides, and
-        # anything unrecognised falls back to `_execute_op`, which
-        # preserves the original isinstance chain and its TypeError.
+        # anything else is not a user op at all: a TypeError.
         # Costs, charge order, and timeslice boundaries are untouched —
         # the cycle ledger stays bit-identical (wallclock --check).
         next_op = proc.runtime.next_op
@@ -457,10 +456,7 @@ class Machine:
                 elif cls is HypercallOp:
                     result = vmm.hypercall(op.number, op.args)
                 else:
-                    disposition, result = self._execute_op(proc, op)
-                    if disposition == "stop":
-                        proc.saved_regs = regs.snapshot()
-                        return executed
+                    raise TypeError(f"unknown user op {op!r}")
             except _SliceOver:
                 return executed
             except OvershadowError as violation:
@@ -486,27 +482,6 @@ class Machine:
     # ------------------------------------------------------------------
     # op execution
     # ------------------------------------------------------------------
-
-    def _execute_op(self, proc: Process, op: UserOp) -> Tuple[str, Any]:
-        if isinstance(op, Alu):
-            self.cpu.execute(op.units)
-            return "continue", None
-        if isinstance(op, Load):
-            return "continue", self._user_memory(proc, op, "load")
-        if isinstance(op, Store):
-            return "continue", self._user_memory(proc, op, "store")
-        if isinstance(op, Copy):
-            return "continue", self._user_memory(proc, op, "copy")
-        if isinstance(op, SetReg):
-            self.cpu.regs[op.name] = op.value
-            return "continue", None
-        if isinstance(op, GetReg):
-            return "continue", self.cpu.regs[op.name]
-        if isinstance(op, HypercallOp):
-            return "continue", self.vmm.hypercall(op.number, op.args)
-        if isinstance(op, SyscallOp):
-            return self._execute_syscall(proc, op)
-        raise TypeError(f"unknown user op {op!r}")
 
     def _user_memory(self, proc: Process, op: UserOp, kind: str) -> Any:
         """Perform a user memory op, reflecting page faults to the

@@ -39,7 +39,7 @@ def test_codebase_is_clean():
 
 def test_all_registered_rules_ran():
     assert sorted(r.rule_id for r in ALL_RULES) == [
-        "CYC001", "DET001", "ERR001", "MMU001", "OBS001", "PERF002",
+        "CYC001", "DET001", "ERR001", "OBS001", "PERF002",
         "SEC002", "SEC003", "STATE001", "SUP001", "TB001",
     ]
 

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import OvershadowError
 from repro.core.hypercall import Hypercall
+from repro.core.metadata import CloakState
 from repro.core.vmm import VMM
 from repro.hw.cpu import VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
@@ -40,6 +41,7 @@ PID = 7
 BASE_VPN = 0x200
 NPAGES = 4
 IMAGE = b"stateful test app"
+_PLAINTEXT = (CloakState.PLAINTEXT_CLEAN, CloakState.PLAINTEXT_DIRTY)
 
 
 def _payload(tag: int) -> bytes:
@@ -172,13 +174,48 @@ class CloakCoherence(RuleBasedStateMachine):
                 f"tampered page read returned {observed!r} without violation"
             )
 
-    # -- global invariant ---------------------------------------------------------
+    @rule(index=vpns)
+    def app_recycles_page(self, index):
+        """The shim releases a page (brk shrink): its contents are
+        dead, and the next touch materialises a fresh zero page."""
+        if self.dead:
+            return
+        vpn = BASE_VPN + index
+        self.vmm.enter_user(PID, ASID)
+        self.vmm.hypercall(Hypercall.PAGE_RECYCLE, (vpn, 1))
+        self.model[vpn] = None
+        self.touched.discard(vpn)
+
+    # -- global invariants --------------------------------------------------------
 
     @invariant()
     def plaintext_frame_index_consistent(self):
         store = self.vmm.metadata
         for gpfn, md in list(store._plaintext_frames.items()):
             assert md.resident_gpfn == gpfn
+
+    @invariant()
+    def no_mapping_reveals_a_stale_frame(self):
+        """Every shadow mapping and every TLB entry agrees with the
+        cloak state of the frame it points at: the system view never
+        maps live plaintext, and the owner's view of a cloaked page
+        maps only that page's own plaintext frame."""
+        mappings = [(asid, view, vpn, gpfn)
+                    for gpfn, keys in self.vmm.shadows._frame_mappings.items()
+                    for asid, view, vpn in keys]
+        mappings += [(asid, view, vpn, entry.pfn)
+                     for (asid, view, vpn), entry in self.mmu._tlb.entries()]
+        metadata = self.vmm.metadata
+        for asid, view, vpn, gpfn in mappings:
+            if view == SYSTEM_VIEW:
+                assert metadata.plaintext_in_frame(gpfn) is None, \
+                    (asid, vpn, gpfn)
+                continue
+            domain = self.vmm.domains.get(view)
+            if domain.is_cloaked(vpn):
+                md = metadata.lookup(domain.domain_id, vpn)
+                assert md is not None and md.resident_gpfn == gpfn \
+                    and md.state in _PLAINTEXT, (asid, view, vpn, gpfn, md)
 
 
 CloakCoherence.TestCase.settings = settings(

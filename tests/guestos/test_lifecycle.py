@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.program import Program
-from repro.guestos import uapi
+from repro.guestos import layout, uapi
 from repro.machine import Machine
 
 
@@ -53,6 +53,27 @@ class TestForkWait:
 
         proc, __ = run_prog(P)
         assert proc.text.strip() == "PARNT"
+
+    def test_fork_child_cannot_store_to_read_only_code(self):
+        # The eager copy maps each child page writable, writes it, then
+        # drops write permission for read-only VMAs: the copy's
+        # writable TLB entry must not outlive that protect.
+        class P(Program):
+            name = "p"
+
+            def child(self, ctx):
+                yield ctx.store(layout.CODE_BASE, b"X")
+                return 0
+
+            def main(self, ctx):
+                yield ctx.load(layout.CODE_BASE, 1)
+                pid = yield ctx.fork(self.child)
+                result = yield ctx.waitpid(pid)
+                yield from ctx.print(f"{pid},{result}\n")
+                return 0
+
+        proc, __ = run_prog(P)
+        assert proc.text.strip() == f"2,(2, {128 + uapi.SIGSEGV})"
 
     def test_wait_with_no_children_echild(self):
         class P(Program):

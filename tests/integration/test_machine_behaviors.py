@@ -99,6 +99,20 @@ class TestSchedulingAndPreemption:
         with pytest.raises(RuntimeError):
             machine.run(max_ops=5_000)
 
+    @pytest.mark.parametrize("cloaked", [False, True])
+    def test_non_op_yield_is_a_type_error(self, cloaked):
+        class Bogus(Program):
+            name = "bogus"
+
+            def main(self, ctx):
+                yield 42
+                return 0
+
+        machine = Machine.build()
+        machine.register(Bogus, cloaked=cloaked)
+        with pytest.raises(TypeError, match="^unknown user op 42$"):
+            machine.run_program("bogus")
+
 
 class TestViolationAccounting:
     def test_violation_recorded_and_process_killed(self):
