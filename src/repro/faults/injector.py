@@ -95,7 +95,7 @@ class FaultyDisk(Disk):
             self._charge()
             return
         if self._plan.decide(SITE_DISK_WRITE_TORN):
-            old = self._blocks[lba] if 0 <= lba < self.num_blocks else None
+            old = self._blocks.get(lba)
             if old is None:
                 old = bytes(self.block_size)
             half = self.block_size // 2

@@ -9,10 +9,10 @@ gateway is that interposition point.  The plain
 :class:`PassthroughDMA` is what an unprotected machine would have.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.hw.disk import Disk
-from repro.hw.phys import PhysicalMemory
+from repro.hw.phys import FreeStack, PhysicalMemory
 
 
 class DMAGateway:
@@ -44,7 +44,7 @@ class BlockCache:
     def __init__(self, disk: Disk, dma: DMAGateway):
         self._disk = disk
         self._dma = dma
-        self._free: List[int] = list(range(disk.num_blocks - 1, -1, -1))
+        self._free = FreeStack(0, disk.num_blocks)
         self._blocks: Dict[Tuple[int, int], int] = {}
 
     @property
@@ -58,9 +58,10 @@ class BlockCache:
         key = (inode_id, page_index)
         lba = self._blocks.get(key)
         if lba is None:
-            if not self._free:
-                raise OSError("disk full")
-            lba = self._free.pop()
+            try:
+                lba = self._free.pop()
+            except IndexError:
+                raise OSError("disk full") from None
             self._blocks[key] = lba
         return lba
 

@@ -46,10 +46,9 @@ class Scheduler:
 
     def block(self, proc: Process) -> None:
         proc.state = ProcessState.BLOCKED
-        try:
+        # The running process, the usual caller, is not queued.
+        if proc in self._ready:
             self._ready.remove(proc)
-        except ValueError:
-            pass
 
     def wake(self, proc: Process) -> None:
         if proc.state is ProcessState.BLOCKED:

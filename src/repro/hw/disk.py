@@ -7,8 +7,7 @@ transits the MMU, so cloaked pages written to disk stay exactly as the
 kernel saw them — ciphertext.
 """
 
-from itertools import compress
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.hw.cycles import CycleAccount
 from repro.hw.params import CostTable
@@ -16,7 +15,8 @@ from repro.obs import bus
 
 
 class Disk:
-    """A fixed-size array of blocks."""
+    """A fixed number of blocks, of which only the written ones are
+    stored."""
 
     def __init__(
         self,
@@ -27,8 +27,10 @@ class Disk:
     ):
         if num_blocks <= 0 or block_size <= 0:
             raise ValueError("disk geometry must be positive")
+        self._num_blocks = num_blocks
         self._block_size = block_size
-        self._blocks: List[Optional[bytes]] = [None] * num_blocks
+        #: lba -> contents of every block ever written.
+        self._blocks: Dict[int, bytes] = {}
         self._cycles = cycles
         self._costs = costs
         self.reads = 0
@@ -36,7 +38,7 @@ class Disk:
 
     @property
     def num_blocks(self) -> int:
-        return len(self._blocks)
+        return self._num_blocks
 
     @property
     def block_size(self) -> int:
@@ -52,12 +54,12 @@ class Disk:
         The stored ``bytes`` object is returned as-is (immutable, so no
         defensive copy); never-written blocks read as zeros.
         """
-        if not 0 <= lba < len(self._blocks):
+        if not 0 <= lba < self._num_blocks:
             raise IndexError(f"bad block {lba}")
         self.reads += 1
         self._charge()
         bus.disk_read(lba)
-        data = self._blocks[lba]
+        data = self._blocks.get(lba)
         if data is None:
             return bytes(self._block_size)
         return data
@@ -70,7 +72,7 @@ class Disk:
         here — and none at all when ``data`` is already ``bytes``,
         since ``bytes(data)`` is then the same object.
         """
-        if not 0 <= lba < len(self._blocks):
+        if not 0 <= lba < self._num_blocks:
             raise IndexError(f"bad block {lba}")
         if len(data) != self._block_size:
             raise ValueError(
@@ -89,6 +91,5 @@ class Disk:
         probe fires, and a subclass's transfer path (fault injection)
         is never entered.  Never-written blocks are not searched.
         """
-        blocks = self._blocks
-        return [lba for lba in compress(range(len(blocks)), blocks)
-                if needle in blocks[lba]]
+        return sorted(lba for lba, block in self._blocks.items()
+                      if needle in block)

@@ -1,29 +1,33 @@
 """Guest-physical memory and frame allocation.
 
-Memory is an array of page frames, each a ``bytearray``.  The cloaking
+Memory is a set of page frames, each a ``bytearray``.  The cloaking
 engine encrypts/decrypts frames *in place*, exactly as Overshadow does
 with machine pages: a given frame holds either plaintext (visible to
 the owning cloaked application) or ciphertext (what the OS sees).
 
-Snapshots add a second lazy layer under the lazy-zero one: a restored
-machine's :class:`PhysicalMemory` starts with **no private frames at
-all** — every pfn resolves, in order, to (1) a private ``bytearray``
-if the restored machine has written the frame, (2) the snapshot's
-shared immutable ``bytes`` image of the frame, or (3) zeros.  Reads
-are served from whichever layer holds the frame; the first write
-materialises a private copy (a COW fault, counted and probed).  The
-shared base entries are immutable ``bytes``, so no restored machine
-can ever damage another's view of the snapshot.
+Only touched frames exist.  A machine's frames live in a dict keyed
+by pfn, filled when a frame is first written or viewed, so booting or restoring a machine and
+every pass of Python's garbage collector cost O(touched frames), not
+O(configured memory).  Snapshots add a second lazy layer under the
+lazy-zero one: a restored machine's :class:`PhysicalMemory` starts with
+**no private frames at all** — every pfn resolves, in order, to (1) a
+private ``bytearray`` if the restored machine has written the frame,
+(2) the snapshot's shared immutable ``bytes`` image of the frame, if
+it captured one, or (3) zeros.  Reads are served from whichever layer
+holds the frame; the first write materialises a private copy (a COW
+fault, counted and probed).  The shared base entries are immutable
+``bytes``, so no restored machine can ever damage another's view of
+the snapshot.
 """
 
-from itertools import compress
-from typing import List, Optional
+from typing import Dict, List
 
 from repro.hw.params import PAGE_SIZE
 from repro.obs import bus
 
-#: Base layer type: per-pfn immutable frame contents (None = zeros).
-BaseFrames = List[Optional[bytes]]
+#: Base layer type: pfn -> immutable contents of each captured frame.
+#: A pfn with no entry reads as zeros.
+BaseFrames = Dict[int, bytes]
 
 #: What every frame in neither layer reads as: one shared immutable
 #: page, handed out by ``read_frame`` instead of a fresh allocation.
@@ -52,75 +56,75 @@ class PhysicalMemory:
     def __init__(self, total_frames: int):
         if total_frames <= 0:
             raise ValueError("need at least one frame")
+        self._total = total_frames
         # Frames materialise lazily on first touch: a fresh machine
         # costs O(1) host work regardless of configured memory size,
         # and a never-written frame reads as zeros either way.
-        self._frames: List[Optional[bytearray]] = [None] * total_frames
-        self._views: List[Optional[memoryview]] = [None] * total_frames
+        self._frames: Dict[int, bytearray] = {}
+        self._views: Dict[int, memoryview] = {}
         #: COW base layer (restored machines only): pfn -> immutable
-        #: snapshot contents, consulted when no private frame exists.
-        self._base: Optional[BaseFrames] = None
+        #: snapshot contents of each captured frame this instance has
+        #: neither written nor zeroed.
+        self._base: BaseFrames = {}
         #: Private frames materialised from the base layer (restored
         #: machines only; stays 0 on ordinary machines).
         self.cow_faults = 0
 
     @classmethod
-    def from_base(cls, base: BaseFrames) -> "PhysicalMemory":
-        """A COW memory over ``base`` (shared immutable frame bytes).
+    def from_base(cls, base: BaseFrames,
+                  total_frames: int) -> "PhysicalMemory":
+        """A COW memory of ``total_frames`` frames over ``base``.
 
-        The per-instance base *list* is copied (so ``zero_frame`` can
-        drop entries locally) but the frame ``bytes`` objects are
-        shared — restoring from a snapshot is O(frames) pointers, not
-        O(frames) pages.
+        The per-instance base *dict* is copied (so a write or
+        ``zero_frame`` can drop entries locally) but the frame
+        ``bytes`` objects are shared — restoring from a snapshot is
+        O(captured frames) pointers, not O(frames) pages.
         """
-        mem = cls.__new__(cls)
-        total = len(base)
-        if total <= 0:
-            raise ValueError("need at least one frame")
-        mem._frames = [None] * total
-        mem._views = [None] * total
-        mem._base = list(base)
-        mem.cow_faults = 0
+        mem = cls(total_frames)
+        mem._base = dict(base)
         return mem
 
     def freeze_base(self) -> BaseFrames:
-        """The current contents of every frame as immutable ``bytes``.
+        """The current contents of every touched frame as immutable
+        ``bytes``.
 
         Composes with an existing base layer: a frame this instance
         never wrote is carried as the *same* shared object, so
         snapshot-of-restored-machine costs only the dirty pages.
         """
-        base = self._base
-        frozen: BaseFrames = [None] * len(self._frames)
-        for pfn, frame in enumerate(self._frames):
-            if frame is not None:
-                frozen[pfn] = bytes(frame)
-            elif base is not None:
-                frozen[pfn] = base[pfn]
+        frozen = dict(self._base)
+        for pfn, frame in self._frames.items():
+            frozen[pfn] = bytes(frame)
         return frozen
 
     @property
     def total_frames(self) -> int:
-        return len(self._frames)
+        return self._total
 
     def _check(self, pfn: int) -> None:
-        if not 0 <= pfn < len(self._frames):
+        if not 0 <= pfn < self._total:
             raise IndexError(f"bad pfn {pfn}")
 
     def _materialize(self, pfn: int) -> bytearray:
-        frame = self._frames[pfn]
-        if frame is None:
-            base = self._base
-            if base is not None and base[pfn] is not None:
-                frame = bytearray(base[pfn])
-                self.cow_faults += 1
-                if bus.ACTIVE:
-                    bus.snapshot_cow_fault(pfn)
-            else:
-                frame = bytearray(PAGE_SIZE)
-            self._frames[pfn] = frame
-            self._views[pfn] = memoryview(frame).toreadonly()
+        """A private frame for unmaterialised ``pfn`` (checked by the
+        caller), copied out of the base layer if it has an entry."""
+        contents = self._base.pop(pfn, None)
+        if contents is not None:
+            frame = bytearray(contents)
+            self.cow_faults += 1
+            if bus.ACTIVE:
+                bus.snapshot_cow_fault(pfn)
+        else:
+            frame = bytearray(PAGE_SIZE)
+        self._frames[pfn] = frame
+        self._views[pfn] = memoryview(frame).toreadonly()
         return frame
+
+    # Every accessor indexes the frame dicts first and checks the pfn
+    # only on a miss: only valid pfns ever materialise, so the check
+    # stays off the path of every guest access and page-table walk
+    # that hits a written frame.  A miss (a few percent of accesses on
+    # every workload) pays for the KeyError; a hit pays no call.
 
     def frame(self, pfn: int) -> bytearray:
         """Direct (mutable) access to a frame's backing store.
@@ -128,14 +132,12 @@ class PhysicalMemory:
         Only the VMM's cloak engine and the disk DMA path use this;
         guest software goes through the MMU.
         """
+        try:
+            return self._frames[pfn]
+        except KeyError:
+            pass
         self._check(pfn)
         return self._materialize(pfn)
-
-    # ``read``, ``write`` and ``frame_view`` are on every guest access
-    # or page-table walk, so they check the pfn inline rather than
-    # through ``_check``: a negative pfn is refused explicitly (it
-    # would otherwise index from the end), and one past the end raises
-    # IndexError from the frame-table lookup itself.
 
     def frame_view(self, pfn: int) -> memoryview:
         """Read-only zero-copy view of one whole frame.
@@ -145,57 +147,49 @@ class PhysicalMemory:
         that consume the bytes immediately (hashing, XOR, struct
         unpacking) should prefer this over :meth:`read_frame`.
         """
-        if pfn < 0:
-            raise IndexError(f"bad pfn {pfn}")
-        view = self._views[pfn]
-        if view is None:
-            base = self._base
-            if base is not None and base[pfn] is not None:
-                # Don't materialise for a read: a fresh view of the
-                # shared snapshot bytes, not cached (the first write
-                # replaces it with the private frame's view).
-                return memoryview(base[pfn])
-            self._materialize(pfn)
-            view = self._views[pfn]
-        return view
+        try:
+            return self._views[pfn]
+        except KeyError:
+            pass
+        self._check(pfn)
+        contents = self._base.get(pfn)
+        if contents is not None:
+            # Don't materialise for a read: a fresh view of the shared
+            # snapshot bytes, not cached (the first write replaces it
+            # with the private frame's view).
+            return memoryview(contents)
+        self._materialize(pfn)
+        return self._views[pfn]
 
     def read(self, pfn: int, offset: int, size: int) -> bytes:
-        if pfn < 0:
-            raise IndexError(f"bad pfn {pfn}")
-        view = self._views[pfn]
         if offset < 0 or size < 0 or offset + size > PAGE_SIZE:
             raise ValueError(f"bad intra-frame range {offset}+{size}")
-        if view is None:
-            base = self._base
-            if base is not None:
-                contents = base[pfn]
-                if contents is not None:
-                    return contents[offset : offset + size]
-            return bytes(size)
-        return bytes(view[offset : offset + size])
+        try:
+            return bytes(self._views[pfn][offset : offset + size])
+        except KeyError:
+            pass
+        self._check(pfn)
+        return self._base.get(pfn, ZERO_PAGE)[offset : offset + size]
 
     def write(self, pfn: int, offset: int, data: bytes) -> None:
-        if pfn < 0:
-            raise IndexError(f"bad pfn {pfn}")
-        frame = self._frames[pfn]
         end = offset + len(data)
         if offset < 0 or end > PAGE_SIZE:
             raise ValueError(f"bad intra-frame range {offset}+{len(data)}")
-        if frame is None:
-            frame = self._materialize(pfn)
-        frame[offset:end] = data
+        try:
+            self._frames[pfn][offset:end] = data
+            return
+        except KeyError:
+            pass
+        self._check(pfn)
+        self._materialize(pfn)[offset:end] = data
 
     def read_frame(self, pfn: int) -> bytes:
+        try:
+            return bytes(self._frames[pfn])
+        except KeyError:
+            pass
         self._check(pfn)
-        frame = self._frames[pfn]
-        if frame is None:
-            base = self._base
-            if base is not None:
-                contents = base[pfn]
-                if contents is not None:
-                    return contents
-            return ZERO_PAGE
-        return bytes(frame)
+        return self._base.get(pfn, ZERO_PAGE)
 
     def write_frame(self, pfn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
@@ -210,39 +204,67 @@ class PhysicalMemory:
         as the shared bytes, and every other frame reads as zeros, so
         whether those match is decided once.  Nothing is materialised,
         copied, counted or probed.  For a needle that is not all zeros
-        the cost is one C-speed pass over the frame table plus a search
-        of the touched frames only.
+        the cost is a search of the touched frames only.
         """
         frames = self._frames
         base = self._base
-        pfns = range(len(frames))
-        # ``compress`` picks out the non-None entries at C speed: a
-        # frame or base entry is a non-empty page, hence truthy.
-        hits = [pfn for pfn in compress(pfns, frames) if needle in frames[pfn]]
-        if base is not None:
-            hits += [pfn for pfn in compress(pfns, base)
-                     if frames[pfn] is None and needle in base[pfn]]
+        hits = [pfn for pfn, frame in frames.items() if needle in frame]
+        hits += [pfn for pfn, contents in base.items() if needle in contents]
         if needle in ZERO_PAGE:
-            hits += [pfn for pfn in pfns if frames[pfn] is None
-                     and (base is None or base[pfn] is None)]
+            hits += [pfn for pfn in range(self._total)
+                     if pfn not in frames and pfn not in base]
         hits.sort()
         return hits
 
     def zero_frame(self, pfn: int) -> None:
         self._check(pfn)
-        frame = self._frames[pfn]
+        frame = self._frames.get(pfn)
         if frame is not None:
             frame[:] = ZERO_PAGE
-        elif self._base is not None:
+        else:
             # O(1): an unmaterialised frame zeroes by *dropping* its
             # base entry — no 4 KiB allocation, and only this
-            # instance's base list changes (the snapshot's shared
+            # instance's base dict changes (the snapshot's shared
             # bytes are untouched).
-            self._base[pfn] = None
+            self._base.pop(pfn, None)
+
+
+class FreeStack:
+    """A LIFO free list of the integers ``low .. end - 1``, kept sparse.
+
+    Pops exactly what ``list(range(end - 1, low - 1, -1))`` would pop
+    under the same pops and appends: the most recently returned item
+    first, and otherwise the lowest item never handed out, read off an
+    ascending watermark.  It holds only returned items, so a fresh or
+    restored allocator costs O(items returned), not O(end - low).
+    """
+
+    def __init__(self, low: int, end: int):
+        if low > end:
+            raise ValueError(f"empty range {low}..{end}")
+        self._returned: List[int] = []
+        self._next = low
+        self._end = end
+
+    def __len__(self) -> int:
+        return len(self._returned) + self._end - self._next
+
+    def pop(self) -> int:
+        returned = self._returned
+        if returned:
+            return returned.pop()
+        item = self._next
+        if item >= self._end:
+            raise IndexError("pop from an empty free stack")
+        self._next = item + 1
+        return item
+
+    def append(self, item: int) -> None:
+        self._returned.append(item)
 
 
 class FrameAllocator:
-    """Free-list allocator over guest-physical frames.
+    """Free-stack allocator over guest-physical frames.
 
     The guest kernel owns one of these for general allocation; a small
     region is reserved at boot for the VMM's own use (uncloaked
@@ -251,7 +273,7 @@ class FrameAllocator:
 
     The allocator never touches frame *contents*: freeing a frame —
     including a COW-shared frame of a restored machine — only moves
-    the pfn between the free list and the allocated set.  Contents
+    the pfn between the free stack and the allocated set.  Contents
     remain readable until the next owner zeroes or overwrites them
     (which, on a restored machine, drops or shadows only that
     machine's private copy; the snapshot base is immutable).
@@ -260,7 +282,7 @@ class FrameAllocator:
     def __init__(self, total_frames: int, reserved_low: int = 0):
         if reserved_low >= total_frames:
             raise ValueError("reservation exceeds memory size")
-        self._free: List[int] = list(range(total_frames - 1, reserved_low - 1, -1))
+        self._free = FreeStack(reserved_low, total_frames)
         self._total = total_frames - reserved_low
         self._allocated = set()
 
@@ -274,9 +296,10 @@ class FrameAllocator:
 
     def alloc(self) -> int:
         """Allocate one frame; raises :class:`OutOfMemoryError` when full."""
-        if not self._free:
-            raise OutOfMemoryError("no free frames")
-        pfn = self._free.pop()
+        try:
+            pfn = self._free.pop()
+        except IndexError:
+            raise OutOfMemoryError("no free frames") from None
         self._allocated.add(pfn)
         return pfn
 

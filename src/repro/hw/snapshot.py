@@ -1,19 +1,23 @@
 """Copy-on-write machine snapshots: boot once, restore per run.
 
 A snapshot clones a quiescent booted machine the way a hypervisor
-forks a VM: guest-physical memory is captured **once** as immutable
-per-frame ``bytes`` shared by every restore (COW — see
-:class:`repro.hw.phys.PhysicalMemory`), and the small mutable state
-(allocator free lists, pagetables/TLB, cloak metadata, ramfs,
-scheduler, RNG streams, the cycle ledger) is pickled once at capture
-and unpickled per restore.  A restored machine is therefore
+forks a VM: guest-physical memory is captured **once** as a
+``pfn -> bytes`` mapping of the touched frames, shared by every
+restore (COW — see :class:`repro.hw.phys.PhysicalMemory`), and the
+small mutable state (allocator free stacks, pagetables/TLB, cloak
+metadata, ramfs, written disk blocks, scheduler, RNG streams, the
+cycle ledger) is pickled once at capture and unpickled per restore.
+A restored machine is therefore
 *architecturally indistinguishable* from the machine that was
-captured — same cycle total, same register file, same free-list
+captured — same cycle total, same register file, same free-stack
 order, same fault-plan substream positions — so a run started from a
 restore is cycle- and state-identical to the same run started from a
 fresh boot that reached the capture point.
 The snapshot equivalence property test proves this for all registered
-guest programs, native and cloaked.
+guest programs, native and cloaked.  Every memory- or disk-sized
+structure holds only what was touched, so a restore, and every pass
+of the garbage collector over the restored machine, costs O(touched
+frames and blocks), not O(configured memory).
 
 What is shared vs. copied:
 
@@ -146,7 +150,7 @@ class _SnapPickler(pickle.Pickler):
     Objects tagged in ``pids`` (the physical memory, frozen params and
     cost tables, exited runtimes, registry entries — whose runtime
     factories are closures and could not be pickled anyway) are written
-    as persistent references; :class:`_SnapUnpickler` swaps in the
+    as persistent references; :meth:`SnapshotState.restore` swaps in the
     per-restore replacements.  Everything else round-trips through
     pickle's C implementation.
     """
@@ -183,24 +187,6 @@ class _SnapPickler(pickle.Pickler):
         return pid
 
 
-class _SnapUnpickler(pickle.Unpickler):
-    def __init__(self, file, resolve: Dict[tuple, Any],
-                 fresh: Dict[str, tuple]):
-        super().__init__(file)
-        self._resolve = resolve
-        self._fresh = fresh
-
-    def persistent_load(self, pid):
-        if pid[0] == "list":
-            # Bulk flat list (allocator/block free lists, disk blocks):
-            # one C-speed copy of an immutable template instead of
-            # element-by-element unpickling.  Only non-aliased private
-            # attributes are tagged this way (a second reference would
-            # get a second copy).
-            return list(self._fresh[pid[1]])
-        return self._resolve[pid]
-
-
 class SnapshotState:
     """One captured machine: shared frozen frames + a pickled image.
 
@@ -213,15 +199,16 @@ class SnapshotState:
     the single-thread sense (restores share only immutable state).
     """
 
-    __slots__ = ("base", "frames_captured", "planned", "capture_armed",
-                 "boot_opportunities", "boot_fires", "_blob", "_shared",
-                 "_fresh")
+    __slots__ = ("base", "total_frames", "frames_captured", "planned",
+                 "capture_armed", "boot_opportunities", "boot_fires",
+                 "_blob", "_shared")
 
     def __init__(self, machine):
         _check_quiescent(machine)
         plan = machine.faults
         self.base = machine.phys.freeze_base()
-        self.frames_captured = sum(1 for b in self.base if b is not None)
+        self.total_frames = machine.phys.total_frames
+        self.frames_captured = len(self.base)
         self.planned = plan is not None
         self.capture_armed = (frozenset(plan._arms) if plan is not None
                               else frozenset())
@@ -257,16 +244,6 @@ class SnapshotState:
         pids[id(machine.phys)] = ("phys",)
         if machine.faults is not None:
             pids[id(machine.faults)] = ("plan",)
-        # Large flat lists restore as one C-speed copy of a frozen
-        # template (entries are ints or immutable bytes).  These are
-        # private, non-aliased attributes — see _SnapUnpickler.
-        fresh = {
-            "alloc._free": machine.alloc._free,
-            "cache._free": kernel.cache._free,
-            "disk._blocks": machine.disk._blocks,
-        }
-        for tag, lst in fresh.items():
-            pids[id(lst)] = ("list", tag)
         buf = io.BytesIO()
         dynamic: Dict[tuple, Any] = {}
         try:
@@ -278,7 +255,6 @@ class SnapshotState:
         shared.update(dynamic)
         self._blob = buf.getvalue()
         self._shared = shared
-        self._fresh = {tag: tuple(lst) for tag, lst in fresh.items()}
 
     # -- restore -----------------------------------------------------------
 
@@ -300,10 +276,12 @@ class SnapshotState:
         if plan is not None:
             self._check_plan(plan)
         resolve = dict(self._shared)
-        resolve[("phys",)] = PhysicalMemory.from_base(self.base)
+        resolve[("phys",)] = PhysicalMemory.from_base(self.base,
+                                                      self.total_frames)
         resolve[("plan",)] = plan
-        machine = _SnapUnpickler(io.BytesIO(self._blob),
-                                 resolve, self._fresh).load()
+        unpickler = pickle.Unpickler(io.BytesIO(self._blob))
+        unpickler.persistent_load = resolve.__getitem__
+        machine = unpickler.load()
         if plan is not None:
             self._seed_plan(plan)
         if bus.ACTIVE:

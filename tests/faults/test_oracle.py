@@ -59,10 +59,10 @@ class TestMarkerExposure:
         pfn = source.phys.total_frames // 2
         source.phys.write(pfn, 0, self.MARKER)
         restored = Machine.from_snapshot(source.snapshot())
-        assert restored.phys._frames[pfn] is None
+        assert pfn not in restored.phys._frames
         assert oracle._marker_visible(restored, self.MARKER)
         # Seeing it did not pull the frame into the restored machine.
-        assert restored.phys._frames[pfn] is None
+        assert pfn not in restored.phys._frames
         assert restored.phys.cow_faults == 0
 
     def test_marker_in_a_raw_disk_block_is_visible(self):

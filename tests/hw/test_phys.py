@@ -16,7 +16,7 @@ class TestPhysicalMemory:
         mem = PhysicalMemory(4)
         assert mem.read_frame(0) is ZERO_PAGE
         assert mem.read_frame(3) is ZERO_PAGE
-        assert mem._frames[0] is None       # reading materialised nothing
+        assert 0 not in mem._frames         # reading materialised nothing
 
     def test_read_write_roundtrip(self):
         mem = PhysicalMemory(4)

@@ -19,7 +19,10 @@ program, native and cloaked) lives in
 ``tests/faults/test_snapshot_equivalence.py``.
 """
 
+import gc
 import random
+import types
+from collections import deque
 
 import pytest
 
@@ -43,8 +46,8 @@ PATTERN = (bytes(range(256)) * (PAGE_SIZE // 256))[:PAGE_SIZE]
 
 
 def _cow_memory():
-    base = [None, PATTERN, None, PATTERN]
-    return base, PhysicalMemory.from_base(base)
+    base = {1: PATTERN, 3: PATTERN}
+    return base, PhysicalMemory.from_base(base, 4)
 
 
 # -- COW physical memory -------------------------------------------------
@@ -58,7 +61,7 @@ class TestPhysCow:
         # itself — zero copies, zero materialisation.
         assert mem.read_frame(1) is base[1]
         assert mem.cow_faults == 0
-        assert mem._frames[1] is None
+        assert 1 not in mem._frames
 
     def test_first_write_is_a_counted_cow_fault(self):
         base, mem = _cow_memory()
@@ -73,9 +76,9 @@ class TestPhysCow:
         assert mem.cow_faults == 1
 
     def test_restores_from_one_base_are_isolated(self):
-        base = [PATTERN, PATTERN]
-        a = PhysicalMemory.from_base(base)
-        b = PhysicalMemory.from_base(base)
+        base = {0: PATTERN, 1: PATTERN}
+        a = PhysicalMemory.from_base(base, 2)
+        b = PhysicalMemory.from_base(base, 2)
         a.write(0, 0, b"A" * PAGE_SIZE)
         assert b.read_frame(0) == PATTERN
         b.zero_frame(0)
@@ -86,10 +89,10 @@ class TestPhysCow:
         mem.zero_frame(1)
         # No 4 KiB allocation happened: the frame stays unmaterialised
         # and no COW fault was charged — the base *entry* was dropped.
-        assert mem._frames[1] is None
+        assert 1 not in mem._frames
         assert mem.cow_faults == 0
         assert mem.read_frame(1) == bytes(PAGE_SIZE)
-        # Only this instance's view changed; the shared list the
+        # Only this instance's view changed; the shared mapping the
         # snapshot owns still carries the frozen contents.
         assert base[1] == PATTERN
 
@@ -98,7 +101,7 @@ class TestPhysCow:
         view = mem.frame_view(1)
         assert view.readonly
         assert bytes(view) == PATTERN
-        assert mem._frames[1] is None      # still not materialised
+        assert 1 not in mem._frames        # still not materialised
 
     def test_freeze_base_composes_and_shares_untouched_frames(self):
         base, mem = _cow_memory()
@@ -108,15 +111,15 @@ class TestPhysCow:
         # snapshot-of-restored-machine costs only the dirty pages.
         assert frozen[1] is base[1]
         assert frozen[2][:5] == b"dirty"
-        assert frozen[0] is None
+        assert 0 not in frozen             # never touched: not captured
 
 
 class TestAllocatorCow:
     def test_free_never_touches_frame_contents(self):
         """Regression: freeing a COW-shared frame must not zero it —
         the allocator moves pfns, the memory layer owns contents."""
-        base = [PATTERN, PATTERN]
-        mem = PhysicalMemory.from_base(base)
+        base = {0: PATTERN, 1: PATTERN}
+        mem = PhysicalMemory.from_base(base, 2)
         alloc = FrameAllocator(2)
         pfn = alloc.alloc()
         alloc.free(pfn)
@@ -164,7 +167,7 @@ class TestRawScan:
         needles = [b"\x00", b"\x00" * 8, b"", self.PLANTED, b"absent!",
                    bytes(rng.choice(self.ALPHABET) for __ in range(2))]
         for needle in needles:
-            frames = list(mem._frames)
+            frames = dict(mem._frames)
             faults = mem.cow_faults
             found = mem.frames_containing(needle)
             assert mem._frames == frames      # nothing materialised
@@ -181,7 +184,7 @@ class TestRawScan:
         fresh.write(23, 100, self.PLANTED)
         self._assert_scans_match(rng, fresh)
 
-        restored = PhysicalMemory.from_base(fresh.freeze_base())
+        restored = PhysicalMemory.from_base(fresh.freeze_base(), 24)
         for __ in range(30):
             pfn = rng.randrange(23)
             if rng.random() < 0.3:
@@ -191,7 +194,7 @@ class TestRawScan:
                                bytes(rng.choice(self.ALPHABET)
                                      for __ in range(4)))
         assert restored.cow_faults > 0
-        assert restored._frames[23] is None
+        assert 23 not in restored._frames
         assert restored.frames_containing(self.PLANTED) == [23]
         self._assert_scans_match(rng, restored)
 
@@ -209,21 +212,20 @@ class TestRawScan:
             plan = FaultPlan.audit(3)
             machine = Machine.from_snapshot(machine.snapshot(), plan)
             phys = machine.phys
-            faulted, shared = [pfn for pfn, contents in enumerate(phys._base)
-                               if contents is not None][:2]
+            faulted, shared = sorted(phys._base)[:2]
             phys.write(faulted, 0, b"cow")
             phys.write(phys.total_frames - 1, 0, b"late")
             assert phys.cow_faults == 1
             needles.append(phys._base[shared][-16:])
         disk = machine.disk
         assert isinstance(disk, FaultyDisk)
-        written = next(block for block in disk._blocks if block is not None)
-        frame = next(f for f in machine.phys._frames if f is not None)
+        written = next(iter(disk._blocks.values()))
+        frame = next(iter(machine.phys._frames.values()))
         needles += [written[:12], bytes(frame[:16])]
 
         def trace():
             return (machine.cycles.total, disk.reads, disk.writes,
-                    machine.phys.cow_faults, list(machine.phys._frames),
+                    machine.phys.cow_faults, dict(machine.phys._frames),
                     {site: plan.opportunities(site)
                      for site in INJECTION_POINTS})
 
@@ -241,8 +243,8 @@ class TestRawScan:
                                                       blocks):
             assert found_frames == self._brute_frames(machine.phys, needle)
             assert found_blocks == [
-                lba for lba, block in enumerate(disk._blocks)
-                if block is not None and needle in block]
+                lba for lba in range(disk.num_blocks)
+                if lba in disk._blocks and needle in disk._blocks[lba]]
         assert frames[-1] and blocks[-2]
 
 
@@ -303,6 +305,43 @@ class TestCaptureRestore:
         with snapshot_mod.force_fresh():
             assert not snapshot_mod.snapshots_enabled()
         assert snapshot_mod.snapshots_enabled()
+
+
+#: Objects the machine graph refers to without owning: following them
+#: would reach the whole interpreter.
+_NOT_OWNED = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType, types.CodeType)
+
+
+def _owned_containers(root):
+    """Every list, dict, set, tuple and deque reachable from ``root``."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, dict, set, tuple, deque)):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, _NOT_OWNED):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+class TestSparseState:
+    def test_a_restored_machine_holds_nothing_memory_sized(self):
+        """Regression: frames, free stacks and disk blocks hold only what
+        was touched, so a restore (and every collector pass over the
+        restored machine) costs O(touched state), not O(memory)."""
+        machine = Machine.from_snapshot(_booted().snapshot())
+        measure_program(machine, "mb-write4k", ("2",))
+        restored = Machine.from_snapshot(machine.snapshot())
+        params = restored.params
+        limit = min(params.total_frames, params.disk_blocks)
+        sizes = sorted(len(c) for c in _owned_containers(restored))
+        assert len(sizes) > 100            # the walk did reach the graph
+        assert sizes[-1] < limit
 
 
 def count_captures(fn):
@@ -409,8 +448,7 @@ class TestSnapshotProbes:
             restored = Machine.from_snapshot(snap)
             # Dirty a boot-written frame: the first write to a frame
             # the snapshot carries is the COW fault being probed.
-            pfn = next(i for i, contents in enumerate(snap.base)
-                       if contents is not None)
+            pfn = min(snap.base)
             restored.phys.write(pfn, 0, b"\x00")
         finally:
             bus.detach(metrics)

@@ -97,8 +97,7 @@ def test_snapshot_capture_restore_with_a_cow_fault():
     def run():
         snap = machine.snapshot()
         restored = Machine.from_snapshot(snap)
-        pfn = next(i for i, contents in enumerate(snap.base)
-                   if contents is not None)
+        pfn = min(snap.base)
         restored.phys.write(pfn, 0, b"\x00")
 
     registry, events = recorded(machine, run)
