@@ -1,14 +1,9 @@
 """R-T6: the differential fuzzing campaign."""
 
-import json
-from pathlib import Path
-
 from repro.apps.microbench import MICRO_SUITE
 from repro.bench import exp_fuzz
 from repro.bench.runner import fresh_machine, measure_program
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-COMMITTED_BENCH = REPO_ROOT / "BENCH_wallclock.json"
+from tests.integration.test_ledger_golden import golden_mb_suite_cycles
 
 
 def test_exp_fuzz(once):
@@ -33,11 +28,10 @@ def test_exp_fuzz(once):
 
 def test_campaign_leaves_bench_cycles_untouched():
     """A campaign must not leak state into the cycle-accounted world:
-    the mb-suite totals pinned in BENCH_wallclock.json have to come
-    out identical when measured right after a fuzz run."""
+    the mb-suite total pinned in the ledger golden has to come out
+    identical when measured right after a fuzz run."""
     exp_fuzz.run(verbose=False, count=8)
     machine = fresh_machine(cloaked=True)
     cycles = sum(measure_program(machine, cls.name, ()).cycles_total
                  for cls in MICRO_SUITE)
-    committed = json.loads(COMMITTED_BENCH.read_text(encoding="utf-8"))
-    assert cycles == committed["workloads"]["mb-suite"]["cycles"]
+    assert cycles == golden_mb_suite_cycles()

@@ -6,7 +6,6 @@ Usage::
     python -m repro r-f1 r-t2     # run selected experiments
     python -m repro --list        # show available experiments
     python -m repro faults        # differential conformance + fault matrix
-    python -m repro wallclock     # virtual-cycle pin -> BENCH_wallclock.json
     python -m repro trace mb-read4k --cloaked --out trace.json
                                   # probe-bus trace -> Perfetto-loadable JSON
     python -m repro fuzz           # seeded differential fuzzing campaign
@@ -15,8 +14,11 @@ Usage::
     python -m repro serve --shards 4
                                   # open-loop cluster serving -> merged
                                   # deterministic JSON report
+
+Each subcommand takes ``--help``.
 """
 
+import argparse
 import sys
 from typing import Callable, Dict
 
@@ -39,7 +41,6 @@ def _experiments() -> Dict[str, Callable]:
         exp_syscalls,
         exp_transitions,
         exp_webserver,
-        exp_fuzz,
     )
 
     return {
@@ -87,23 +88,26 @@ DESCRIPTIONS = {
 }
 
 
-def _faults_main(args) -> int:
+def _faults_main(argv) -> int:
     """``python -m repro faults``: the fault-injection oracle.
 
-    Runs the differential conformance sweep (every registered app,
-    native vs cloaked, double-run determinism) and the fault-recovery
-    matrix; exits non-zero if any invariant fails.  ``--seed N``
-    reseeds the matrix plans; ``--matrix-only`` skips the (slower)
-    conformance sweep.
+    Exits non-zero if any invariant fails.
     """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro faults", allow_abbrev=False,
+        description="Run the differential conformance sweep (every "
+                    "registered app, native vs cloaked, double-run "
+                    "determinism) and the fault-recovery matrix.")
+    parser.add_argument("--seed", type=int, default=7, metavar="N",
+                        help="reseed the matrix plans (default 7)")
+    parser.add_argument("--matrix-only", action="store_true",
+                        help="skip the (slower) conformance sweep")
+    args = parser.parse_args(argv)
+
     from repro.faults import oracle
 
-    seed = 7
-    if "--seed" in args:
-        seed = int(args[args.index("--seed") + 1])
-
     failures = 0
-    if "--matrix-only" not in args:
+    if not args.matrix_only:
         print("## differential conformance (native vs cloaked, "
               "double-run determinism)")
         results = oracle.run_conformance(verbose=True)
@@ -112,10 +116,10 @@ def _faults_main(args) -> int:
         print(f"conformance: {len(results)} programs, "
               f"{len(bad)} failures")
 
-    print(f"\n## fault-recovery matrix (seed {seed})")
+    print(f"\n## fault-recovery matrix (seed {args.seed})")
     from repro.bench import exp_faults
 
-    rows = exp_faults.run(verbose=True, seed=seed)
+    rows = exp_faults.run(verbose=True, seed=args.seed)
     escaped = [r for r in rows
                if r.outcome not in oracle.CONTAINED_OUTCOMES]
     unfired = [r for r in rows if r.fires == 0]
@@ -130,29 +134,36 @@ def _faults_main(args) -> int:
     return 1 if failures else 0
 
 
-def _fuzz_main(args) -> int:
-    """``python -m repro fuzz``: seeded differential fuzzing.
-
-    Default: a campaign of generated self-checking guest programs run
-    native-vs-cloaked under the oracle (``--seed``, ``--count``,
-    ``--fault-sites``, ``--no-shrink``, ``--out report.json``).
-    ``--replay 'SEED:{spec-json}'`` re-runs one reproducer exactly as
-    printed by a failing campaign.  ``--write-golden [PATH]``
-    regenerates the pinned listing digests consumed by
-    tests/gen/test_golden.py.
-    """
+def _fuzz_main(argv) -> int:
+    """``python -m repro fuzz``: seeded differential fuzzing."""
     from repro.gen import driver
     from repro.gen.generator import generate
     from repro.gen.shrink import check_failure
 
-    def flag_value(name, default=None):
-        if name in args:
-            return args[args.index(name) + 1]
-        return default
+    parser = argparse.ArgumentParser(
+        prog="python -m repro fuzz", allow_abbrev=False,
+        description="Run a campaign of generated self-checking guest "
+                    "programs native-vs-cloaked under the oracle, or "
+                    "re-run one reproducer.")
+    parser.add_argument("--replay", type=driver.parse_replay_token,
+                        metavar="SEED:SPEC",
+                        help="re-run one reproducer exactly as printed by "
+                             "a failing campaign ('SEED:{spec-json}')")
+    parser.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="campaign seed (default 0)")
+    parser.add_argument("--count", type=int, default=64, metavar="N",
+                        help="generated programs (default 64)")
+    parser.add_argument("--fault-sites", action="store_true",
+                        help="arm a rotating fault-injection site in every "
+                             "program")
+    parser.add_argument("--no-shrink", action="store_true",
+                        help="do not shrink failing programs")
+    parser.add_argument("--out", metavar="PATH",
+                        help="also write the campaign report JSON to PATH")
+    args = parser.parse_args(argv)
 
-    if "--replay" in args:
-        token = flag_value("--replay")
-        seed, spec = driver.parse_replay_token(token)
+    if args.replay is not None:
+        seed, spec = args.replay
         plan = generate(seed, spec)
         print(f"replaying {plan.name}: seed={seed} preset={spec.preset} "
               f"ops={len(plan.ops)}")
@@ -165,22 +176,11 @@ def _fuzz_main(args) -> int:
         print(f"replay: FAIL [{kind}] {detail}")
         return 1
 
-    if "--write-golden" in args:
-        from repro.gen.golden import write_golden
-
-        index = args.index("--write-golden")
-        path = None
-        if index + 1 < len(args) and not args[index + 1].startswith("-"):
-            path = args[index + 1]
-        written = write_golden(path)
-        print(f"golden listings written: {written}")
-        return 0
-
     report = driver.run_campaign(
-        campaign_seed=int(flag_value("--seed", 0)),
-        count=int(flag_value("--count", 64)),
-        fault_sites="--fault-sites" in args,
-        shrink_failures="--no-shrink" not in args,
+        campaign_seed=args.seed,
+        count=args.count,
+        fault_sites=args.fault_sites,
+        shrink_failures=not args.no_shrink,
         verbose=True,
     )
     print(f"\nfuzz: {report.count} programs, "
@@ -188,53 +188,59 @@ def _fuzz_main(args) -> int:
           f"syscalls missing {report.syscalls_missing() or 'none'}, "
           f"fault sites {len(report.fault_sites)}/14")
     print(f"report digest: {report.digest()}")
-    out = flag_value("--out")
-    if out is not None:
-        with open(out, "w") as sink:
+    if args.out is not None:
+        with open(args.out, "w") as sink:
             sink.write(report.to_json())
-        print(f"report written: {out}")
+        print(f"report written: {args.out}")
     return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
+    command = args[0].lower() if args else None
 
-    if args and args[0].lower() == "faults":
-        return _faults_main([a.lower() for a in args[1:]])
+    if command == "faults":
+        return _faults_main(args[1:])
 
-    if args and args[0].lower() == "fuzz":
+    if command == "fuzz":
         return _fuzz_main(args[1:])
 
-    if args and args[0].lower() == "serve":
+    if command == "serve":
         from repro.bench.exp_cluster import serve_main
 
         return serve_main(args[1:])
 
-    if args and args[0].lower() == "wallclock":
-        from repro.bench import wallclock
-
-        return wallclock.main(args[1:])
-
-    if args and args[0].lower() == "trace":
+    if command == "trace":
         from repro.obs.cli import main as trace_main
 
         return trace_main(args[1:])
 
+    parser = argparse.ArgumentParser(
+        prog="python -m repro", allow_abbrev=False,
+        description="Regenerate the evaluation: run every experiment (or "
+                    "the ones named) and print its tables.  Subcommands: "
+                    "faults, fuzz, serve, trace.")
+    parser.add_argument("keys", nargs="*", type=str.lower, metavar="KEY",
+                        help="experiment keys, case-insensitive "
+                             "(default: all)")
+    parser.add_argument("-l", "--list", action="store_true",
+                        help="show available experiments")
+    parsed = parser.parse_intermixed_args(args)
+
     experiments = _experiments()
 
-    if "--list" in args or "-l" in args:
+    if parsed.list:
         for key in experiments:
             print(f"{key:6s} {DESCRIPTIONS[key]}")
         return 0
 
-    selected = [a.lower() for a in args if not a.startswith("-")]
-    unknown = [key for key in selected if key not in experiments]
+    unknown = [key for key in parsed.keys if key not in experiments]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(experiments)}", file=sys.stderr)
         return 2
 
-    for key in selected or experiments:
+    for key in parsed.keys or experiments:
         print(f"\n### {key.upper()}: {DESCRIPTIONS[key]}")
         experiments[key](verbose=True)
     return 0

@@ -17,9 +17,10 @@ Also the home of ``python -m repro serve`` (:func:`serve_main`), the
 CLI over :func:`repro.serve.cluster.run_cluster`.
 """
 
+import argparse
 import sys
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.bench.tables import Series, Table
 from repro.serve.cluster import ClusterConfig, report_json, run_cluster
@@ -103,74 +104,76 @@ def run(verbose: bool = True) -> Dict:
 # ``python -m repro serve``
 # ---------------------------------------------------------------------------
 
-_USAGE = """\
-usage: python -m repro serve [options]
-
-Run one open-loop cluster serving experiment and print the merged
-deterministic report as JSON (byte-identical across --inline and
-multiprocess runs, worker counts, and hosts).
-
-options:
-  --shards N        shard count (default 4)
-  --app NAME        webserver | kvstore (default webserver)
-  --cloaked         run the protected server under the VMM shim
-  --requests N      scheduled arrivals (default 64)
-  --mean-gap N      mean inter-arrival gap, cycles (default 12000)
-  --arrival KIND    poisson | bursty | uniform (default poisson)
-  --connections N   multiplexed logical connections (default 4)
-  --deadline N      per-request SLO deadline, cycles (default 240000)
-  --seed N          schedule seed (default 0)
-  --workers N       max concurrent worker processes (default: shards)
-  --inline          run every shard in-process (no forking)
-  --kill LIST       comma-separated shards whose workers die mid-run
-  --no-metrics      skip the merged repro.obs metrics section
-  --out PATH        also write the report JSON to PATH
-  --summary         print a short human summary instead of the JSON
-"""
+def _shard_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
-def _flag_value(args: List[str], name: str, default=None):
-    if name in args:
-        return args[args.index(name) + 1]
-    return default
-
-
-def serve_main(args: List[str]) -> int:
-    if "--help" in args or "-h" in args:
-        print(_USAGE)
-        return 0
-    app = _flag_value(args, "--app", "webserver")
-    arrival = _flag_value(args, "--arrival", "poisson")
-    if app not in APPS or arrival not in ARRIVALS:
-        print(_USAGE, file=sys.stderr)
-        return 2
-    kill_arg = _flag_value(args, "--kill", "")
-    kill = tuple(int(s) for s in kill_arg.split(",") if s.strip())
+def serve_main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro serve", allow_abbrev=False,
+        description="Run one open-loop cluster serving experiment and print "
+                    "the merged deterministic report as JSON (byte-identical "
+                    "across --inline and multiprocess runs, worker counts, "
+                    "and hosts).")
+    parser.add_argument("--shards", type=int, default=4, metavar="N",
+                        help="shard count (default 4)")
+    parser.add_argument("--app", choices=APPS, default="webserver",
+                        help="server application (default webserver)")
+    parser.add_argument("--cloaked", action="store_true",
+                        help="run the protected server under the VMM shim")
+    parser.add_argument("--requests", type=int, default=64, metavar="N",
+                        help="scheduled arrivals (default 64)")
+    parser.add_argument("--mean-gap", type=int, default=12_000, metavar="N",
+                        help="mean inter-arrival gap, cycles (default 12000)")
+    parser.add_argument("--arrival", choices=ARRIVALS, default="poisson",
+                        help="arrival process (default poisson)")
+    parser.add_argument("--connections", type=int, default=4, metavar="N",
+                        help="multiplexed logical connections (default 4)")
+    parser.add_argument("--deadline", type=int, default=240_000, metavar="N",
+                        help="per-request SLO deadline, cycles "
+                             "(default 240000)")
+    parser.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="schedule seed (default 0)")
+    parser.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="max concurrent worker processes "
+                             "(default: shards)")
+    parser.add_argument("--inline", action="store_true",
+                        help="run every shard in-process (no forking)")
+    parser.add_argument("--kill", type=_shard_list, default=(), metavar="LIST",
+                        help="comma-separated shards whose workers die "
+                             "mid-run")
+    parser.add_argument("--no-metrics", action="store_true",
+                        help="skip the merged repro.obs metrics section")
+    parser.add_argument("--out", metavar="PATH",
+                        help="also write the report JSON to PATH")
+    parser.add_argument("--summary", action="store_true",
+                        help="print a short human summary instead of the "
+                             "JSON")
+    args = parser.parse_args(argv)
     config = ClusterConfig(
         spec=LoadSpec(
-            app=app,
-            requests=int(_flag_value(args, "--requests", 64)),
-            mean_gap=int(_flag_value(args, "--mean-gap", 12_000)),
-            arrival=arrival,
-            connections=int(_flag_value(args, "--connections", 4)),
-            deadline=int(_flag_value(args, "--deadline", 240_000)),
-            seed=int(_flag_value(args, "--seed", 0)),
+            app=args.app,
+            requests=args.requests,
+            mean_gap=args.mean_gap,
+            arrival=args.arrival,
+            connections=args.connections,
+            deadline=args.deadline,
+            seed=args.seed,
         ),
-        shards=int(_flag_value(args, "--shards", 4)),
-        cloaked="--cloaked" in args,
-        workers=int(_flag_value(args, "--workers", 0)),
-        inline="--inline" in args,
-        kill_shards=kill,
-        attach_metrics="--no-metrics" not in args,
+        shards=args.shards,
+        cloaked=args.cloaked,
+        workers=args.workers,
+        inline=args.inline,
+        kill_shards=args.kill,
+        attach_metrics=not args.no_metrics,
     )
     report = run_cluster(config)
     rendered = report_json(report)
-    out = _flag_value(args, "--out")
-    if out is not None:
-        with open(out, "w") as sink:
+    if args.out is not None:
+        with open(args.out, "w") as sink:
             sink.write(rendered)
-        print(f"report written: {out}", file=sys.stderr)
-    if "--summary" in args:
+        print(f"report written: {args.out}", file=sys.stderr)
+    if args.summary:
         cluster = report["cluster"]
         print(f"serve: {config.spec.app} shards={config.shards} "
               f"cloaked={config.cloaked} arrival={config.spec.arrival}")

@@ -8,10 +8,9 @@ ranges (the shim's marshalling buffers and trampoline) is uncloaked
 by construction.
 """
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.crypto import PageCipher
-from repro.hw.params import PAGE_SHIFT
 
 #: Domain id of the system world (kernel + uncloaked applications).
 SYSTEM_DOMAIN = 0
@@ -87,10 +86,6 @@ class ProtectionDomain:
     def is_cloaked(self, vpn: int) -> bool:
         return any(vpn in r for r in self._ranges)
 
-    def cloaked_vpns(self) -> Iterator[int]:
-        for r in self._ranges:
-            yield from range(r.start_vpn, r.end_vpn)
-
     def ranges(self) -> List[CloakedRange]:
         return list(self._ranges)
 
@@ -163,6 +158,3 @@ class DomainTable:
         domain = self.get(domain_id)
         domain.active = False
         del self._domains[domain_id]
-
-    def all_domains(self) -> List[ProtectionDomain]:
-        return list(self._domains.values())

@@ -19,7 +19,7 @@ dropped producer, and :class:`FileModel` then recomputes every
 expected byte, so *any* drop set yields a valid self-checking program.
 """
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 #: Resource-token kinds (first element of a token tuple).
 KIND_FD = "fd"          # an open content-file handle
@@ -59,9 +59,6 @@ class ResourcePool:
     def live(self, kind: str) -> Tuple[int, ...]:
         """Live ids of ``kind``, in creation order."""
         return tuple(self._order.get(kind, ()))
-
-    def is_live(self, token: Token) -> bool:
-        return token in self._live
 
     def admissible(self, needs: Iterable[Token]) -> bool:
         return all(token in self._live for token in needs)

@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.guestos import layout, uapi
 from repro.guestos.blockcache import BlockCache, DMAGateway
 from repro.guestos.process import AddressSpace, OpenFile, Process, ProcessState, VMA
-from repro.guestos.ramfs import InodeType, RamFS
+from repro.guestos.ramfs import RamFS
 from repro.guestos.scheduler import Scheduler
 from repro.guestos.uapi import Blocked, Syscall, WaitChannel
 from repro.guestos.vfs import VFS, VFSError
@@ -157,9 +157,6 @@ class Kernel:
 
     def registered(self, name: str) -> bool:
         return name in self._registry
-
-    def image_of(self, name: str) -> bytes:
-        return self._registry[name].image
 
     def spawn(self, name: str, argv: Tuple[str, ...] = (),
               ppid: int = 0) -> Process:
@@ -485,7 +482,3 @@ class Kernel:
 
     def process(self, pid: int) -> Optional[Process]:
         return self.processes.get(pid)
-
-    def live_processes(self) -> List[Process]:
-        return [p for p in self.processes.values()
-                if p.state not in (ProcessState.DEAD,)]

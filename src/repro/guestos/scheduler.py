@@ -53,6 +53,3 @@ class Scheduler:
     def wake(self, proc: Process) -> None:
         if proc.state is ProcessState.BLOCKED:
             self.enqueue(proc)
-
-    def has_work(self) -> bool:
-        return bool(self._ready)

@@ -47,11 +47,6 @@ class RegisterFile:
         return dict(self._regs)
 
     def load(self, values: Dict[str, int]) -> None:
-        if values.keys() == self._regs.keys():
-            # Full-file load (the snapshot()/CTC-restore case): one C
-            # dict update instead of ten lookups with defaults.
-            self._regs.update(values)
-            return
         for name in ALL_REGISTERS:
             self._regs[name] = values.get(name, 0)
 
@@ -62,9 +57,6 @@ class RegisterFile:
         cloaked context: the kernel sees only the registers it is
         entitled to (e.g. syscall arguments on an intentional call).
         """
-        if not keep:
-            self._regs = dict.fromkeys(ALL_REGISTERS, 0)
-            return
         for name in self._regs:
             if name not in keep:
                 self._regs[name] = 0

@@ -313,7 +313,7 @@ class Machine:
             executed += self._run_slice(proc)
             if bus.ACTIVE:
                 # Per-slice aggregate of the TLB's fast-path counters:
-                # per-hit probes would swamp the bus (and the wallclock
+                # per-hit probes would swamp the bus (and the host-time
                 # budget); cumulative totals at slice boundaries carry
                 # the same information.
                 bus.tlb_hits(self.tlb.hits, self.tlb.misses)
@@ -414,7 +414,8 @@ class Machine:
         # decides exactly what `isinstance(op, Alu)` decides, and
         # anything else is not a user op at all: a TypeError.
         # Costs, charge order, and timeslice boundaries are untouched —
-        # the cycle ledger stays bit-identical (wallclock --check).
+        # the cycle ledger stays bit-identical (the ledger golden and
+        # cycle_hash tests).
         next_op = proc.runtime.next_op
         user_memory = self._user_memory
         execute = cpu.execute

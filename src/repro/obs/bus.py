@@ -31,7 +31,7 @@ import graph.
 Probes never charge cycles, never mutate machine state, and carry only
 plain ints/strings — attaching and detaching a sink leaves the
 virtual-cycle ledger bit-identical (the determinism tests and the
-``BENCH_wallclock.json`` hash prove it).
+tier-1 ``cycle_hash`` test prove it).
 
 Sink protocol::
 

@@ -19,50 +19,36 @@ Everything emitted is derived from the deterministic virtual-cycle
 world, so repeated invocations produce byte-identical files.
 """
 
-from typing import List, Optional, Tuple
-
-USAGE = ("usage: python -m repro trace <program|microbench> [args...] "
-         "[--native|--cloaked] [--out PATH] [--jsonl PATH] "
-         "[--metrics] [--metrics-out PATH] [--top N] [--quiet]")
+import argparse
+from typing import List, Tuple
 
 
-def _parse(argv: List[str]):
-    program: Optional[str] = None
-    args: List[str] = []
-    cloaked = True
-    out = jsonl = metrics_out = None
-    want_metrics = False
-    quiet = False
-    top = 10
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--native":
-            cloaked = False; i += 1
-        elif arg == "--cloaked":
-            cloaked = True; i += 1
-        elif arg == "--out":
-            out = argv[i + 1]; i += 2
-        elif arg == "--jsonl":
-            jsonl = argv[i + 1]; i += 2
-        elif arg == "--metrics":
-            want_metrics = True; i += 1
-        elif arg == "--metrics-out":
-            metrics_out = argv[i + 1]; want_metrics = True; i += 2
-        elif arg == "--top":
-            top = int(argv[i + 1]); i += 2
-        elif arg == "--quiet":
-            quiet = True; i += 1
-        elif arg.startswith("-"):
-            raise ValueError(f"unknown trace option: {arg}")
-        elif program is None:
-            program = arg; i += 1
-        else:
-            args.append(arg); i += 1
-    if program is None:
-        raise ValueError("no program named")
-    return (program, tuple(args), cloaked, out, jsonl, want_metrics,
-            metrics_out, top, quiet)
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro trace", allow_abbrev=False,
+        description="Run a program with the probe bus on.")
+    parser.add_argument("program", help="a registered app, or microbench "
+                        "for the whole syscall microbenchmark suite")
+    parser.add_argument("args", nargs="*", default=[],
+                        help="the program's arguments")
+    parser.add_argument("--native", dest="cloaked", action="store_false",
+                        help="run uncloaked")
+    parser.add_argument("--cloaked", dest="cloaked", action="store_true",
+                        help="run cloaked (the default)")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write Chrome trace-event JSON")
+    parser.add_argument("--jsonl", metavar="PATH",
+                        help="write the line-per-event trace")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the counter/histogram snapshot")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="write the counter/histogram snapshot "
+                             "(implies --metrics)")
+    parser.add_argument("--top", type=int, default=10, metavar="N",
+                        help="rows of the page-thrash report (default 10)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="skip the flame summary and thrash report")
+    return parser
 
 
 def _run_traced(program: str, args: Tuple[str, ...], cloaked: bool,
@@ -103,51 +89,45 @@ def _run_traced(program: str, args: Tuple[str, ...], cloaked: bool,
 
 
 def main(argv: List[str]) -> int:
-    try:
-        (program, args, cloaked, out, jsonl, want_metrics, metrics_out,
-         top, quiet) = _parse(argv)
-    except (ValueError, IndexError) as exc:
-        print(f"trace: {exc}")
-        print(USAGE)
-        return 2
-
+    args = _parser().parse_intermixed_args(argv)
     try:
         machine, recorder, metrics, profiler, exit_codes = _run_traced(
-            program, args, cloaked, want_metrics)
+            args.program, tuple(args.args), args.cloaked,
+            args.metrics or args.metrics_out is not None)
     except KeyError as exc:
         print(f"trace: unknown program {exc}")
         return 2
 
     from repro.obs import export
 
-    world = "cloaked" if cloaked else "native"
+    world = "cloaked" if args.cloaked else "native"
     distinct = len({name for name, __, __a in recorder.events})
-    print(f"trace: {program} ({world}), {len(recorder.events)} events "
+    print(f"trace: {args.program} ({world}), {len(recorder.events)} events "
           f"across {distinct} probes, "
           f"{machine.cycles.total:,} virtual cycles")
     failed = [(name, code) for name, code in exit_codes if code != 0]
     for name, code in failed:
         print(f"trace: {name} exited {code}")
 
-    if not quiet:
+    if not args.quiet:
         print()
         print(profiler.render_flame())
         print()
-        print(profiler.render_thrash(top))
+        print(profiler.render_thrash(args.top))
         if metrics is not None:
             print()
             print(metrics.render())
 
-    if out is not None:
-        path = export.write_chrome_trace(recorder.events, out)
+    if args.out is not None:
+        path = export.write_chrome_trace(recorder.events, args.out)
         print(f"wrote Chrome trace to {path} "
               "(open at https://ui.perfetto.dev; clock = virtual cycles)")
-    if jsonl is not None:
-        path = export.write_jsonl(recorder.events, jsonl)
+    if args.jsonl is not None:
+        path = export.write_jsonl(recorder.events, args.jsonl)
         print(f"wrote JSONL trace to {path}")
-    if metrics is not None and metrics_out is not None:
+    if metrics is not None and args.metrics_out is not None:
         from pathlib import Path
 
-        Path(metrics_out).write_text(metrics.to_json(), encoding="utf-8")
-        print(f"wrote metrics snapshot to {metrics_out}")
+        Path(args.metrics_out).write_text(metrics.to_json(), encoding="utf-8")
+        print(f"wrote metrics snapshot to {args.metrics_out}")
     return 1 if failed else 0

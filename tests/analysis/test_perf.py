@@ -87,8 +87,8 @@ def test_real_harness_modules_are_clean():
 
     from repro.analysis.engine import ModuleInfo
 
-    for rel in ("src/repro/bench/runner.py", "src/repro/bench/wallclock.py",
-                "src/repro/faults/oracle.py", "src/repro/gen/driver.py"):
+    for rel in ("src/repro/bench/runner.py", "src/repro/faults/oracle.py",
+                "src/repro/gen/driver.py"):
         path = Path(rel)
         mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))
         assert check(BOOT_RULE, mod) == [], rel

@@ -3,6 +3,20 @@
 import pytest
 
 from repro.__main__ import DESCRIPTIONS, _experiments, main
+from repro.machine import Machine
+
+#: Mistyped options and options missing their value: each must stop at
+#: parsing, before any machine runs.
+PARSE_ERRORS = [
+    ["serve", "--shard", "1"],
+    ["serve", "--requests"],
+    ["fuzz", "--count", "1", "--no-shrnk"],
+    ["fuzz", "--seed"],
+    ["fuzz", "--replay", "garbage"],
+    ["faults", "--matrix-only", "--sed", "3"],
+    ["--bogus-flag", "r-t1"],
+    ["trace", "mb-read4k", "--frobnicate"],
+]
 
 
 class TestCLI:
@@ -29,3 +43,17 @@ class TestCLI:
 
     def test_selection_is_case_insensitive(self, capsys):
         assert main(["R-T1"]) == 0
+
+    @pytest.mark.parametrize("argv", PARSE_ERRORS, ids=" ".join)
+    def test_bad_option_exits_2_before_any_run(self, argv, monkeypatch,
+                                               capsys):
+        def no_workload(machine, *args, **kwargs):
+            raise AssertionError("a machine ran")
+
+        monkeypatch.setattr(Machine, "run", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: python -m repro")

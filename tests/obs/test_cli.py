@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.obs.export import validate_chrome_trace
 
@@ -50,9 +52,17 @@ class TestTraceCLI:
         assert "unknown program" in capsys.readouterr().out
 
     def test_missing_program_rejected(self, capsys):
-        assert main(["trace", "--cloaked"]) == 2
-        assert "usage" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--cloaked"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro trace")
+        assert "required: program" in err
 
     def test_unknown_option_rejected(self, capsys):
-        assert main(["trace", "mb-read4k", "--frobnicate"]) == 2
-        assert "unknown trace option" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "mb-read4k", "--frobnicate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro trace")
+        assert "unrecognized arguments: --frobnicate" in err

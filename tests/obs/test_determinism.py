@@ -6,12 +6,11 @@ Two properties anchor the subsystem:
   traces and metric snapshots (the virtual-cycle clock is the only
   timestamp source);
 * **neutrality** — attaching sinks changes no virtual-cycle figure:
-  the mb-suite totals recorded in ``BENCH_wallclock.json`` must come
-  out identical with and without a recorder attached.
+  the mb-suite total recorded in the ledger golden must come out
+  identical with and without a recorder attached.
 """
 
 import json
-from pathlib import Path
 
 from repro.apps.microbench import MICRO_SUITE
 from repro.bench.runner import fresh_machine, measure_program
@@ -19,9 +18,7 @@ from repro.obs import bus
 from repro.obs.export import (TraceRecorder, to_jsonl, to_chrome_trace,
                               validate_chrome_trace)
 from repro.obs.metrics import MetricsRegistry
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-COMMITTED_BENCH = REPO_ROOT / "BENCH_wallclock.json"
+from tests.integration.test_ledger_golden import golden_mb_suite_cycles
 
 
 def traced_run(program="mb-readsec4k", args=("4",)):
@@ -65,7 +62,7 @@ class TestTraceDeterminism:
 
 
 def mb_suite_cycles(attach_sink: bool) -> int:
-    """The wallclock harness's mb-suite workload, optionally traced."""
+    """The mb-suite workload of ``cycle_hash``, optionally traced."""
     machine = fresh_machine(cloaked=True)
     recorder = TraceRecorder()
     if attach_sink:
@@ -84,6 +81,4 @@ class TestSinkNeutrality:
             == mb_suite_cycles(attach_sink=False)
 
     def test_traced_totals_match_committed_benchmark(self):
-        committed = json.loads(COMMITTED_BENCH.read_text(encoding="utf-8"))
-        expected = committed["workloads"]["mb-suite"]["cycles"]
-        assert mb_suite_cycles(attach_sink=True) == expected
+        assert mb_suite_cycles(attach_sink=True) == golden_mb_suite_cycles()
