@@ -70,13 +70,15 @@ class CTCTable:
     """All cloaked thread contexts, keyed by thread (pid)."""
 
     def __init__(self) -> None:
-        self._contexts: Dict[int, CloakedThreadContext] = {}
+        #: pid -> context.  The world-switch path reads it directly and
+        #: falls back to :meth:`get` (the one creator) on a miss.
+        self.by_pid: Dict[int, CloakedThreadContext] = {}
 
     def get(self, pid: int) -> CloakedThreadContext:
-        ctc = self._contexts.get(pid)
+        ctc = self.by_pid.get(pid)
         if ctc is None:
             ctc = CloakedThreadContext(pid)
-            self._contexts[pid] = ctc
+            self.by_pid[pid] = ctc
         return ctc
 
     def clone(self, parent_pid: int, child_pid: int) -> CloakedThreadContext:
@@ -90,7 +92,7 @@ class CTCTable:
         return child
 
     def drop(self, pid: int) -> None:
-        self._contexts.pop(pid, None)
+        self.by_pid.pop(pid, None)
 
     def __len__(self) -> int:
-        return len(self._contexts)
+        return len(self.by_pid)

@@ -84,7 +84,12 @@ class ProtectionDomain:
         return False
 
     def is_cloaked(self, vpn: int) -> bool:
-        return any(vpn in r for r in self._ranges)
+        # Asked on every shadow fill of a cloaked view: the range test
+        # is inline rather than a generator of ``__contains__`` calls.
+        for r in self._ranges:
+            if r.start_vpn <= vpn < r.end_vpn:
+                return True
+        return False
 
     def ranges(self) -> List[CloakedRange]:
         return list(self._ranges)

@@ -63,6 +63,16 @@ TRANSITIONS: FrozenSet[Tuple[CloakState, CloakState]] = frozenset({
     (CloakState.PLAINTEXT_DIRTY, CloakState.PLAINTEXT_DIRTY),
 })
 
+# Each state's successors, derived once from TRANSITIONS and kept on
+# the member: ``transition`` checks ``target in state.successors``, a
+# tuple scan that compares identity first, so the check never runs
+# the Python-level ``Enum.__hash__`` a set probe of a plain-Enum pair
+# would.
+for _state in CloakState:
+    _state.successors = tuple(
+        target for target in CloakState if (_state, target) in TRANSITIONS)
+del _state
+
 
 #: How many superseded versions to remember for replay *labelling*.
 HISTORY_DEPTH = 4
@@ -116,7 +126,7 @@ class PageMetadata:
         """Move to ``target``; the one writer of :attr:`state` after
         construction.  An edge outside :data:`TRANSITIONS` raises
         :class:`IntegrityViolation` before anything is mutated."""
-        if (self.state, target) not in TRANSITIONS:
+        if target not in self.state.successors:
             raise IntegrityViolation(
                 self.owner_id, self.vpn,
                 f"illegal cloak-state transition {self.state.name} -> "

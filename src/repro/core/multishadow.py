@@ -70,12 +70,22 @@ class MultiShadow:
         return ctx
 
     def lookup(self, asid: int, view: int, vpn: int) -> Optional[TLBEntry]:
-        entry = self.context(asid, view).entries.get(vpn)
-        self._stats.bump("shadow.hits" if entry is not None else "shadow.misses")
+        """One frame per shadow fill: the context probe and the hit or
+        miss counter are inline.  A miss on the context still creates
+        it (R-T3 reports ``shadow_contexts``)."""
+        ctx = self._shadows.get((asid, view))
+        if ctx is None:
+            ctx = self.context(asid, view)
+        entry = ctx.entries.get(vpn)
+        name = "shadow.hits" if entry is not None else "shadow.misses"
+        counts = self._stats.counts
+        counts[name] = counts.get(name, 0) + 1
         return entry
 
     def install(self, asid: int, view: int, entry: TLBEntry) -> None:
-        ctx = self.context(asid, view)
+        ctx = self._shadows.get((asid, view))
+        if ctx is None:
+            ctx = self.context(asid, view)
         old = ctx.entries.get(entry.vpn)
         if old is not None and old.pfn != entry.pfn:
             # Overwriting a mapping that pointed at a different frame:
@@ -90,7 +100,8 @@ class MultiShadow:
         )
         if self._entry_count > self.peak_entries:
             self.peak_entries = self._entry_count
-        self._stats.bump("shadow.fills")
+        counts = self._stats.counts
+        counts["shadow.fills"] = counts.get("shadow.fills", 0) + 1
 
     # -- invalidation ------------------------------------------------------------
 

@@ -324,7 +324,9 @@ class VMM(TranslationAuthority):
         self._domain_threads.setdefault(domain_id, set()).add(pid)
 
     # A world switch writes the MMU's access context (the machine's
-    # one copy of asid, view and mode) directly, once per switch.
+    # one copy of asid, view and mode) directly, once per switch, and
+    # bumps its counter in place: the switch path enters no frame for
+    # bookkeeping.
 
     def enter_user(self, pid: int, asid: int) -> int:
         """Transfer control to user mode for thread ``pid``.
@@ -343,7 +345,9 @@ class VMM(TranslationAuthority):
         mmu.view = domain_id
         mmu.mode = MODE_USER
         if domain_id != SYSTEM_DOMAIN:
-            ctc = self.ctcs.get(pid)
+            ctc = self.ctcs.by_pid.get(pid)
+            if ctc is None:
+                ctc = self.ctcs.get(pid)
             if ctc.valid:
                 self._cpu.regs.load(ctc.restore())
                 # One ledger call for both same-category costs: the sum
@@ -354,7 +358,9 @@ class VMM(TranslationAuthority):
                 # First entry of a fresh cloaked thread: defined state.
                 self._cpu.regs.scrub()
                 self._cycles.charge("vmm", self._costs.world_switch)
-            self.stats.bump("vmm.cloaked_entries")
+            counts = self.stats.counts
+            counts["vmm.cloaked_entries"] = \
+                counts.get("vmm.cloaked_entries", 0) + 1
         else:
             self._cycles.charge("vmm", self._costs.world_switch)
         return domain_id
@@ -376,11 +382,16 @@ class VMM(TranslationAuthority):
         if domain_id != SYSTEM_DOMAIN:
             regs = self._cpu.regs
             # The CTC's save is the one copy of the register file.
-            self.ctcs.get(pid).save(regs.live, reason)
+            ctc = self.ctcs.by_pid.get(pid)
+            if ctc is None:
+                ctc = self.ctcs.get(pid)
+            ctc.save(regs.live, reason)
             regs.scrub(keep=visible_regs)
             self._cycles.charge(
                 "vmm", self._costs.world_switch + self._costs.ctc_save)
-            self.stats.bump("vmm.cloaked_exits")
+            counts = self.stats.counts
+            counts["vmm.cloaked_exits"] = \
+                counts.get("vmm.cloaked_exits", 0) + 1
             if self.config.eager_reencrypt:
                 self.cloak.encrypt_all_plaintext(domain_id)
                 # Eager mode invalidates wholesale; cheap to be exact:

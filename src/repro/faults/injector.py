@@ -126,7 +126,7 @@ class FaultyTLB(SoftwareTLB):
         key = (asid, view, vpn)
         if entry is not None and key in self._lost:
             self._lost.discard(key)
-            self._entries.pop(key, None)
+            self._drop(key)
             raise StaleTranslationViolation(asid, view, vpn)
         return entry
 
@@ -142,8 +142,8 @@ class FaultyTLB(SoftwareTLB):
     def invalidate_page(self, vpn: int, asid: Optional[int] = None) -> int:
         if self._plan.decide(SITE_TLB_FLUSH_LOST):
             return self._lose(
-                key for key in self._entries
-                if key[2] == vpn and (asid is None or key[0] == asid)
+                key for key in self._by_vpn.get(vpn, ())
+                if asid is None or key[0] == asid
             )
         return super().invalidate_page(vpn, asid)
 
@@ -151,11 +151,6 @@ class FaultyTLB(SoftwareTLB):
         if self._plan.decide(SITE_TLB_FLUSH_LOST):
             return self._lose(k for k in self._entries if k[0] == asid)
         return super().invalidate_asid(asid)
-
-    def invalidate_view(self, view: int) -> int:
-        if self._plan.decide(SITE_TLB_FLUSH_LOST):
-            return self._lose(k for k in self._entries if k[1] == view)
-        return super().invalidate_view(view)
 
     def flush(self) -> None:
         if self._plan.decide(SITE_TLB_FLUSH_LOST):

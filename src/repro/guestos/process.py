@@ -45,7 +45,7 @@ class VMA:
         return self.start_vpn + self.npages
 
     def __contains__(self, vpn: int) -> bool:
-        return self.start_vpn <= vpn < self.end_vpn
+        return self.start_vpn <= vpn < self.start_vpn + self.npages
 
     def overlaps(self, start_vpn: int, end_vpn: int) -> bool:
         return self.start_vpn < end_vpn and start_vpn < self.end_vpn
@@ -98,7 +98,8 @@ class AddressSpace:
 
     def find_vma(self, vpn: int) -> Optional[VMA]:
         for vma in self.vmas:
-            if vpn in vma:
+            # VMA.__contains__, inline: asked on every page fault.
+            if vma.start_vpn <= vpn < vma.start_vpn + vma.npages:
                 return vma
         return None
 
@@ -216,6 +217,9 @@ class Process:
         self.tgid = tgid if tgid is not None else pid
         self.name = name
         self.aspace = address_space
+        #: ``aspace.asid``, copied so the world-switch path reads a
+        #: plain attribute.  Rebound wherever ``aspace`` is (exec).
+        self.asid = address_space.asid
         self.runtime = runtime
         self.cloaked = cloaked
         self.state = ProcessState.READY
@@ -240,10 +244,6 @@ class Process:
         #: Virtual-cycle timestamps for accounting.
         self.spawned_at = 0
         self.exited_at: Optional[int] = None
-
-    @property
-    def asid(self) -> int:
-        return self.aspace.asid
 
     @property
     def is_thread(self) -> bool:

@@ -74,8 +74,12 @@ def _fork_address_space(kernel, parent: Process):
     aspace.brk_vaddr = parent.aspace.brk_vaddr
     aspace._mmap_cursor = parent.aspace._mmap_cursor
 
+    vma = None
     for vpn, pfn in parent.aspace.mapped_pages():
-        vma = parent.aspace.find_vma(vpn)
+        # VMAs never overlap and pages come vpn-ascending: the last
+        # page's VMA is the answer until the walk leaves it.
+        if vma is None or vpn not in vma:
+            vma = parent.aspace.find_vma(vpn)
         if vma is not None and vma.kind == VMA.FILE:
             # Shared page-cache frame: both processes map the same one.
             aspace.map_page(vpn, pfn, writable=vma.writable)
@@ -110,6 +114,7 @@ def sys_exec(kernel, proc: Process, args, extra):
     kernel.arch.notify_thread_exit(proc.pid)
     kernel._release_address_space(proc)
     proc.aspace = kernel._build_address_space(entry.image)
+    proc.asid = proc.aspace.asid
     proc.name = name
     program = entry.program_factory()
     argv = tuple(extra) if extra else ()

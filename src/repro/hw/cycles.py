@@ -32,10 +32,7 @@ class CycleAccount:
         if cycles > 0:
             self.total += cycles
             cats = self._by_category
-            if category in cats:
-                cats[category] += cycles
-            else:
-                cats[category] = cycles
+            cats[category] = cats.get(category, 0) + cycles
         elif cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")
 
@@ -102,30 +99,31 @@ class StatCounters:
     """
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+        #: The live counter dict, not a copy.  A hot path that cannot
+        #: afford the :meth:`bump` frame increments it in place the way
+        #: ``bump`` does (``counts[name] = counts.get(name, 0) + by``),
+        #: so a first bump still inserts the name at the same point.
+        self.counts: Dict[str, int] = {}
 
     def bump(self, name: str, by: int = 1) -> None:
-        counts = self._counts
-        if name in counts:
-            counts[name] += by
-        else:
-            counts[name] = by
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + by
 
     def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def snapshot(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def since(self, snap: Dict[str, int]) -> Dict[str, int]:
         return {
             name: count - snap.get(name, 0)
-            for name, count in self._counts.items()
+            for name, count in self.counts.items()
             if count != snap.get(name, 0)
         }
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()

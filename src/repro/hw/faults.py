@@ -39,11 +39,18 @@ class MachineError(Exception):
 class PageFault(MachineError):
     """Guest-visible page fault, delivered to the guest kernel."""
 
+    # The guest kernel handles most page faults without ever reading
+    # the text, so it is built on demand: ``__init__`` touches no
+    # ``Enum.value`` property.  ``args`` holds the three constructor
+    # arguments, which also makes the fault picklable.
     def __init__(self, vaddr: int, access: AccessKind, reason: PageFaultReason):
-        super().__init__(f"page fault @ {vaddr:#010x} ({access.value}, {reason.value})")
         self.vaddr = vaddr
         self.access = access
         self.reason = reason
+
+    def __str__(self) -> str:
+        return (f"page fault @ {self.vaddr:#010x} "
+                f"({self.access.value}, {self.reason.value})")
 
 
 class GeneralProtectionFault(MachineError):

@@ -68,14 +68,16 @@ class PageTableEntry:
 
     @classmethod
     def decode(cls, word: int) -> "PageTableEntry":
-        return cls(
-            pfn=word >> 12,
-            present=bool(word & FLAG_PRESENT),
-            writable=bool(word & FLAG_WRITE),
-            user=bool(word & FLAG_USER),
-            accessed=bool(word & FLAG_ACCESSED),
-            dirty=bool(word & FLAG_DIRTY),
-        )
+        # Every shadow fill decodes one leaf: fill the slots directly
+        # rather than through ``__init__``'s keyword arguments.
+        pte = cls.__new__(cls)
+        pte.pfn = word >> 12
+        pte.present = bool(word & FLAG_PRESENT)
+        pte.writable = bool(word & FLAG_WRITE)
+        pte.user = bool(word & FLAG_USER)
+        pte.accessed = bool(word & FLAG_ACCESSED)
+        pte.dirty = bool(word & FLAG_DIRTY)
+        return pte
 
     def encode(self) -> int:
         word = self.pfn << 12
@@ -157,7 +159,8 @@ class PageTableWalker:
         # Raw-word walk: the hottest path in the simulator decodes
         # exactly one PTE object (the returned leaf) instead of three.
         phys = self._phys
-        l1, l2 = split_vpn(vpn)
+        l1 = (vpn >> 10) & 0x3FF  # split_vpn, inline
+        l2 = vpn & 0x3FF
         dir_word = _PTE.unpack_from(phys.frame_view(root_pfn),
                                     l1 * PTE_SIZE)[0]
         if not dir_word & FLAG_PRESENT:

@@ -10,7 +10,7 @@ contexts rather than forcing a flush per transition.
 """
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.obs import bus
 
@@ -50,6 +50,12 @@ class SoftwareTLB:
             raise ValueError("TLB capacity must be positive")
         self._capacity = capacity
         self._entries: "OrderedDict[Key, TLBEntry]" = OrderedDict()
+        #: vpn -> the resident keys caching it, so ``invalidate_page``
+        #: visits the handful of (asid, view) tags of one page instead
+        #: of every entry.  Exact: every write of ``_entries`` (insert,
+        #: eviction, invalidation, flush) updates it in the same step,
+        #: and no vpn maps to an empty set.
+        self._by_vpn: Dict[int, Set[Key]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -80,50 +86,73 @@ class SoftwareTLB:
         return entry
 
     def insert(self, asid: int, view: int, entry: TLBEntry) -> None:
-        key = (asid, view, entry.vpn)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        elif len(self._entries) >= self._capacity:
-            victim, __ = self._entries.popitem(last=False)
-            if bus.ACTIVE:
-                bus.tlb_evict(victim[0], victim[1], victim[2])
-        self._entries[key] = entry
+        vpn = entry.vpn
+        key = (asid, view, vpn)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        else:
+            if len(entries) >= self._capacity:
+                victim, __ = entries.popitem(last=False)
+                self._unindex(victim)
+                if bus.ACTIVE:
+                    bus.tlb_evict(victim[0], victim[1], victim[2])
+            keys = self._by_vpn.get(vpn)
+            if keys is None:
+                self._by_vpn[vpn] = {key}
+            else:
+                keys.add(key)
+        entries[key] = entry
+
+    def _unindex(self, key: Key) -> None:
+        keys = self._by_vpn[key[2]]
+        keys.discard(key)
+        if not keys:
+            del self._by_vpn[key[2]]
+
+    def _drop(self, key: Key) -> None:
+        """Remove one resident entry (and its index slot)."""
+        del self._entries[key]
+        self._unindex(key)
 
     def invalidate_page(self, vpn: int, asid: Optional[int] = None) -> int:
         """Drop all cached translations of ``vpn`` (optionally one asid).
 
         Returns the number of entries removed.  This is the ``invlpg``
         analogue the guest kernel issues after editing a PTE, and the
-        hook the VMM uses when a page's cloak state flips.
+        hook the VMM uses when a page's cloak state flips.  Removal
+        leaves the LRU order of the survivors untouched.
         """
-        victims = [
-            key
-            for key in self._entries
-            if key[2] == vpn and (asid is None or key[0] == asid)
-        ]
-        for key in victims:
-            del self._entries[key]
+        keys = self._by_vpn.get(vpn)
+        dropped = 0
+        if keys is not None:
+            entries = self._entries
+            if asid is None:
+                dropped = len(keys)
+                for key in keys:
+                    del entries[key]
+                del self._by_vpn[vpn]
+            else:
+                for key in [key for key in keys if key[0] == asid]:
+                    del entries[key]
+                    keys.discard(key)
+                    dropped += 1
+                if not keys:
+                    del self._by_vpn[vpn]
         if bus.ACTIVE:
-            bus.tlb_invalidate(-1 if asid is None else asid, vpn,
-                               len(victims))
-        return len(victims)
+            bus.tlb_invalidate(-1 if asid is None else asid, vpn, dropped)
+        return dropped
 
     def invalidate_asid(self, asid: int) -> int:
         """Drop all translations for one address space (CR3-write analogue)."""
         victims = [key for key in self._entries if key[0] == asid]
         for key in victims:
-            del self._entries[key]
-        return len(victims)
-
-    def invalidate_view(self, view: int) -> int:
-        """Drop all translations cached under one view tag."""
-        victims = [key for key in self._entries if key[1] == view]
-        for key in victims:
-            del self._entries[key]
+            self._drop(key)
         return len(victims)
 
     def flush(self) -> None:
         self._entries.clear()
+        self._by_vpn.clear()
 
     def entries(self) -> Iterator[Tuple[Key, TLBEntry]]:
         return iter(list(self._entries.items()))

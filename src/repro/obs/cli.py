@@ -20,6 +20,7 @@ world, so repeated invocations produce byte-identical files.
 """
 
 import argparse
+import sys
 from typing import List, Tuple
 
 
@@ -90,13 +91,17 @@ def _run_traced(program: str, args: Tuple[str, ...], cloaked: bool,
 
 def main(argv: List[str]) -> int:
     args = _parser().parse_intermixed_args(argv)
-    try:
-        machine, recorder, metrics, profiler, exit_codes = _run_traced(
-            args.program, tuple(args.args), args.cloaked,
-            args.metrics or args.metrics_out is not None)
-    except KeyError as exc:
-        print(f"trace: unknown program {exc}")
+    from repro.apps.registry import ALL_PROGRAMS
+
+    # Checked before any machine boots, so an error raised inside the
+    # run is never mistaken for a usage error.
+    if args.program != "microbench" and args.program not in {
+            program_cls.name for program_cls in ALL_PROGRAMS}:
+        print(f"trace: unknown program {args.program!r}", file=sys.stderr)
         return 2
+    machine, recorder, metrics, profiler, exit_codes = _run_traced(
+        args.program, tuple(args.args), args.cloaked,
+        args.metrics or args.metrics_out is not None)
 
     from repro.obs import export
 

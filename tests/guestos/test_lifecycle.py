@@ -287,3 +287,64 @@ class TestSignals:
         proc = machine.spawn("p")
         machine.run()
         assert proc.exit_code == 128 + uapi.SIGPIPE
+
+
+class TestProcessAsid:
+    """``Process.asid`` is a plain copy of ``aspace.asid``; every
+    world switch must still enter the live address space."""
+
+    def test_asid_follows_the_address_space(self):
+        class Target(Program):
+            name = "target"
+
+            def main(self, ctx):
+                yield ctx.alu(10)
+                return 0
+
+        class P(Program):
+            name = "p"
+
+            def worker(self, ctx):
+                yield ctx.alu(10)
+                return 0
+
+            def child(self, ctx, vaddr, length):
+                yield ctx.alu(10)
+                yield ctx.exec(vaddr, length)
+                return 127
+
+            def main(self, ctx):
+                tid = yield ctx.thread_create(self.worker)
+                yield ctx.thread_join(tid)
+                vaddr, length = yield from ctx.put_string("/bin/target")
+                pid = yield ctx.fork(self.child, vaddr, length)
+                yield ctx.waitpid(pid)
+                return 0
+
+        machine = Machine.build()
+        machine.register(P)
+        machine.register(Target)
+        kernel = machine.kernel
+        entered = {}
+        enter_user = machine.vmm.enter_user
+
+        def checked_enter_user(pid, asid):
+            proc = kernel.processes[pid]
+            assert proc.asid == proc.aspace.asid == asid, (pid, proc.name)
+            entered.setdefault(pid, []).append(
+                (proc.name, proc.is_thread, asid))
+            return enter_user(pid, asid)
+
+        machine.vmm.enter_user = checked_enter_user
+        proc = machine.run_program("p")
+        assert proc.exit_code == 0
+        leader = {asid for __, __t, asid in entered[proc.pid]}
+        (thread,) = [runs for runs in entered.values() if runs[0][1]]
+        (child,) = [runs for runs in entered.values()
+                    if runs[-1][0] == "target"]
+        # Spawn, thread spawn, fork and exec: the thread shares the
+        # leader's address space, the forked child has its own, and
+        # exec gives the child a new one.
+        assert {asid for __, __t, asid in thread} == leader
+        assert child[0][0] == "p" and child[0][2] not in leader
+        assert child[-1][2] != child[0][2]

@@ -11,6 +11,9 @@ exact sequence.
 
 import random
 
+from repro.core.errors import StaleTranslationViolation
+from repro.faults.injector import FaultyTLB
+from repro.faults.plan import SITE_TLB_FLUSH_LOST, FaultArm, FaultPlan
 from repro.hw.faults import AccessKind
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.phys import PhysicalMemory
@@ -109,11 +112,17 @@ def test_pagetable_matches_model_across_seeds():
 # ----------------------------------------------------------------------
 
 class _TLBModel:
-    """Reference LRU semantics over (asid, view, vpn), dict-ordered."""
+    """Reference LRU semantics over (asid, view, vpn), dict-ordered.
+
+    ``lost`` models :class:`FaultyTLB`: a lost invalidation leaves its
+    victims resident but marked, and the next lookup that hits a
+    marked entry counts the hit, drops the entry and raises.
+    """
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.entries = {}  # key -> pfn; dict order is recency order
+        self.lost = set()
         self.hits = 0
         self.misses = 0
 
@@ -121,73 +130,114 @@ class _TLBModel:
         self.entries[key] = self.entries.pop(key)
 
     def lookup(self, key):
+        """(pfn or None, whether the lookup raised a stale violation)."""
         if key not in self.entries:
             self.misses += 1
-            return None
+            return None, False
         self._touch(key)
         self.hits += 1
-        return self.entries[key]
+        if key in self.lost:
+            self.lost.discard(key)
+            del self.entries[key]
+            return None, True
+        return self.entries[key], False
 
     def insert(self, key, pfn):
+        self.lost.discard(key)
         if key in self.entries:
             self._touch(key)
         elif len(self.entries) >= self.capacity:
             del self.entries[next(iter(self.entries))]
         self.entries[key] = pfn
 
-    def invalidate(self, match):
+    def invalidate(self, match, lost=False):
         victims = [k for k in self.entries if match(k)]
-        for k in victims:
-            del self.entries[k]
+        if lost:
+            self.lost.update(victims)
+        else:
+            for k in victims:
+                del self.entries[k]
         return len(victims)
 
 
-def _tlb_case(seed: int) -> None:
+def _vpn_index(tlb):
+    """The vpn index a TLB holding exactly its resident keys must have."""
+    index = {}
+    for key, __ in tlb.entries():
+        index.setdefault(key[2], set()).add(key)
+    return index
+
+
+def _tlb_case(seed: int, faulty: bool = False) -> None:
     rng = random.Random(seed)
     capacity = rng.choice((2, 4, 7))
-    tlb = SoftwareTLB(capacity)
+    if faulty:
+        plan = FaultPlan(seed, [FaultArm(SITE_TLB_FLUSH_LOST,
+                                         probability=0.5)])
+        tlb = FaultyTLB(capacity, plan)
+    else:
+        plan = None
+        tlb = SoftwareTLB(capacity)
     model = _TLBModel(capacity)
     asids, views, vpns = (1, 2), (0, 7), (0x10, 0x11, 0x12, 0x20)
+
+    def fired(invalidate):
+        """Run one invalidation; returns (result, whether it was lost)."""
+        before = len(plan.log) if plan is not None else 0
+        result = invalidate()
+        return result, plan is not None and len(plan.log) > before
 
     for i in range(OPS_PER_SEED):
         key = (rng.choice(asids), rng.choice(views), rng.choice(vpns))
         op = rng.choice(("insert", "lookup", "lookup", "inv_page",
-                         "inv_asid", "inv_view", "flush"))
-        where = f"seed={seed} cap={capacity} op#{i} {op} key={key}"
+                         "inv_asid", "flush"))
+        where = (f"seed={seed} faulty={faulty} cap={capacity} op#{i} "
+                 f"{op} key={key}")
         asid, view, vpn = key
         if op == "insert":
             pfn = rng.randrange(64)
             tlb.insert(asid, view, TLBEntry(vpn, pfn, True, True))
             model.insert(key, pfn)
         elif op == "lookup":
-            entry = tlb.lookup(asid, view, vpn)
-            expected = model.lookup(key)
+            try:
+                entry = tlb.lookup(asid, view, vpn)
+                stale = False
+            except StaleTranslationViolation:
+                entry, stale = None, True
+            expected, expected_stale = model.lookup(key)
             got = entry.pfn if entry is not None else None
-            assert got == expected, f"{where}: {got} != {expected}"
+            assert (got, stale) == (expected, expected_stale), \
+                f"{where}: {(got, stale)} != {(expected, expected_stale)}"
         elif op == "inv_page":
             scoped = rng.random() < 0.5
-            real = tlb.invalidate_page(vpn, asid=asid if scoped else None)
+            real, lost = fired(lambda: tlb.invalidate_page(
+                vpn, asid=asid if scoped else None))
             expected = model.invalidate(
-                lambda k: k[2] == vpn and (not scoped or k[0] == asid))
+                lambda k: k[2] == vpn and (not scoped or k[0] == asid),
+                lost)
             assert real == expected, f"{where}: {real} != {expected}"
         elif op == "inv_asid":
-            assert tlb.invalidate_asid(asid) == \
-                model.invalidate(lambda k: k[0] == asid), where
-        elif op == "inv_view":
-            assert tlb.invalidate_view(view) == \
-                model.invalidate(lambda k: k[1] == view), where
+            real, lost = fired(lambda: tlb.invalidate_asid(asid))
+            assert real == model.invalidate(lambda k: k[0] == asid,
+                                            lost), where
         else:
-            tlb.flush()
-            model.entries.clear()
+            __, lost = fired(tlb.flush)
+            model.invalidate(lambda k: True, lost)
 
-        assert len(tlb) == len(model.entries), where
+        # Full LRU order, the vpn index and the counters agree after
+        # every step.
+        assert [k for k, __ in tlb.entries()] == list(model.entries), where
+        assert tlb._by_vpn == _vpn_index(tlb), where
         assert (tlb.hits, tlb.misses) == (model.hits, model.misses), where
-
-    # Residency (not just counts) agrees at the end.
-    real_keys = {key for key, __ in tlb.entries()}
-    assert real_keys == set(model.entries), f"seed={seed} final residency"
 
 
 def test_tlb_matches_lru_model_across_seeds():
     for seed in SEEDS:
         _tlb_case(seed)
+
+
+def test_faulty_tlb_matches_lru_model_across_seeds():
+    """Lost invalidations and the stale lookups that audit them keep
+    the LRU order and the vpn index exact."""
+    for seed in SEEDS:
+        _tlb_case(seed, faulty=True)

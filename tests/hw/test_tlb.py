@@ -86,14 +86,6 @@ class TestInvalidation:
         assert tlb.invalidate_asid(1) == 2
         assert tlb.lookup(2, 0, 0x12) is not None
 
-    def test_invalidate_view(self):
-        tlb = SoftwareTLB(8)
-        tlb.insert(1, 5, entry(0x10))
-        tlb.insert(2, 5, entry(0x11))
-        tlb.insert(1, 0, entry(0x12))
-        assert tlb.invalidate_view(5) == 2
-        assert tlb.lookup(1, 0, 0x12) is not None
-
     def test_flush(self):
         tlb = SoftwareTLB(8)
         tlb.insert(1, 0, entry(0x10))

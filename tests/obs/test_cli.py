@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.obs import cli
 from repro.obs.export import validate_chrome_trace
 
 
@@ -47,9 +48,26 @@ class TestTraceCLI:
         printed = capsys.readouterr().out
         assert "microbench (cloaked)" in printed
 
-    def test_unknown_program_rejected(self, capsys):
+    def test_unknown_program_rejected(self, capsys, monkeypatch):
+        def boot(*args):
+            raise AssertionError("a machine booted for an unknown program")
+
+        monkeypatch.setattr(cli, "_run_traced", boot)
         assert main(["trace", "no-such-program"]) == 2
-        assert "unknown program" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err == "trace: unknown program 'no-such-program'\n"
+        assert captured.out == ""
+
+    def test_key_error_inside_the_run_is_not_an_unknown_program(
+            self, capsys, monkeypatch):
+        def run(*args):
+            raise KeyError("raised by the simulation")
+
+        monkeypatch.setattr(cli, "_run_traced", run)
+        with pytest.raises(KeyError, match="raised by the simulation"):
+            main(["trace", "mb-read4k", "--quiet"])
+        captured = capsys.readouterr()
+        assert "unknown program" not in captured.out + captured.err
 
     def test_missing_program_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
