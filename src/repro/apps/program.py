@@ -310,21 +310,31 @@ class _Frame:
     Frames carry their own result inbox so a value produced while a
     signal-handler frame sits on top (e.g. the outcome of a restarted
     syscall) is delivered to the frame that actually yielded for it.
+    A *shim* frame runs a syscall adapter: its ops are not interposed
+    on, and its return value is the result of the syscall the frame
+    below yielded.
     """
 
-    __slots__ = ("gen", "inbox")
+    __slots__ = ("gen", "inbox", "shim")
 
-    def __init__(self, gen: Iterator):
+    def __init__(self, gen: Iterator, shim: bool = False):
         self.gen = gen
         self.inbox = None
+        self.shim = shim
 
 
 class BaseRuntime:
     """Shared generator-stack machinery for user runtimes.
 
-    Subclasses decide how a program generator is wrapped (the shim
-    interposes on syscalls; the native runtime does not).
+    Subclasses decide which syscalls are adapted (the shim interposes
+    on them; the native runtime does not).
     """
+
+    #: ``Syscall -> adapter``: a syscall a program frame yields whose
+    #: number is here runs in a shim frame pushed above it, driving the
+    #: generator ``adapter(runtime, op)`` returns.  Every other syscall
+    #: is forwarded unchanged.
+    _ADAPTERS: Dict[Syscall, Callable[["BaseRuntime", SyscallOp], OpGen]] = {}
 
     def __init__(self, program: Program, argv: Tuple[str, ...] = ()):
         self.program = program
@@ -336,21 +346,14 @@ class BaseRuntime:
         #: Signals for which the program asked for handled delivery.
         self.handled_signals: set = set()
         self._child_entry: Optional[Tuple[Callable, tuple]] = None
-
-    # -- hooks for subclasses ----------------------------------------------
-
-    def _wrap(self, gen: Iterator) -> Iterator:
-        """Wrap a program generator (identity for native code)."""
-        return gen
-
-    def _initial_stack(self, pid: int) -> List[_Frame]:
-        return [_Frame(self._wrap(self.program.main(self.ctx)))]
+        #: Program syscalls forwarded to the kernel without an adapter.
+        self.passthrough_calls = 0
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self, pid: int) -> None:
         self.ctx.pid = pid
-        self._stack = self._initial_stack(pid)
+        self._stack = [_Frame(self.program.main(self.ctx))]
 
     def start_child(self, pid: int) -> None:
         """Begin a forked child at its designated entry point."""
@@ -358,7 +361,7 @@ class BaseRuntime:
             raise RuntimeError("not a forked child runtime")
         entry, args = self._child_entry
         self.ctx.pid = pid
-        self._stack = [_Frame(self._wrap(entry(self.ctx, *args)))]
+        self._stack = [_Frame(entry(self.ctx, *args))]
 
     def started(self) -> bool:
         return bool(self._stack) or self._exit_emitted
@@ -370,35 +373,50 @@ class BaseRuntime:
         ``result`` is the outcome of the previously returned op and is
         routed to the frame that yielded it, which is not necessarily
         the current top of stack (a signal handler may have been
-        pushed in between).
+        pushed in between).  When the program is done, the runtime's
+        own ``EXIT`` goes through the EXIT adapter like a program's.
         """
         if result is not None and self._awaiting is not None:
             self._awaiting.inbox = result
-        while self._stack:
-            frame = self._stack[-1]
+        stack = self._stack
+        adapters = self._ADAPTERS
+        while True:
+            if not stack:
+                if self._exit_emitted:
+                    return None
+                self._exit_emitted = True
+                op = SyscallOp(Syscall.EXIT, (self._exit_code,))
+                adapter = adapters.get(Syscall.EXIT)
+                if adapter is None:
+                    return op
+                stack.append(_Frame(adapter(self, op), True))
+            frame = stack[-1]
             value, frame.inbox = frame.inbox, None
             try:
                 op = frame.gen.send(value)
             except StopIteration as stop:
-                self._stack.pop()
-                if not self._stack and stop.value is not None:
+                stack.pop()
+                if frame.shim:
+                    if stack:
+                        stack[-1].inbox = stop.value
+                elif not stack and stop.value is not None:
                     self._exit_code = int(stop.value)
                 continue
+            if op.__class__ is SyscallOp and not frame.shim:
+                number = op.number
+                if number is Syscall.SIGACTION:
+                    sig, action = op.args
+                    if action == 2:
+                        self.handled_signals.add(sig)
+                    else:
+                        self.handled_signals.discard(sig)
+                adapter = adapters.get(number)
+                if adapter is not None:
+                    stack.append(_Frame(adapter(self, op), True))
+                    continue
+                self.passthrough_calls += 1
             self._awaiting = frame
-            return self._postprocess(op)
-        if not self._exit_emitted:
-            self._exit_emitted = True
-            return uapi.SyscallOp(Syscall.EXIT, (self._exit_code,))
-        return None
-
-    def _postprocess(self, op: uapi.UserOp) -> uapi.UserOp:
-        if isinstance(op, uapi.SyscallOp) and op.number == Syscall.SIGACTION:
-            sig, action = op.args
-            if action == 2:
-                self.handled_signals.add(sig)
-            else:
-                self.handled_signals.discard(sig)
-        return op
+            return op
 
     # -- signals ----------------------------------------------------------------
 
@@ -406,8 +424,7 @@ class BaseRuntime:
         """Push the program's handler; True when it will run."""
         if sig not in self.handled_signals or not self._stack:
             return False
-        handler = self._wrap(self.program.signal_handler(self.ctx, sig))
-        self._stack.append(_Frame(handler))
+        self._stack.append(_Frame(self.program.signal_handler(self.ctx, sig)))
         return True
 
     # -- fork ----------------------------------------------------------------------

@@ -42,15 +42,27 @@ class HypercallDispatcher:
     """
 
     def __init__(self) -> None:
-        self._handlers: Dict[Hypercall, Callable[..., Any]] = {}
+        #: Keyed by the member's int value: a dict lookup by an int
+        #: hashes at C speed, a plain ``Enum`` member does not.
+        self._handlers: Dict[int, Callable[..., Any]] = {}
 
     def register(self, number: Hypercall, handler: Callable[..., Any]) -> None:
-        if number in self._handlers:
+        if number._value_ in self._handlers:
             raise ValueError(f"duplicate handler for {number}")
-        self._handlers[number] = handler
+        self._handlers[number._value_] = handler
+
+    def replace(self, number: Hypercall,
+                handler: Callable[..., Any]) -> Callable[..., Any]:
+        """Swap the handler of a registered number and return the
+        previous one, so the caller can put it back."""
+        previous = self._handlers.get(number._value_)
+        if previous is None:
+            raise ValueError(f"no handler registered for {number}")
+        self._handlers[number._value_] = handler
+        return previous
 
     def dispatch(self, caller_domain: int, number: Hypercall, args: Tuple) -> Any:
-        handler = self._handlers.get(number)
+        handler = self._handlers.get(number._value_)
         if handler is None:
             raise HypercallError(f"unimplemented hypercall {number}")
         if number is Hypercall.CLOAK_INIT:

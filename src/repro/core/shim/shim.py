@@ -14,10 +14,13 @@ Boot sequence (all before the first application instruction):
    may use to transfer control in (signal delivery).
 
 Thereafter every syscall the application issues is adapted per
-:mod:`repro.core.shim.protocol`.
+:mod:`repro.core.shim.protocol`: the runtime looks its number up in
+``ShimRuntime._ADAPTERS`` and runs the adapter as a shim frame on its
+own stack (:class:`repro.apps.program.BaseRuntime`); a syscall with no
+adapter is forwarded unchanged.
 """
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 # repro: allow(TB001) — the shim runs *inside* the application's
 # address space (paper §3.3) and is linked against the program model;
@@ -27,7 +30,6 @@ from repro.core.hypercall import Hypercall
 from repro.core.shim.channels import SealedChannelTable
 from repro.core.shim.ioemu import CloakedFileTable
 from repro.core.shim.marshal import MarshalArena
-from repro.core.shim.protocol import SyscallClass, classify
 from repro.guestos import layout, uapi
 from repro.guestos.uapi import Copy, HypercallOp, Load, Store, Syscall, SyscallOp
 from repro.obs import bus
@@ -56,10 +58,9 @@ class ShimRuntime(BaseRuntime):
         self.files = CloakedFileTable(self.arena)
         self.channels = SealedChannelTable(self.arena)
         self.domain_id: int = 0
-        #: Counts for the overhead report.
+        #: Counts for the overhead report (with ``passthrough_calls``).
         self.marshalled_calls = 0
         self.emulated_calls = 0
-        self.passthrough_calls = 0
         #: Last observed heap break, for shrink detection (None until
         #: the first BRK; lazily initialised so brk-free and grow-only
         #: programs never pay an extra query syscall).
@@ -69,13 +70,17 @@ class ShimRuntime(BaseRuntime):
     # runtime plumbing
     # ------------------------------------------------------------------
 
-    def _wrap(self, gen: Iterator) -> Iterator:
-        return self._interpose(gen)
-
-    def _initial_stack(self, pid: int) -> List[_Frame]:
-        return [_Frame(self._session(pid))]
+    def start(self, pid: int) -> None:
+        """Boot runs as a shim frame above ``main``: the domain exists
+        before the program's first op."""
+        super().start(pid)
+        self._stack.append(_Frame(self._boot(pid), True))
 
     def make_child(self, entry: Callable, args: tuple) -> "ShimRuntime":
+        """A forked child: the domain was cloned by the VMM when the
+        kernel reported the fork, so no boot sequence runs — but open
+        cloaked-file windows carry over (the address space is a copy,
+        so the window vaddrs remain valid)."""
         child = ShimRuntime(self.program, self.ctx.argv, self.name,
                             self.image, self.secure_prefix)
         self._clone_into(child, entry, args)
@@ -96,31 +101,9 @@ class ShimRuntime(BaseRuntime):
         thread._is_thread = True
         return thread
 
-    def start_child(self, pid: int) -> None:
-        """A forked child: the domain was cloned by the VMM when the
-        kernel reported the fork, so no boot sequence runs — but open
-        cloaked-file windows carry over (the address space is a copy,
-        so the window vaddrs remain valid)."""
-        if self._child_entry is None:
-            raise RuntimeError("not a forked child runtime")
-        entry, args = self._child_entry
-        self.ctx.pid = pid
-        self._stack = [_Frame(self._child_session(entry, args))]
-
     # ------------------------------------------------------------------
-    # sessions
+    # boot and shutdown
     # ------------------------------------------------------------------
-
-    def _session(self, pid: int):
-        yield from self._boot(pid)
-        code = yield from self._interpose(self.program.main(self.ctx))
-        yield from self._shutdown()
-        return code
-
-    def _child_session(self, entry: Callable, args: tuple):
-        code = yield from self._interpose(entry(self.ctx, *args))
-        yield from self._shutdown()
-        return code
 
     def _boot(self, pid: int):
         self.domain_id = yield HypercallOp(
@@ -149,98 +132,43 @@ class ShimRuntime(BaseRuntime):
         yield HypercallOp(Hypercall.DOMAIN_EXIT, ())
 
     # ------------------------------------------------------------------
-    # interposition
+    # adapters: ``adapter(runtime, op)`` returns the generator that runs
+    # as the shim frame (the table is ``_ADAPTERS`` at the end of the
+    # class); that generator returns the result the program sees
     # ------------------------------------------------------------------
 
-    def _interpose(self, gen: Iterator):
-        """Drive a program generator, adapting each syscall."""
-        result = None
-        while True:
-            try:
-                if result is None:
-                    op = next(gen)
-                else:
-                    op = gen.send(result)
-            except StopIteration as stop:
-                return stop.value
-            if isinstance(op, SyscallOp):
-                result = yield from self._adapt(op)
-            else:
-                result = yield op
-
-    def _adapt(self, op: SyscallOp):
-        number = op.number
-        adaptation = classify(number)
-        if adaptation is SyscallClass.PASS_THROUGH:
-            self.passthrough_calls += 1
-            result = yield op
-            return result
-        if number is Syscall.EXIT:
-            yield from self._shutdown()
-            result = yield op
-            return result
-        if number in (Syscall.READ, Syscall.WRITE):
-            result = yield from self._adapt_read_write(op)
-            return result
-        if number is Syscall.OPEN:
-            result = yield from self._adapt_open(op)
-            return result
-        if number in (Syscall.CLOSE, Syscall.LSEEK, Syscall.FSTAT,
-                      Syscall.TRUNCATE):
-            result = yield from self._adapt_fd_call(op)
-            return result
-        if number in (Syscall.STAT, Syscall.UNLINK, Syscall.MKDIR,
-                      Syscall.MKFIFO):
-            result = yield from self._adapt_path_call(op)
-            return result
-        if number is Syscall.READDIR:
-            result = yield from self._adapt_readdir(op)
-            return result
-        if number is Syscall.RENAME:
-            result = yield from self._adapt_rename(op)
-            return result
-        if number is Syscall.MMAP:
-            result = yield from self._adapt_mmap(op)
-            return result
-        if number is Syscall.MUNMAP:
-            result = yield from self._adapt_munmap(op)
-            return result
-        if number is Syscall.BRK:
-            result = yield from self._adapt_brk(op)
-            return result
-        if number is Syscall.EXEC:
-            result = yield from self._adapt_path_call(op)
-            return result
-        # FORK and anything unlisted: forward (the VMM observes fork
-        # architecturally and clones the domain).
-        self.passthrough_calls += 1
+    def _adapt_exit(self, op: SyscallOp):
+        """A program's ``exit`` and the runtime's own final ``EXIT``
+        alike: the domain is torn down before the kernel sees it."""
+        yield from self._shutdown()
         result = yield op
         return result
 
     # -- read/write ---------------------------------------------------------------
 
     def _adapt_read_write(self, op: SyscallOp):
+        """Not a generator itself: returns the generator that serves the
+        call, so a sealed or cloaked transfer runs as the shim frame
+        with no wrapper around it."""
         fd, buf_vaddr, nbytes = op.args
         if self.channels.is_sealed(fd):
-            self.emulated_calls += 1
-            if op.number is Syscall.READ:
-                result = yield from self.channels.read(fd, buf_vaddr, nbytes)
-            else:
-                result = yield from self.channels.write(fd, buf_vaddr, nbytes)
-            return result
-        if self.files.is_cloaked(fd):
-            self.emulated_calls += 1
-            if op.number is Syscall.READ:
-                result = yield from self.files.read(fd, buf_vaddr, nbytes)
-            else:
-                result = yield from self.files.write(fd, buf_vaddr, nbytes)
-            return result
+            table = self.channels
+        elif self.files.is_cloaked(fd):
+            table = self.files
+        else:
+            return self._marshal_read_write(op)
+        self.emulated_calls += 1
+        if op.number is Syscall.READ:
+            return table.read(fd, buf_vaddr, nbytes)
+        return table.write(fd, buf_vaddr, nbytes)
 
-        # Unprotected channel: marshal through the uncloaked arena,
-        # possibly in chunks when the buffer exceeds the arena.
+    def _marshal_read_write(self, op: SyscallOp):
+        """Unprotected channel: marshal through the uncloaked arena,
+        possibly in chunks when the buffer exceeds the arena."""
+        fd, buf_vaddr, nbytes = op.args
         self.marshalled_calls += 1
         if bus.ACTIVE:
-            bus.shim_marshal(op.number.name)
+            bus.shim_marshal(op.number._name_)
         total = 0
         offset = 0
         while offset < nbytes or (nbytes == 0 and offset == 0):
@@ -251,10 +179,10 @@ class ShimRuntime(BaseRuntime):
                 if chunk:
                     yield Copy(buf_vaddr + offset, marshal_vaddr, chunk)
                 result = yield SyscallOp(Syscall.WRITE,
-                                         (op.args[0], marshal_vaddr, chunk))
+                                         (fd, marshal_vaddr, chunk))
             else:
                 result = yield SyscallOp(Syscall.READ,
-                                         (op.args[0], marshal_vaddr, chunk))
+                                         (fd, marshal_vaddr, chunk))
                 if isinstance(result, int) and result > 0:
                     yield Copy(marshal_vaddr, buf_vaddr + offset, result)
             if not isinstance(result, int) or result <= 0:
@@ -296,7 +224,7 @@ class ShimRuntime(BaseRuntime):
             return result
         self.marshalled_calls += 1
         if bus.ACTIVE:
-            bus.shim_marshal(Syscall.OPEN.name)
+            bus.shim_marshal(Syscall.OPEN._name_)
         self.arena.reset()
         m_vaddr, m_len = yield from self._marshal_string(path)
         result = yield SyscallOp(Syscall.OPEN, (m_vaddr, m_len, flags))
@@ -308,7 +236,7 @@ class ShimRuntime(BaseRuntime):
         path = yield from self._read_own_string(path_vaddr, path_len)
         self.marshalled_calls += 1
         if bus.ACTIVE:
-            bus.shim_marshal(op.number.name)
+            bus.shim_marshal(op.number._name_)
         self.arena.reset()
         m_vaddr, m_len = yield from self._marshal_string(path)
         result = yield SyscallOp(op.number, (m_vaddr, m_len) + rest,
@@ -321,7 +249,7 @@ class ShimRuntime(BaseRuntime):
         new_path = yield from self._read_own_string(new_vaddr, new_len)
         self.marshalled_calls += 1
         if bus.ACTIVE:
-            bus.shim_marshal(Syscall.RENAME.name)
+            bus.shim_marshal(Syscall.RENAME._name_)
         self.arena.reset()
         m_old, m_old_len = yield from self._marshal_string(old_path)
         m_new, m_new_len = yield from self._marshal_string(new_path)
@@ -334,7 +262,7 @@ class ShimRuntime(BaseRuntime):
         path = yield from self._read_own_string(path_vaddr, path_len)
         self.marshalled_calls += 1
         if bus.ACTIVE:
-            bus.shim_marshal(Syscall.READDIR.name)
+            bus.shim_marshal(Syscall.READDIR._name_)
         self.arena.reset()
         m_path, m_path_len = yield from self._marshal_string(path)
         m_buf = self.arena.alloc(buf_len)
@@ -427,3 +355,26 @@ class ShimRuntime(BaseRuntime):
         if isinstance(result, int) and result > 0:
             self._brk_seen = result
         return result
+
+    _ADAPTERS = {
+        Syscall.EXIT: _adapt_exit,
+        Syscall.READ: _adapt_read_write,
+        Syscall.WRITE: _adapt_read_write,
+        Syscall.OPEN: _adapt_open,
+        Syscall.CLOSE: _adapt_fd_call,
+        Syscall.LSEEK: _adapt_fd_call,
+        Syscall.FSTAT: _adapt_fd_call,
+        Syscall.TRUNCATE: _adapt_fd_call,
+        Syscall.STAT: _adapt_path_call,
+        Syscall.UNLINK: _adapt_path_call,
+        Syscall.MKDIR: _adapt_path_call,
+        Syscall.MKFIFO: _adapt_path_call,
+        Syscall.EXEC: _adapt_path_call,
+        Syscall.READDIR: _adapt_readdir,
+        Syscall.RENAME: _adapt_rename,
+        Syscall.MMAP: _adapt_mmap,
+        Syscall.MUNMAP: _adapt_munmap,
+        Syscall.BRK: _adapt_brk,
+        # FORK is forwarded: the VMM observes fork architecturally and
+        # clones the domain.
+    }

@@ -25,7 +25,7 @@ from repro.core.hypercall import Hypercall, HypercallDispatcher
 from repro.core.metadata import (CloakState, FileMetadataStore, MetadataStore,
                                  PageMetadata)
 from repro.core.multishadow import MultiShadow, POLICY_FLUSH, POLICY_TAGGED
-from repro.hw.cpu import VirtualCPU
+from repro.hw.cpu import ZERO_REGISTERS, VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.faults import AccessKind, PageFault, PageFaultReason
 from repro.hw.mmu import (MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW,
@@ -349,7 +349,9 @@ class VMM(TranslationAuthority):
             if ctc is None:
                 ctc = self.ctcs.get(pid)
             if ctc.valid:
-                self._cpu.regs.load(ctc.restore())
+                # The CTC gives its saved dict up; it becomes the live
+                # file as it is.
+                self._cpu.regs.live = ctc.restore()
                 # One ledger call for both same-category costs: the sum
                 # per category is what the hash sees.
                 self._cycles.charge(
@@ -375,18 +377,24 @@ class VMM(TranslationAuthority):
         """
         domain_id = self._thread_domain.get(pid, SYSTEM_DOMAIN)
         if bus.ACTIVE:
-            bus.vmm_exit_user(pid, reason.name, domain_id)
+            bus.vmm_exit_user(pid, reason._name_, domain_id)
         mmu = self._mmu
         if self._policy_is_flush:
             self._apply_shadow_policy(mmu.asid, SYSTEM_VIEW)
         if domain_id != SYSTEM_DOMAIN:
             regs = self._cpu.regs
-            # The CTC's save is the one copy of the register file.
+            live = regs.live
+            # The CTC's save is the one copy of the register file; the
+            # kernel gets a fresh zero file holding only the visible
+            # registers.
             ctc = self.ctcs.by_pid.get(pid)
             if ctc is None:
                 ctc = self.ctcs.get(pid)
-            ctc.save(regs.live, reason)
-            regs.scrub(keep=visible_regs)
+            ctc.save(live, reason)
+            visible = ZERO_REGISTERS.copy()
+            for name in visible_regs:
+                visible[name] = live[name]
+            regs.live = visible
             self._cycles.charge(
                 "vmm", self._costs.world_switch + self._costs.ctc_save)
             counts = self.stats.counts
@@ -423,9 +431,10 @@ class VMM(TranslationAuthority):
         """Execute a hypercall from the currently running user context."""
         caller = self._mmu.view
         self._cycles.charge("vmm", self._costs.hypercall + self._costs.world_switch)
-        self.stats.bump("vmm.hypercalls")
+        counts = self.stats.counts
+        counts["vmm.hypercalls"] = counts.get("vmm.hypercalls", 0) + 1
         if bus.ACTIVE:
-            bus.vmm_hypercall(number.name)
+            bus.vmm_hypercall(number._name_)
         if self.faults is not None:
             mode = self.faults.hypercall_fault(number)
             if mode == "duplicate":
@@ -617,7 +626,8 @@ class VMM(TranslationAuthority):
         """Seal one protected-IPC message for the caller's identity."""
         domain = self.domains.get(caller)
         self._channel_crypto_cost(len(data))
-        self.stats.bump("vmm.channel_seals")
+        counts = self.stats.counts
+        counts["vmm.channel_seals"] = counts.get("vmm.channel_seals", 0) + 1
         return domain.cipher.seal_message(channel_id, seq, data)
 
     def _hc_channel_open(self, caller: int, channel_id: int, seq: int,
@@ -638,7 +648,8 @@ class VMM(TranslationAuthority):
                                              stale)
             raise IntegrityViolation(domain.domain_id, channel_id,
                                      "sealed channel record rejected")
-        self.stats.bump("vmm.channel_opens")
+        counts = self.stats.counts
+        counts["vmm.channel_opens"] = counts.get("vmm.channel_opens", 0) + 1
         # repro: allow(SEC002) — hypercall results return directly into
         # the cloaked caller's user context (hypercalls never transit
         # the guest kernel, see repro.core.hypercall); delivering the

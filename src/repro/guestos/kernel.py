@@ -233,7 +233,8 @@ class Kernel:
                        extra=None) -> Any:
         """Run one syscall; returns the user-visible result or Blocked."""
         self.cycles.charge("kernel", self.costs.syscall_dispatch)
-        self.stats.bump("kernel.syscalls")
+        counts = self.stats.counts
+        counts["kernel.syscalls"] = counts.get("kernel.syscalls", 0) + 1
         handler = self._handlers.get(number)
         if handler is None:
             return -uapi.ENOSYS

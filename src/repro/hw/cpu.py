@@ -9,7 +9,8 @@ and traps.  The privilege mode and the address-space/view pair that
 select translations are the MMU's access context, its only copy.
 """
 
-from typing import Dict, List
+from types import MappingProxyType
+from typing import Dict, List, Mapping
 
 from repro.hw.cycles import CycleAccount
 from repro.hw.mmu import MMU
@@ -22,33 +23,37 @@ GP_REGISTERS = ("r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7")
 SPECIAL_REGISTERS = ("pc", "sp")
 ALL_REGISTERS = GP_REGISTERS + SPECIAL_REGISTERS
 
+#: The all-zero register file, in architectural order (read-only): a
+#: fresh file is a copy of it.
+ZERO_REGISTERS: Mapping[str, int] = MappingProxyType(
+    dict.fromkeys(ALL_REGISTERS, 0))
+
 
 class RegisterFile:
-    """The architectural registers visible at a trap."""
+    """The architectural registers visible at a trap.  ``live`` is the
+    register dict itself: a world switch may replace it with a complete
+    file it gives up, and whoever keeps the values copies them."""
 
     def __init__(self) -> None:
-        self._regs: Dict[str, int] = {name: 0 for name in ALL_REGISTERS}
+        self.live: Dict[str, int] = dict(ZERO_REGISTERS)
 
     def __getitem__(self, name: str) -> int:
-        return self._regs[name]
+        return self.live[name]
 
     def __setitem__(self, name: str, value: int) -> None:
-        if name not in self._regs:
+        if name not in self.live:
             raise KeyError(f"no register {name!r}")
-        self._regs[name] = value & 0xFFFFFFFFFFFFFFFF
-
-    @property
-    def live(self) -> Dict[str, int]:
-        """The register dict itself, not a copy.  A caller that keeps
-        the values must copy them (the CTC's ``save`` does)."""
-        return self._regs
+        self.live[name] = value & 0xFFFFFFFFFFFFFFFF
 
     def snapshot(self) -> Dict[str, int]:
-        return dict(self._regs)
+        return dict(self.live)
 
     def load(self, values: Dict[str, int]) -> None:
+        """Copy ``values`` into the live file (a register missing there
+        reads 0); the caller keeps ``values`` to itself."""
+        live = self.live
         for name in ALL_REGISTERS:
-            self._regs[name] = values.get(name, 0)
+            live[name] = values.get(name, 0)
 
     def scrub(self, keep: List[str] = ()) -> None:
         """Zero every register not listed in ``keep``.
@@ -57,13 +62,14 @@ class RegisterFile:
         cloaked context: the kernel sees only the registers it is
         entitled to (e.g. syscall arguments on an intentional call).
         """
-        for name in self._regs:
+        live = self.live
+        for name in live:
             if name not in keep:
-                self._regs[name] = 0
+                live[name] = 0
 
     def __repr__(self) -> str:
         return "RegisterFile(" + ", ".join(
-            f"{n}={v:#x}" for n, v in self._regs.items() if v
+            f"{n}={v:#x}" for n, v in self.live.items() if v
         ) + ")"
 
 

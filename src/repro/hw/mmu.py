@@ -137,9 +137,9 @@ class MMU:
     # -- data access ---------------------------------------------------------
 
     # Each access is charged once, after its data has moved: one memory
-    # operation for up to eight bytes, else the copy cost (never less
-    # than one operation).  A zero-length access translates nothing but
-    # still costs one operation.
+    # operation for up to eight bytes, else the copy cost (``copy_cost``,
+    # computed inline; never less than one operation).  A zero-length
+    # access translates nothing but still costs one operation.
 
     def read(self, vaddr: int, size: int) -> bytes:
         """Read ``size`` bytes at ``vaddr`` (may span pages)."""
@@ -159,7 +159,7 @@ class MMU:
             data = b"".join(chunks)
         costs = self._costs
         self._cycles.charge("mem", costs.mem_access if size <= 8 else
-                            max(costs.mem_access, costs.copy_cost(size)))
+                            max(costs.mem_access, int(costs.mem_byte * size)))
         return data
 
     def write(self, vaddr: int, data: bytes) -> None:
@@ -179,7 +179,7 @@ class MMU:
                 pos += length
         costs = self._costs
         self._cycles.charge("mem", costs.mem_access if size <= 8 else
-                            max(costs.mem_access, costs.copy_cost(size)))
+                            max(costs.mem_access, int(costs.mem_byte * size)))
 
     @staticmethod
     def _split(vaddr: int, size: int):

@@ -5,7 +5,9 @@ import pytest
 
 from repro.apps.compute import MatMul
 from repro.core.hypercall import Hypercall
+from repro.apps.program import NativeRuntime
 from repro.core.shim import MarshalArena, ShimRuntime, SyscallClass, classify
+from repro.core.shim.protocol import _CLASSIFICATION
 from repro.guestos import layout, uapi
 from repro.guestos.uapi import HypercallOp, Syscall, SyscallOp
 
@@ -52,6 +54,21 @@ class TestProtocolTable:
     def test_every_syscall_classified(self):
         for number in Syscall:
             assert classify(number) is not None
+
+    def test_adapter_table_is_the_adaptation_inventory(self):
+        """The shim adapts exactly the syscalls the protocol table says
+        need adapting; FORK is SPECIAL but forwarded (the VMM observes
+        it architecturally and clones the domain)."""
+        adapted = set(ShimRuntime._ADAPTERS)
+        for number in adapted:
+            assert classify(number) is not SyscallClass.PASS_THROUGH, number
+        needing = {number for number, adaptation in _CLASSIFICATION.items()
+                   if adaptation is not SyscallClass.PASS_THROUGH}
+        assert needing - adapted == {Syscall.FORK}
+        assert classify(Syscall.FORK) is SyscallClass.SPECIAL
+
+    def test_native_runtime_adapts_nothing(self):
+        assert NativeRuntime._ADAPTERS == {}
 
 
 class FakeProgram(MatMul):

@@ -9,11 +9,11 @@ import pytest
 
 from repro.core.ctc import ExitReason
 from repro.core.errors import HypercallError, IdentityViolation, IntegrityViolation
-from repro.core.hypercall import Hypercall
+from repro.core.hypercall import Hypercall, HypercallDispatcher
 from repro.core.metadata import CloakState
 from repro.core.multishadow import POLICY_FLUSH
 from repro.core.vmm import VMM, VMMConfig
-from repro.hw.cpu import VirtualCPU
+from repro.hw.cpu import ALL_REGISTERS, VirtualCPU
 from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.faults import PageFault, PageFaultReason
 from repro.hw.mmu import MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW
@@ -142,6 +142,52 @@ class TestWorldSwitchContext:
         h.vmm.enter_user(PID, ASID)
         h.vmm.exit_user(PID, ExitReason.INTERRUPT)
         assert h.mmu.context == (ASID, SYSTEM_VIEW, MODE_KERNEL)
+
+    # The switch hands register dicts over instead of copying values
+    # in and out of one; none of the handoffs may leave two owners.
+
+    def test_enter_user_leaves_the_ctc_no_reference_to_the_live_file(self, h):
+        h.make_cloaked_app()
+        h.cpu.regs["r6"] = 0x5EC12E7
+        h.vmm.exit_user(PID, ExitReason.INTERRUPT)
+        ctc = h.vmm.ctcs.get(PID)
+        saved = ctc.saved_regs
+        h.vmm.enter_user(PID, ASID)
+        live = h.cpu.regs.live
+        assert live is saved and live["r6"] == 0x5EC12E7
+        assert ctc.saved_regs is None and not ctc.valid
+        assert all(regs is not live for regs in ctc.nesting)
+        # A later save copies the live file instead of keeping it.
+        h.vmm.exit_user(PID, ExitReason.INTERRUPT)
+        assert ctc.saved_regs is not live
+        assert ctc.saved_regs["r6"] == 0x5EC12E7
+
+    def test_exit_user_hands_the_kernel_a_fresh_file(self, h):
+        h.make_cloaked_app()
+        h.vmm.enter_user(PID, ASID)
+        for number, name in enumerate(ALL_REGISTERS, start=1):
+            h.cpu.regs[name] = number
+        before = h.cpu.regs.live
+        staged = ["r0", "r2"]
+        h.vmm.exit_user(PID, ExitReason.SYSCALL, visible_regs=staged)
+        live = h.cpu.regs.live
+        assert live == {name: (ALL_REGISTERS.index(name) + 1
+                               if name in staged else 0)
+                        for name in ALL_REGISTERS}
+        assert list(live) == list(ALL_REGISTERS)
+        saved = h.vmm.ctcs.get(PID).saved_regs
+        assert live is not saved and live is not before
+        assert saved == {name: number for number, name
+                         in enumerate(ALL_REGISTERS, start=1)}
+
+    def test_pcb_load_does_not_alias_the_kernel_snapshot(self, h):
+        pcb = {name: 0 for name in ALL_REGISTERS}
+        pcb["r5"] = 7
+        h.cpu.regs.load(pcb)
+        pcb["r5"] = 0xBAD        # the kernel plants a value afterwards
+        pcb["r6"] = 0xBAD
+        assert h.cpu.regs.live is not pcb
+        assert h.cpu.regs["r5"] == 7 and h.cpu.regs["r6"] == 0
 
 
 class TestGuestAccessedDirtyBits:
@@ -343,6 +389,32 @@ class TestForkAndTeardown:
         h.vmm.notify_thread_exit(PID)
         assert h.phys.read_frame(pfn) == bytes(PAGE_SIZE)
         assert h.vmm.domains.maybe_get(1) is None
+
+
+class TestHypercallDispatcher:
+    def test_replace_swaps_and_returns_the_previous_handler(self):
+        dispatcher = HypercallDispatcher()
+        original = lambda caller: "original"    # noqa: E731
+        dispatcher.register(Hypercall.GET_IDENTITY, original)
+        previous = dispatcher.replace(Hypercall.GET_IDENTITY,
+                                      lambda caller: "replaced")
+        assert previous is original
+        assert dispatcher.dispatch(1, Hypercall.GET_IDENTITY, ()) == "replaced"
+
+    def test_replace_of_an_unregistered_number_raises(self):
+        dispatcher = HypercallDispatcher()
+        with pytest.raises(ValueError, match="PAGE_RECYCLE"):
+            dispatcher.replace(Hypercall.PAGE_RECYCLE, lambda caller: 0)
+        with pytest.raises(HypercallError,
+                           match="unimplemented hypercall Hypercall.PAGE_RECYCLE"):
+            dispatcher.dispatch(1, Hypercall.PAGE_RECYCLE, ())
+
+    def test_duplicate_registration_names_the_member(self):
+        dispatcher = HypercallDispatcher()
+        dispatcher.register(Hypercall.CLOAK_RANGE, lambda caller: None)
+        with pytest.raises(ValueError,
+                           match="duplicate handler for Hypercall.CLOAK_RANGE"):
+            dispatcher.register(Hypercall.CLOAK_RANGE, lambda caller: None)
 
 
 class TestHypercallAuthorization:

@@ -66,8 +66,8 @@ class TestFaultRotation:
 
 def _noop_page_recycle(machine):
     """Engine sabotage: re-introduce the heap-recycle protocol gap."""
-    machine.vmm._dispatcher._handlers[Hypercall.PAGE_RECYCLE] = \
-        lambda caller, start_vpn, npages: 0
+    machine.vmm._dispatcher.replace(Hypercall.PAGE_RECYCLE,
+                                    lambda caller, start_vpn, npages: 0)
 
 
 class TestMutationIsCaught:
