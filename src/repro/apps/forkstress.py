@@ -6,7 +6,6 @@ where the paper's largest slowdowns appear.
 """
 
 from repro.apps.program import Program, UserContext
-from repro.guestos import uapi
 
 
 class ForkStress(Program):

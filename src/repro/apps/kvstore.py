@@ -20,7 +20,7 @@ commands ``PUT k v`` / ``GET k`` / ``DEL k`` / ``QUIT``; responses
 """
 
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.apps.program import Program, UserContext
 from repro.guestos import uapi

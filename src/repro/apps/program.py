@@ -21,7 +21,6 @@ from repro.guestos.uapi import (
     Alu,
     Copy,
     GetReg,
-    HypercallOp,
     Load,
     SetReg,
     Store,

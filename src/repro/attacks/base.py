@@ -1,12 +1,36 @@
 """Common scaffolding for the attack suite."""
 
 import enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.apps.secrets import SECRET
 from repro.guestos.process import Process
 from repro.hw.mmu import MODE_KERNEL, SYSTEM_VIEW
 from repro.machine import Machine
+
+
+def contains_across(chunks: Iterable[bytes], needle: bytes) -> bool:
+    """Whether a non-empty ``needle`` occurs in the concatenation of
+    ``chunks``.
+
+    Each chunk is searched together with the last ``len(needle) - 1``
+    bytes carried from the chunks before it, so a needle that straddles
+    a boundary is found exactly where a join would find it, in memory
+    the size of one chunk.  Every chunk is consumed, in order, even
+    after a match: the iterator may be doing charged device reads.
+    """
+    keep = len(needle) - 1
+    found = False
+    carry = b""
+    for chunk in chunks:
+        if found:
+            continue
+        if needle in chunk or (carry and needle in carry + chunk[:keep]):
+            found = True
+        elif keep:
+            carry = (chunk[-keep:] if len(chunk) >= keep
+                     else (carry + chunk)[-keep:])
+    return found
 
 
 class AttackOutcome(enum.Enum):
@@ -54,6 +78,19 @@ class Attack:
                      data: bytes) -> None:
         machine.mmu.set_context(victim.asid, SYSTEM_VIEW, MODE_KERNEL)
         machine.mmu.write(vaddr, data)
+
+    @staticmethod
+    def disk_contains(machine: Machine, needle: bytes) -> bool:
+        """Read the whole device, one block at a time in LBA order, and
+        say whether ``needle`` is anywhere on it.
+
+        Every block is read through ``read_block`` even after a match,
+        so the reads, ``disk`` cycles, probes and fault-plan decisions
+        are those of a full-device scan.
+        """
+        disk = machine.disk
+        return contains_across(map(disk.read_block, range(disk.num_blocks)),
+                               needle)
 
     @staticmethod
     def secret_vaddr(machine: Machine, victim: Process) -> int:

@@ -6,7 +6,12 @@ to come from the data itself: pages reach the device already encrypted
 back in.
 """
 
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import (
+    Attack,
+    AttackOutcome,
+    AttackReport,
+    contains_across,
+)
 from repro.guestos.process import Process
 from repro.machine import Machine
 
@@ -23,11 +28,7 @@ class DiskScrape(Attack):
         for inode in machine.kernel.fs.all_inodes():
             if inode.itype.value == "regular":
                 machine.kernel.fs.writeback(inode)
-        observed = b"".join(
-            machine.disk.read_block(lba)
-            for lba in range(machine.disk.num_blocks)
-        )
-        leaked = SECRET_FILE_CONTENT in observed
+        leaked = self.disk_contains(machine, SECRET_FILE_CONTENT)
         final = self.finish(machine, victim)
         detail = f"scanned {machine.disk.num_blocks} blocks"
         if leaked:
@@ -43,13 +44,13 @@ class PageCacheScrape(Attack):
     description = "kernel reads the protected file's page-cache frames"
 
     def run(self, machine: Machine, victim: Process) -> AttackReport:
-        observed = bytearray()
-        for inode in machine.kernel.fs.all_inodes():
-            for pfn in inode.pages.values():
-                # Honest kernels use DMA/the MMU; the strongest attacker
-                # reads the frame as the device would.
-                observed += machine.dma.read_frame(pfn)
-        leaked = SECRET_FILE_CONTENT in bytes(observed)
+        # Honest kernels use DMA/the MMU; the strongest attacker reads
+        # each frame as the device would.
+        leaked = contains_across(
+            (machine.dma.read_frame(pfn)
+             for inode in machine.kernel.fs.all_inodes()
+             for pfn in inode.pages.values()),
+            SECRET_FILE_CONTENT)
         final = self.finish(machine, victim)
         if leaked:
             return AttackReport(self.name, victim.cloaked,

@@ -28,7 +28,7 @@ channel-tamper         LEAKED     DETECTED
 computes on the wrong page.
 """
 
-from typing import List, Optional, Tuple, Type
+from typing import List, Tuple, Type
 
 from repro.apps.secrets import SecretFileWriter, SecretHolder, SecretWriter
 from repro.attacks.base import Attack, AttackReport

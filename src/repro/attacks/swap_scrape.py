@@ -10,6 +10,7 @@ holds only ciphertext.
 from repro.apps.secrets import SECRET
 from repro.attacks.base import Attack, AttackOutcome, AttackReport
 from repro.guestos.process import Process
+from repro.hw.disk import zero_block
 from repro.machine import Machine
 
 
@@ -19,11 +20,7 @@ class SwapScrape(Attack):
 
     def run(self, machine: Machine, victim: Process) -> AttackReport:
         evicted = machine.kernel.reclaimer.reclaim(200)
-        observed = b"".join(
-            machine.disk.read_block(lba)
-            for lba in range(machine.disk.num_blocks)
-        )
-        leaked = SECRET in observed
+        leaked = self.disk_contains(machine, SECRET)
         final = self.finish(machine, victim)
         detail = f"evicted={evicted}, victim: {final.strip().splitlines()[-1]!r}"
         if leaked:
@@ -47,11 +44,13 @@ class SwapTamper(Attack):
         evicted = machine.kernel.reclaimer.reclaim(200)
         # Corrupt every non-empty disk block (the victim's swap slots
         # are in there somewhere).  A block is empty iff every byte is
-        # zero; ``count`` decides that in C.
+        # zero; the shared zero block is, and ``count`` decides the
+        # rest in C.
+        zero = zero_block(machine.disk.block_size)
         tampered = 0
         for lba in range(machine.disk.num_blocks):
             block = machine.disk.read_block(lba)
-            if block.count(0) != len(block):
+            if block is not zero and block.count(0) != len(block):
                 mutated = bytearray(block)
                 mutated[0] ^= 0xFF
                 machine.disk.write_block(lba, bytes(mutated))

@@ -9,7 +9,7 @@
   view switch: the cost multi-shadowing exists to avoid.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.bench.runner import fresh_machine, measure_program
 from repro.bench.tables import Table

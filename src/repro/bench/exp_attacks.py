@@ -5,7 +5,7 @@ table is the reproduction of the paper's security argument, with the
 syscall-lie row marking the acknowledged trust-boundary limit.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.attacks import AttackOutcome, run_suite
 from repro.bench.tables import Table

@@ -15,8 +15,6 @@ reaches the unsealed paths; the unsealed cloaked path trails native by
 the marshalling copy alone.
 """
 
-from typing import List, Tuple
-
 from repro.bench.runner import fresh_machine, measure_program
 from repro.bench.tables import Series
 

@@ -13,8 +13,6 @@ emulated path beats the marshalled path for warm windows because
 read/write become pure user-space copies.
 """
 
-from typing import Dict, List
-
 from repro.bench.runner import fresh_machine, measure_program
 from repro.bench.tables import Series
 

@@ -6,7 +6,7 @@ and each exec pays a fresh domain bootstrap (identity check + image
 adoption).  The table also breaks out where the cloaked cycles go.
 """
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.bench.runner import compare_program, ratio
 from repro.bench.tables import Table

@@ -21,8 +21,6 @@ Headline claims:
   DETECTED, never EXPOSED or CORRUPTED.
 """
 
-from typing import Optional
-
 from repro.bench.tables import Table
 from repro.gen.driver import CampaignReport, run_campaign
 

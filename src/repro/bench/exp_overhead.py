@@ -6,7 +6,7 @@ workload class actually takes (the event counts explain the cycle
 results of R-F1..R-F4).
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.bench.runner import fresh_machine, measure_program
 from repro.bench.tables import Table

@@ -8,7 +8,7 @@ small constant (world switches + CTC); buffer-carrying calls add
 marshalling copies; fork/exec are the blowups.
 """
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.apps.microbench import MICRO_SUITE
 from repro.bench.runner import fresh_machine, measure_program, ratio

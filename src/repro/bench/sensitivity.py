@@ -16,7 +16,7 @@ The conclusions under test:
 * C4 — multi-shadowing beats flush-per-switch.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.bench.runner import fresh_machine, measure_program
 from repro.bench.tables import Table

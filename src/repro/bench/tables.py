@@ -1,6 +1,6 @@
 """ASCII tables and series, matching the paper's presentation style."""
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 def _fmt(value: Any) -> str:

@@ -27,7 +27,7 @@ from repro.core.errors import FreshnessViolation, IntegrityViolation
 from repro.core.metadata import CloakState, FileMetadataStore, MetadataStore, PageMetadata
 from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.faults import AccessKind
-from repro.hw.params import CostTable, PAGE_SIZE
+from repro.hw.params import CostTable
 from repro.hw.phys import PhysicalMemory
 from repro.obs import bus
 

@@ -13,7 +13,7 @@ surgically invalidate every stale mapping — including mappings the
 same frame has in *other* address spaces (shared file mappings).
 """
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hw.cycles import StatCounters
 from repro.hw.tlb import TLBEntry

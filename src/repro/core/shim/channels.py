@@ -19,11 +19,11 @@ point.
 
 import hashlib
 import struct
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.hypercall import Hypercall
 from repro.guestos import uapi
-from repro.guestos.uapi import Copy, HypercallOp, Load, Store, Syscall, SyscallOp
+from repro.guestos.uapi import HypercallOp, Load, Store, Syscall, SyscallOp
 
 FRAME = struct.Struct("<II")
 

@@ -13,12 +13,12 @@ lifecycle), all of which the VMM merely *observes*.
 import hashlib
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core import crypto
 from repro.core.cloak import CloakConfig, CloakEngine
 from repro.core.ctc import CTCTable, ExitReason
-from repro.core.domains import DomainTable, ProtectionDomain, SYSTEM_DOMAIN
+from repro.core.domains import DomainTable, SYSTEM_DOMAIN
 from repro.core.errors import (FreshnessViolation, HypercallError,
                                IdentityViolation, IntegrityViolation)
 from repro.core.hypercall import Hypercall, HypercallDispatcher

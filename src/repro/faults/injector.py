@@ -50,7 +50,7 @@ from repro.faults.plan import (
 )
 from repro.guestos.blockcache import BlockCache, DMAGateway
 from repro.guestos.swap import SwapSpace
-from repro.hw.disk import Disk
+from repro.hw.disk import Disk, zero_block
 from repro.hw.phys import PhysicalMemory
 from repro.hw.tlb import SoftwareTLB, TLBEntry
 
@@ -75,7 +75,7 @@ class FaultyDisk(Disk):
         data = super().read_block(lba)
         if self._plan.decide(SITE_DISK_READ_ERROR):
             # Unrecoverable sector: the controller substitutes zeros.
-            return bytes(self.block_size)
+            return zero_block(self.block_size)
         if self._plan.decide(SITE_DISK_READ_BITFLIP):
             return _flip_one_byte(self._plan, SITE_DISK_READ_BITFLIP, data)
         return data
@@ -97,7 +97,7 @@ class FaultyDisk(Disk):
         if self._plan.decide(SITE_DISK_WRITE_TORN):
             old = self._blocks.get(lba)
             if old is None:
-                old = bytes(self.block_size)
+                old = zero_block(self.block_size)
             half = self.block_size // 2
             data = data[:half] + old[half:]
         if self._plan.decide(SITE_DISK_WRITE_BITFLIP):

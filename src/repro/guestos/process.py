@@ -3,9 +3,8 @@
 import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.guestos import layout, uapi
+from repro.guestos import layout
 from repro.hw.pagetable import PageTableWalker
-from repro.hw.params import PAGE_SIZE
 from repro.hw.phys import FrameAllocator, PhysicalMemory
 
 

@@ -15,7 +15,7 @@ round-robin and evicting anonymous pages FIFO — deliberately dumb, as
 a pressure generator should be.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.guestos.blockcache import BlockCache
 from repro.guestos.process import Process, ProcessState, VMA

@@ -1,6 +1,6 @@
 """VFS layer: path resolution and directory operations over RamFS."""
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.guestos import uapi
 from repro.guestos.pipes import Pipe

@@ -7,7 +7,7 @@ is what lets the benchmark harness make paper-style comparisons without
 a hardware testbed.
 """
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 class CycleAccount:

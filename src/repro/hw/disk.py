@@ -13,6 +13,18 @@ from repro.hw.cycles import CycleAccount
 from repro.hw.params import CostTable
 from repro.obs import bus
 
+#: block size -> the one shared all-zero block of that size.  Module
+#: state, not disk state, so a snapshot never pickles it.
+_ZERO_BLOCKS: Dict[int, bytes] = {}
+
+
+def zero_block(size: int) -> bytes:
+    """The shared, immutable all-zero block of ``size`` bytes."""
+    block = _ZERO_BLOCKS.get(size)
+    if block is None:
+        block = _ZERO_BLOCKS[size] = bytes(size)
+    return block
+
 
 class Disk:
     """A fixed number of blocks, of which only the written ones are
@@ -52,7 +64,8 @@ class Disk:
         """Return one block's contents.
 
         The stored ``bytes`` object is returned as-is (immutable, so no
-        defensive copy); never-written blocks read as zeros.
+        defensive copy); never-written blocks read as the shared
+        :func:`zero_block`.
         """
         if not 0 <= lba < self._num_blocks:
             raise IndexError(f"bad block {lba}")
@@ -61,7 +74,7 @@ class Disk:
         bus.disk_read(lba)
         data = self._blocks.get(lba)
         if data is None:
-            return bytes(self._block_size)
+            return zero_block(self._block_size)
         return data
 
     def write_block(self, lba: int, data: bytes) -> None:

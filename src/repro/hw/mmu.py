@@ -16,7 +16,7 @@ a CPU's CR3/CPL select translations implicitly.
 from typing import List, Optional, Tuple
 
 from repro.hw.cycles import CycleAccount
-from repro.hw.faults import AccessKind, GeneralProtectionFault, PageFault, PageFaultReason
+from repro.hw.faults import AccessKind, PageFault, PageFaultReason
 from repro.hw.params import CostTable, PAGE_SHIFT, PAGE_SIZE
 from repro.hw.phys import PhysicalMemory
 from repro.hw.tlb import SoftwareTLB, TLBEntry

@@ -36,7 +36,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.metrics import merge_snapshots
 from repro.serve.loadgen import (
@@ -51,6 +51,15 @@ from repro.serve.ring import DEFAULT_VNODES, HashRing
 
 #: Worker poll interval (seconds) while awaiting results.
 _POLL = 0.05
+
+#: Every key :func:`run_shard` returns, with the type(s) its value has.
+_RESULT_TYPES = {
+    "app": str, "requests": int, "completed": int, "errors": int,
+    "slo_misses": int, "deadline": int, "latency": dict, "latencies": list,
+    "offered_per_mcycle": float, "achieved_per_mcycle": float,
+    "cycles": int, "cycle_hash": str, "server_exit": (int, type(None)),
+    "violations": int,
+}
 
 
 @dataclass(frozen=True)
@@ -131,9 +140,25 @@ def _worker_main(result_queue, config: ClusterConfig, shard: int,
     result_queue.put((shard, run_shard(config, shard, rows)))
 
 
+def _accepted(item, wave: List[int], results: Dict[int, Dict]) -> bool:
+    """Is a queued ``item`` the first result of a shard in ``wave``,
+    shaped as :func:`run_shard` shapes it?  Anything else is dropped,
+    so its shard counts as dead and is rerouted."""
+    if not (isinstance(item, tuple) and len(item) == 2):
+        return False
+    shard, result = item
+    if shard not in wave or shard in results or not isinstance(result, dict):
+        return False
+    if not isinstance(result.get("metrics", {}), dict):
+        return False
+    return all(key in result and isinstance(result[key], kinds)
+               for key, kinds in _RESULT_TYPES.items())
+
+
 def _run_forked(config: ClusterConfig,
                 per_shard: Dict[int, List[Row]]) -> Dict[int, Dict]:
-    """Run shards in forked workers; missing results mean dead shards."""
+    """Run shards in forked workers; missing or malformed results mean
+    dead shards."""
     ctx = multiprocessing.get_context("fork")
     results: Dict[int, Dict] = {}
     width = config.workers if config.workers > 0 else config.shards
@@ -161,21 +186,23 @@ def _run_forked(config: ClusterConfig,
             if got == expected:
                 break
             try:
-                shard, result = result_queue.get(timeout=_POLL)
+                item = result_queue.get(timeout=_POLL)
             except queue_mod.Empty:
                 if not any(p.is_alive() for p in procs.values()):
                     break
                 continue
-            results[shard] = result
-            got += 1
+            if _accepted(item, wave, results):
+                results[item[0]] = item[1]
+                got += 1
         # Late stragglers: one last non-blocking drain (a worker may
         # have queued its result in the instant before we gave up).
         while True:
             try:
-                shard, result = result_queue.get_nowait()
+                item = result_queue.get_nowait()
             except queue_mod.Empty:
                 break
-            results[shard] = result
+            if _accepted(item, wave, results):
+                results[item[0]] = item[1]
         for proc in procs.values():
             # Workers that delivered exit on their own — give them a
             # grace period so terminate() is reserved for the truly

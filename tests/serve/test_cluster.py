@@ -12,6 +12,7 @@ import multiprocessing
 import pytest
 
 from repro.obs.metrics import merge_snapshots
+from repro.serve import cluster
 from repro.serve.cluster import (
     ClusterConfig,
     plan_shards,
@@ -158,3 +159,31 @@ def test_all_shards_dead_still_completes():
     assert report["rescue"] == {}  # nobody left to rescue onto
     assert report["cluster"]["completed"] == 0
     assert report["cluster"]["capacity_per_shard"] == 0.0
+
+
+@needs_fork
+def test_malformed_worker_results_count_as_dead(monkeypatch):
+    """A worker's queued result is trusted only if it is a complete
+    ``run_shard`` dict for a shard of its own wave."""
+
+    def lying_worker(result_queue, config, shard, rows):
+        result = cluster.run_shard(config, shard, rows)
+        if shard == 0:
+            del result["cycles"]
+            result_queue.put((shard, result))      # partial dict
+        elif shard == 1:
+            result_queue.put((shard, "all good"))  # not a dict
+        elif shard == 2:
+            result_queue.put((0, result))          # another wave's shard
+        else:
+            result_queue.put((shard, result))
+
+    monkeypatch.setattr(cluster, "_worker_main", lying_worker)
+    report = run_cluster(_config(shards=4, workers=2))
+    assert report["degraded"]
+    assert report["dead_shards"] == [0, 1, 2]
+    assert sorted(report["per_shard"]) == ["3"]
+    assert report["cluster"]["completed"] == SPEC.requests
+    inline = run_cluster(_config(shards=4, kill_shards=(0, 1, 2),
+                                 inline=True))
+    assert report_json(report) == report_json(inline)
