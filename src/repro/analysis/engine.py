@@ -2,9 +2,8 @@
 
 The engine is rule-agnostic.  It turns every Python file under the
 analysed paths into a :class:`ModuleInfo` (source, AST, dotted module
-name, scope map, inline suppressions) and hands it, with the run's
-shared project context, to each registered rule; rules yield
-:class:`Finding` objects.  A finding is silenced only by
+name, scope map, inline suppressions) and hands it to each registered
+rule; rules yield :class:`Finding` objects.  A finding is silenced only by
 an inline ``# repro: allow(RULE-ID) — reason`` on the offending line
 (or alone on the line above it); the reason is mandatory, and an allow
 that silences nothing fails the run.
@@ -18,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Inline suppression syntax.  The reason is mandatory: a bare
 #: ``allow(...)`` with no justification does not suppress anything.
-#: Both ``allow(SEC002)`` and ``allow[SEC002]`` brackets are accepted.
+#: Both ``allow(TB001)`` and ``allow[TB001]`` brackets are accepted.
 SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow[\(\[]\s*([A-Z]{2,4}\d{3}(?:\s*,\s*[A-Z]{2,4}\d{3})*)"
     r"\s*[\)\]]\s*(?:[—–-]+|:)\s*(\S.*)?$"
@@ -239,17 +238,11 @@ class Analyzer:
             root: Optional[Path] = None) -> Report:
         """Run every rule over every discovered file.
 
-        The run is two-phase: all files parse first, then every rule
-        checks each module against the run's one ``ProjectContext``
-        (:mod:`repro.analysis.flow`), so interprocedural rules see the
-        *whole* tree before the first per-module verdict.  Findings are
-        displayed relative to ``root`` when they lie under it.
+        Findings are displayed relative to ``root`` when they lie
+        under it.
         """
-        from repro.analysis.flow import ProjectContext
-
         report = Report()
         rule_ids = {rule.rule_id for rule in self.rules}
-        modules: List[ModuleInfo] = []
         for file_path in self.discover([Path(p) for p in paths]):
             display = _display_path(file_path, root)
             try:
@@ -258,13 +251,9 @@ class Analyzer:
             except (SyntaxError, UnicodeDecodeError, OSError) as exc:
                 report.parse_errors.append(f"{display}: {exc}")
                 continue
-            modules.append(mod)
-
-        project = ProjectContext(modules)
-        for mod in modules:
             report.files_checked += 1
             for rule in self.rules:
-                for finding in rule.check(mod, project):
+                for finding in rule.check(mod):
                     if mod.is_suppressed(finding.rule, finding.line):
                         report.suppressed.append(finding)
                     else:

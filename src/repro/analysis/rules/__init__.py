@@ -1,33 +1,32 @@
 """Rule registry.
 
 A rule is any object with a ``rule_id``, ``name``, ``summary`` and a
-``check(mod, project) -> Iterable[Finding]`` method (see
-:class:`repro.analysis.rules.base.Rule`).  Rules are stateless: every
-run-scoped cache lives on the project context.  Adding a rule
-means writing the module, instantiating it here, and giving it a
-fixture-backed positive and negative test under ``tests/analysis/``
-(see docs/ANALYSIS.md, "Adding a rule").
+``check(mod) -> Iterable[Finding]`` method (see
+:class:`repro.analysis.rules.base.Rule`).  Rules are stateless and see
+one module at a time.  Adding a rule means writing the module,
+instantiating it here, and giving it a fixture-backed positive and
+negative test under ``tests/analysis/`` (see docs/ANALYSIS.md, "Adding
+a rule").
+
+Secret flow and cost conservation are not rules: they are checked on
+real runs, by ``tests/integration/test_key_canaries.py`` and
+``tests/integration/test_cost_conservation.py``.
 """
 
 from typing import List, Sequence
 
 from repro.analysis.rules.cloak_state import CloakStateRule
-from repro.analysis.rules.cycle_accounting import CycleAccountingRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
 from repro.analysis.rules.import_boundary import ImportBoundaryRule
 from repro.analysis.rules.obs import ProbeIndirectionRule
 from repro.analysis.rules.perf import FreshBootLoopRule
-from repro.analysis.rules.secret_flow import SecretFlowRule, UnsealedPersistRule
 from repro.analysis.rules.suppression_hygiene import SuppressionHygieneRule
 
 ALL_RULES = (
     ImportBoundaryRule(),
     DeterminismRule(),
-    CycleAccountingRule(),
     ExceptionDisciplineRule(),
-    SecretFlowRule(),
-    UnsealedPersistRule(),
     FreshBootLoopRule(),
     ProbeIndirectionRule(),
     CloakStateRule(),

@@ -9,17 +9,18 @@ from repro.analysis.engine import Finding, ModuleInfo
 class Rule:
     """Base class: id/metadata plus a Finding factory.
 
-    ``check(mod, project)`` yields the findings for one module;
-    ``project`` is the run's :class:`~repro.analysis.flow.ProjectContext`
-    (shared call graph and taint analysis), which rules that look
-    at one module at a time simply ignore.
+    ``check(mod)`` yields the findings for one module.  Every rule
+    looks at one module at a time; invariants that span modules are
+    checked on a real run instead (secret flow by
+    ``tests/integration/test_key_canaries.py``, cost conservation by
+    ``tests/integration/test_cost_conservation.py``).
     """
 
     rule_id = "XX000"
     name = "unnamed"
     summary = ""
 
-    def check(self, mod: ModuleInfo, project):
+    def check(self, mod: ModuleInfo):
         raise NotImplementedError
 
     def finding(self, mod: ModuleInfo, node: ast.AST,

@@ -35,7 +35,7 @@ class CloakStateRule(Rule):
     summary = ("cloak state is assigned only inside repro.core.metadata; "
                "everyone else goes through PageMetadata.transition")
 
-    def check(self, mod: ModuleInfo, project) -> Iterable[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterable[Finding]:
         if mod.module == STATE_OWNER or "CloakState" not in mod.source:
             return
         for node in ast.walk(mod.tree):

@@ -61,7 +61,7 @@ class DeterminismRule(Rule):
     summary = ("no wall-clock/entropy sources; randomness must flow "
                "through an explicitly seeded random.Random")
 
-    def check(self, mod: ModuleInfo, project):
+    def check(self, mod: ModuleInfo):
         aliases = import_aliases(mod.tree)
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):

@@ -45,7 +45,7 @@ class ExceptionDisciplineRule(Rule):
     summary = ("no bare/broad except that could swallow security "
                "violations; *Violation classes derive from core.errors")
 
-    def check(self, mod: ModuleInfo, project):
+    def check(self, mod: ModuleInfo):
         yield from self._check_handlers(mod)
         if mod.module != ERRORS_MODULE:
             yield from self._check_hierarchy(mod)

@@ -88,7 +88,7 @@ class ImportBoundaryRule(Rule):
                "packages their row of the boundary table allows; "
                "untrusted code never imports repro.core internals")
 
-    def check(self, mod: ModuleInfo, project) -> Iterable[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterable[Finding]:
         layer = next((p for p in BOUNDARY if _under(mod.module, p)), None)
         if layer is None:
             return

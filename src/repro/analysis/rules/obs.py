@@ -50,7 +50,7 @@ class ProbeIndirectionRule(Rule):
                "probe bindings, no sink/exporter imports, no bus "
                "control-plane calls")
 
-    def check(self, mod: ModuleInfo, project):
+    def check(self, mod: ModuleInfo):
         if not _in_scope(mod.module):
             return
         for imported_module, imported_name, node in mod.imports():

@@ -37,7 +37,7 @@ class FreshBootLoopRule(Rule):
                "Machine.boot (golden snapshot per BootConfig), not "
                "re-boot")
 
-    def check(self, mod: ModuleInfo, project) -> Iterable:
+    def check(self, mod: ModuleInfo) -> Iterable:
         if not mod.module.startswith(REPEAT_PREFIXES):
             return
         aliases = import_aliases(mod.tree)

@@ -44,7 +44,7 @@ class SuppressionHygieneRule(Rule):
     summary = ("inline allows must name rule ids and carry a reason; "
                "blanket or reason-less allows are flagged")
 
-    def check(self, mod: ModuleInfo, project) -> Iterable[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterable[Finding]:
         for lineno, text in enumerate(mod.lines, start=1):
             if "repro:" not in text:
                 continue

@@ -150,11 +150,11 @@ class CloakEngine:
         md.transition(CloakState.PLAINTEXT_CLEAN)
         if not self.config.integrity_only:
             plaintext = cipher.decrypt_page(md.iv, contents)
-            # repro: allow(SEC002) — decrypt-in-place is the cloaking
-            # transition itself: this frame is exposed only through the
-            # owner's shadow view after this point (resolve_app_access
-            # callers invalidate every other mapping), so the plaintext
-            # never becomes guest-kernel-visible.
+            # Decrypt-in-place is the cloaking transition itself: this
+            # frame is exposed only through the owner's shadow view
+            # after this point (resolve_app_access callers invalidate
+            # every other mapping), so the plaintext never becomes
+            # guest-kernel-visible.
             self._phys.write_frame(gpfn, plaintext)
             self._cycles.charge("crypto", self._costs.page_decrypt)
         if self.config.clean_page_optimization:

@@ -166,8 +166,8 @@ class PageMetadata:
         """Return the stale version number if ``ciphertext`` verifies
         under a superseded triple (i.e. the OS replayed old contents)."""
         for version, iv, mac in reversed(self.history):
-            # repro: allow(CYC001) — forensic probe on the failure path:
-            # the faulting access already charged page_hash, and the
+            # Uncharged by design: a forensic probe on the failure path.
+            # The faulting access already charged page_hash, and the
             # outcome here only refines which violation is raised.
             if cipher.verify_page(self.mac_binding, version, iv, mac, ciphertext):
                 return version

@@ -641,7 +641,9 @@ class VMM(TranslationAuthority):
         if plaintext is None:
             self.stats.bump("vmm.channel_rejections")
             # Distinguish replay for reporting: does the record verify
-            # under an earlier sequence number?
+            # under an earlier sequence number?  Uncharged by design,
+            # like PageMetadata.matches_stale_version: a forensic probe
+            # after the charged open failed.
             for stale in range(max(0, seq - 8), seq):
                 if domain.cipher.open_message(channel_id, stale, record) is not None:
                     raise FreshnessViolation(domain.domain_id, channel_id,
@@ -650,15 +652,18 @@ class VMM(TranslationAuthority):
                                      "sealed channel record rejected")
         counts = self.stats.counts
         counts["vmm.channel_opens"] = counts.get("vmm.channel_opens", 0) + 1
-        # repro: allow(SEC002) — hypercall results return directly into
-        # the cloaked caller's user context (hypercalls never transit
-        # the guest kernel, see repro.core.hypercall); delivering the
-        # opened message to its owner is this call's whole purpose.
+        # Hypercall results return directly into the cloaked caller's
+        # user context (hypercalls never transit the guest kernel, see
+        # repro.core.hypercall); delivering the opened message to its
+        # owner is this call's whole purpose.
         return plaintext
 
     # ------------------------------------------------------------------
     # DMA interposition (IOMMU analogue)
     # ------------------------------------------------------------------
+    # The frame transfer itself is uncharged by design: ``disk_block``
+    # prices DMA setup and completion, and the read_block/write_block
+    # the transfer serves charges it.
 
     def dma_read_frame(self, gpfn: int) -> bytes:
         """Device read of a frame: cloaked plaintext is encrypted

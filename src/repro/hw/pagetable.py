@@ -202,7 +202,7 @@ class PageTableWalker:
                                     l1 * PTE_SIZE)[0]
         if not dir_word & FLAG_PRESENT:
             table_pfn = alloc_table()
-            # repro: allow(CYC001) — the walker is passive hardware with
+            # Uncharged by design: the walker is passive hardware with
             # no ledger; table-install cost is charged per level by the
             # MMU/VMM on the faulting path that triggered this map.
             phys.zero_frame(table_pfn)

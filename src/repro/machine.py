@@ -567,8 +567,9 @@ class Machine:
                 return False
             action = self.kernel.signal_action(proc, sig)
             if action == 2 and proc.runtime.deliver_signal(sig):
-                # Through the uncloaked trampoline for cloaked threads;
-                # the interrupted context stays saved (CTC nesting).
+                # The handler generator is pushed onto the program's own
+                # frame stack, cloaked or not, and the delivery costs
+                # one ``interrupt``; no trampoline, no CTC save.
                 self.cycles.charge("kernel", self.params.costs.interrupt)
                 self.stats.bump("kernel.signals_delivered")
                 continue

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.engine import Analyzer, ModuleInfo
-from repro.analysis.flow import ProjectContext
 
 
 class FixtureTree:
@@ -42,5 +41,5 @@ def tree(tmp_path):
 
 def check(rule, mod: ModuleInfo):
     """Run one rule over one module, honouring inline suppressions."""
-    return [f for f in rule.check(mod, ProjectContext([mod]))
+    return [f for f in rule.check(mod)
             if not mod.is_suppressed(f.rule, f.line)]

@@ -53,11 +53,11 @@ def test_unknown_rule_exits_two_and_names_it(tmp_path):
     code, text = run_cli([str(tmp_path), "--rules", "NOPE999"])
     assert code == 2
     assert "NOPE999" in text
-    assert "SEC002" in text  # the known ids are listed for correction
+    assert "STATE001" in text  # the known ids are listed for correction
 
 
 def test_unknown_rule_reported_among_valid_ones(tmp_path):
-    code, text = run_cli([str(tmp_path), "--rules", "TB001,NOPE999,SEC003"])
+    code, text = run_cli([str(tmp_path), "--rules", "TB001,NOPE999,ERR001"])
     assert code == 2
     assert "NOPE999" in text
 
@@ -71,9 +71,10 @@ def test_rules_filter(tmp_path):
 def test_list_rules(tmp_path):
     code, text = run_cli(["--list-rules"])
     assert code == 0
-    for rule_id in ("TB001", "DET001", "CYC001", "ERR001", "SEC002", "OBS001"):
+    for rule_id in ("TB001", "DET001", "ERR001", "OBS001", "STATE001"):
         assert rule_id in text
-    for rule_id in ("API001", "SEC001", "PERF001"):
+    for rule_id in ("API001", "SEC001", "PERF001", "CYC001", "SEC002",
+                    "SEC003"):
         assert rule_id not in text
 
 

@@ -35,15 +35,3 @@ def test_parse_error_exits_one_even_with_no_findings(tmp_path):
     assert "parse error" in text
     assert "FAILED" in text
 
-
-def test_interprocedural_rules_survive_a_broken_module(tree):
-    """The project context holds only the parsable modules; taint
-    findings in healthy files are unaffected by a broken sibling."""
-    tree.write("repro/core/broken.py", BROKEN)
-    tree.write("repro/core/leaky.py", """\
-        def handler(cipher, frame):
-            print(cipher.decrypt_page(0, frame))
-        """)
-    report = tree.run(get_rules(["SEC002"]))
-    assert len(report.parse_errors) == 1
-    assert [f.rule for f in report.findings] == ["SEC002"]

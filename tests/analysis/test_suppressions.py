@@ -35,31 +35,35 @@ def test_comment_line_above_suppresses_next_code_line(tree):
 def test_wrapped_comment_block_skips_blank_lines_to_next_code(tree):
     """The allow may open a multi-line justification block separated
     from the statement by further comments *and* blank lines."""
-    tree.write("repro/core/leaky.py", """\
-        # repro: allow(SEC002) — demo diagnostics channel reviewed in
-        # PR 4; the value printed here is a truncated digest, kept as
-        # the worked example for the docs.
+    tree.write("repro/core/clocky.py", """\
+        import time
+
+        # repro: allow(DET001) — profiling hook reviewed with the
+        # benchmark owners; the value read here never reaches a
+        # result, kept as the worked example for the docs.
 
         # (unrelated comment between the block and the code)
-        def handler(cipher, frame):
-            print(cipher.decrypt_page(0, frame))
+        def stamp():
+            return time.time()
         """)
     report = run_all(tree)
-    # The allow binds to the next *code* line (the def), not the print
-    # two lines further down — the leak is still reported.
-    assert any(f.rule == "SEC002" for f in report.findings)
+    # The allow binds to the next *code* line (the def), not the clock
+    # read one line further down — the read is still reported.
+    assert any(f.rule == "DET001" for f in report.findings)
 
-    tree.write("repro/core/leaky2.py", """\
-        def handler(cipher, frame):
-            # repro: allow(SEC002) — demo diagnostics channel, wrapped
+    tree.write("repro/core/clocky2.py", """\
+        import time
+
+        def stamp():
+            # repro: allow(DET001) — profiling hook, wrapped
             # justification spanning several comment lines before the
             # statement it covers.
 
-            print(cipher.decrypt_page(0, frame))
+            return time.time()
         """)
     report = run_all(tree)
-    leaks2 = [f for f in report.suppressed if "leaky2" in f.path]
-    assert len(leaks2) == 1
+    reads2 = [f for f in report.suppressed if "clocky2" in f.path]
+    assert len(reads2) == 1
 
 
 def test_allow_without_reason_is_inert(tree):
@@ -98,13 +102,13 @@ def test_allow_accepts_multiple_rule_ids(tree):
 def test_parse_suppressions_table():
     lines = [
         "x = 1  # repro: allow(TB001) — reason",
-        "# repro: allow(CYC001) : colon separator works",
+        "# repro: allow(ERR001) : colon separator works",
         "y = 2",
     ]
     table, sources = _parse_suppressions(lines)
     assert table[1] == {"TB001"}
-    assert "CYC001" in table[2]  # the comment line itself
-    assert "CYC001" in table[3]  # ...and the code line below
+    assert "ERR001" in table[2]  # the comment line itself
+    assert "ERR001" in table[3]  # ...and the code line below
     assert [s.origin_line for s in sources] == [1, 2]
     assert sources[1].targets == {2, 3}
 

@@ -4,6 +4,10 @@ End-to-end over the full machine: a cloaked parent and its forked
 child exchange messages through a ``/secure`` FIFO; the kernel's pipe
 buffer holds only sealed records, and kernel-side manipulation of the
 stream is caught at CHANNEL_OPEN.
+
+Every test here also runs under the cost-conservation check
+(``cost_conservation.py``): no micro-hot program seals or opens a
+message, so these runs are the check's only look at the channel path.
 """
 
 import pytest
@@ -11,6 +15,8 @@ import pytest
 from repro.apps.program import Program
 from repro.guestos import uapi
 from repro.machine import Machine
+
+from tests.integration.cost_conservation import conservation_check
 
 MESSAGES = [b"alpha-secret", b"beta-secret!", b"gamma-secret"]
 FIFO = "/secure/chan"
@@ -53,6 +59,13 @@ class ChannelPair(Program):
         return result[1]
 
 
+@pytest.fixture(autouse=True)
+def conservation():
+    with conservation_check() as record:
+        yield record
+    record.assert_conserved()
+
+
 def build(cloaked=True):
     machine = Machine.build()
     machine.kernel.vfs.mkdir("/secure")
@@ -61,7 +74,7 @@ def build(cloaked=True):
 
 
 class TestSealedChannelFunctionality:
-    def test_roundtrip_between_forked_peers(self):
+    def test_roundtrip_between_forked_peers(self, conservation):
         machine = build()
         proc = machine.run_program("channelpair")
         assert "parent-done 0" in proc.text
@@ -69,6 +82,9 @@ class TestSealedChannelFunctionality:
         assert not machine.violations
         assert machine.stats.get("vmm.channel_seals") == len(MESSAGES)
         assert machine.stats.get("vmm.channel_opens") == len(MESSAGES)
+        assert {("repro.core.vmm", "VMM._hc_channel_seal", "seal_message"),
+                ("repro.core.vmm", "VMM._hc_channel_open", "open_message")
+                } <= set(conservation.sites())
 
     def test_native_fifo_still_works_uncloaked(self):
         machine = build(cloaked=False)
