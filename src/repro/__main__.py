@@ -111,7 +111,7 @@ def _faults_main(argv) -> int:
         print("## differential conformance (native vs cloaked, "
               "double-run determinism)")
         results = oracle.run_conformance(verbose=True)
-        bad = [r for r in results if not r.ok]
+        bad = [name for name, kind, __ in results if kind is not None]
         failures += len(bad)
         print(f"conformance: {len(results)} programs, "
               f"{len(bad)} failures")
@@ -136,9 +136,9 @@ def _faults_main(argv) -> int:
 
 def _fuzz_main(argv) -> int:
     """``python -m repro fuzz``: seeded differential fuzzing."""
+    from repro.faults.oracle import judge
     from repro.gen import driver
-    from repro.gen.generator import generate
-    from repro.gen.shrink import check_failure
+    from repro.gen.generator import app_spec_for
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz", allow_abbrev=False,
@@ -164,14 +164,15 @@ def _fuzz_main(argv) -> int:
 
     if args.replay is not None:
         seed, spec = args.replay
-        plan = generate(seed, spec)
+        app, plan = app_spec_for(seed, spec)
         print(f"replaying {plan.name}: seed={seed} preset={spec.preset} "
               f"ops={len(plan.ops)}")
         for line in plan.listing():
             print(f"  {line}")
-        kind, detail = check_failure(seed, spec)
+        kind, detail = judge(app, determinism=True)
         if kind is None:
-            print("replay: PASS (native and cloaked agree, hygiene clean)")
+            print("replay: PASS (native and cloaked agree, hygiene clean, "
+                  "same-seed re-run identical)")
             return 0
         print(f"replay: FAIL [{kind}] {detail}")
         return 1

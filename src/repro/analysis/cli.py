@@ -45,9 +45,11 @@ def _print_human(report: Report, out) -> None:
         print(finding.render(), file=out)
     for error in report.parse_errors:
         print(f"parse error: {error}", file=out)
+    known = {rule.rule_id for rule in ALL_RULES}
     for path, line, rule_id in report.unused_suppressions:
+        why = "matched no finding" if rule_id in known else "names no rule"
         print(f"unused suppression {path}:{line}: allow for {rule_id} "
-              "matched no finding; remove it or fix the rule id", file=out)
+              f"{why}; remove it or fix the rule id", file=out)
     status = "clean" if report.clean else "FAILED"
     print(
         f"repro.analysis: {status} — {report.files_checked} files, "

@@ -6,7 +6,9 @@ name, scope map, inline suppressions) and hands it to each registered
 rule; rules yield :class:`Finding` objects.  A finding is silenced only by
 an inline ``# repro: allow(RULE-ID) — reason`` on the offending line
 (or alone on the line above it); the reason is mandatory, and an allow
-that silences nothing fails the run.
+that silences nothing fails the run.  The engine reads the rule
+registry for one thing only: when every registered rule ran, an allow
+naming any other id names no rule, and fails the run too.
 """
 
 import ast
@@ -126,14 +128,17 @@ class ModuleInfo:
                 sup.used.add(rule_id)
         return True
 
-    def unused_suppressions(self, rule_ids: Set[str]
+    def unused_suppressions(self, rule_ids: Optional[Set[str]]
                             ) -> Iterable[Tuple[int, str]]:
         """``(comment line, rule id)`` for each allow of a rule in
-        ``rule_ids`` that matched no finding in the last run.  Allows
-        for rules outside ``rule_ids`` did not run, so cannot be
-        judged."""
+        ``rule_ids`` (every allow, if None) that matched no finding in
+        the last run.  Allows for rules outside ``rule_ids`` did not
+        run, so cannot be judged."""
         for sup in self.suppression_sources:
-            for rule_id in sorted((set(sup.rules) & rule_ids) - sup.used):
+            judged = set(sup.rules)
+            if rule_ids is not None:
+                judged &= rule_ids
+            for rule_id in sorted(judged - sup.used):
                 yield sup.origin_line, rule_id
 
 
@@ -209,7 +214,8 @@ class Report:
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
     #: (display path, comment line, rule id) for allows of a rule that
-    #: ran but matched no finding.
+    #: ran but matched no finding, or (when every rule ran) of an id
+    #: that names no rule.
     unused_suppressions: List[Tuple[str, int, str]] = field(
         default_factory=list)
 
@@ -241,8 +247,14 @@ class Analyzer:
         Findings are displayed relative to ``root`` when they lie
         under it.
         """
+        from repro.analysis.rules import ALL_RULES
+
         report = Report()
-        rule_ids = {rule.rule_id for rule in self.rules}
+        rule_ids: Optional[Set[str]] = {rule.rule_id for rule in self.rules}
+        if rule_ids >= {rule.rule_id for rule in ALL_RULES}:
+            # Every registered rule ran, so an allow for any other id
+            # names no rule at all: judge every allow.
+            rule_ids = None
         for file_path in self.discover([Path(p) for p in paths]):
             display = _display_path(file_path, root)
             try:

@@ -12,7 +12,8 @@ depends on:
 
 Both get flagged where they stand.  Allows that parse but no longer
 match any finding are a run-level property, reported by the engine
-for every rule that ran rather than by a per-module rule.
+for every rule that ran (and, when every rule ran, for ids that name
+no rule) rather than by a per-module rule.
 """
 
 import re

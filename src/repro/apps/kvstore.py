@@ -43,30 +43,19 @@ class _Wire:
     def send(ctx, fd, buf, message: bytes):
         data = _frame(message)
         yield ctx.store(buf, data)
-        sent = 0
-        while sent < len(data):
-            count = yield ctx.write(fd, buf + sent, len(data) - sent)
-            if not isinstance(count, int) or count <= 0:
-                return False
-            sent += count
-        return True
+        sent = yield from ctx.write_all(fd, buf, len(data))
+        return sent == len(data)
 
     @staticmethod
     def recv(ctx, fd, buf):
-        got = 0
-        while got < LEN.size:
-            count = yield ctx.read(fd, buf + got, LEN.size - got)
-            if not isinstance(count, int) or count <= 0:
-                return None
-            got += count
+        got = yield from ctx.read_all(fd, buf, LEN.size)
+        if got < LEN.size:
+            return None
         header = yield ctx.load(buf, LEN.size)
         (length,) = LEN.unpack(header)
-        got = 0
-        while got < length:
-            count = yield ctx.read(fd, buf + LEN.size + got, length - got)
-            if not isinstance(count, int) or count <= 0:
-                return None
-            got += count
+        got = yield from ctx.read_all(fd, buf + LEN.size, length)
+        if got < length:
+            return None
         body = yield ctx.load(buf + LEN.size, length)
         return body
 

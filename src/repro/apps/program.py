@@ -234,16 +234,35 @@ class UserContext:
             data = b""
         return data
 
-    def read_exact(self, fd: int, nbytes: int) -> "OpGen":
-        """Read until exactly ``nbytes`` arrived (looping over short
-        reads) or the stream ended; returns the bytes collected."""
-        vaddr = self.scratch(nbytes or 1)
+    def read_all(self, fd: int, vaddr: int, nbytes: int) -> "OpGen":
+        """Read ``nbytes`` into ``vaddr``, looping over short reads,
+        until they all arrived or the stream ended or failed; returns
+        the count read."""
         got = 0
         while got < nbytes:
             count = yield self.read(fd, vaddr + got, nbytes - got)
             if not isinstance(count, int) or count <= 0:
                 break
             got += count
+        return got
+
+    def write_all(self, fd: int, vaddr: int, nbytes: int) -> "OpGen":
+        """Write ``nbytes`` from ``vaddr``, looping over short writes,
+        until they all went or a write failed; returns the count
+        written."""
+        sent = 0
+        while sent < nbytes:
+            count = yield self.write(fd, vaddr + sent, nbytes - sent)
+            if not isinstance(count, int) or count <= 0:
+                break
+            sent += count
+        return sent
+
+    def read_exact(self, fd: int, nbytes: int) -> "OpGen":
+        """Read until exactly ``nbytes`` arrived (looping over short
+        reads) or the stream ended; returns the bytes collected."""
+        vaddr = self.scratch(nbytes or 1)
+        got = yield from self.read_all(fd, vaddr, nbytes)
         if got <= 0:
             return b""
         data = yield self.load(vaddr, got)

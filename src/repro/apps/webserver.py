@@ -67,15 +67,6 @@ class WebServer(Program):
 
     name = "webserver"
 
-    def _read_exact(self, ctx, fd, buf, nbytes):
-        got = 0
-        while got < nbytes:
-            count = yield ctx.read(fd, buf + got, nbytes - got)
-            if not isinstance(count, int) or count <= 0:
-                return got
-            got += count
-        return got
-
     def main(self, ctx: UserContext):
         total = int(ctx.argv[0]) if ctx.argv else 8
         run_until_shutdown = total <= 0
@@ -92,8 +83,7 @@ class WebServer(Program):
 
         spins = 0
         while run_until_shutdown or served < total:
-            got = yield from self._read_exact(ctx, req_fd, record_buf,
-                                              REQUEST_SIZE)
+            got = yield from ctx.read_all(req_fd, record_buf, REQUEST_SIZE)
             if got < REQUEST_SIZE:
                 # EOF: either the clients have not connected yet (FIFO
                 # opens are non-blocking in this kernel) or they all
@@ -157,15 +147,6 @@ class WebClient(Program):
 
     name = "webclient"
 
-    def _read_exact(self, ctx, fd, buf, nbytes):
-        got = 0
-        while got < nbytes:
-            count = yield ctx.read(fd, buf + got, nbytes - got)
-            if not isinstance(count, int) or count <= 0:
-                return got
-            got += count
-        return got
-
     def main(self, ctx: UserContext):
         cid = int(ctx.argv[0])
         requests = int(ctx.argv[1])
@@ -186,15 +167,15 @@ class WebClient(Program):
         completed = 0
         for __ in range(requests):
             yield ctx.write(req_fd, record_buf, REQUEST_SIZE)
-            got = yield from self._read_exact(ctx, rsp_fd, header_buf,
-                                              RESPONSE_HEADER.size)
+            got = yield from ctx.read_all(rsp_fd, header_buf,
+                                          RESPONSE_HEADER.size)
             if got < RESPONSE_HEADER.size:
                 break
             header = yield ctx.load(header_buf, RESPONSE_HEADER.size)
             status, length = RESPONSE_HEADER.unpack(header)
             if status != 200:
                 break
-            got = yield from self._read_exact(ctx, rsp_fd, body_buf, length)
+            got = yield from ctx.read_all(rsp_fd, body_buf, length)
             if got < length:
                 break
             body = yield ctx.load(body_buf, length)

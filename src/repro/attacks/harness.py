@@ -80,11 +80,10 @@ def run_attack(attack_cls: Type[Attack], victim_cls: type, argv: tuple,
     return attack.run(machine, victim)
 
 
-def run_suite(cloaked_only: bool = False) -> List[AttackReport]:
-    """Run every attack against cloaked (and optionally native) victims."""
+def run_suite() -> List[AttackReport]:
+    """Run every attack against a native and a cloaked victim."""
     reports: List[AttackReport] = []
-    modes = (True,) if cloaked_only else (False, True)
     for attack_cls, victim_cls, argv in ATTACK_SUITE:
-        for cloaked in modes:
+        for cloaked in (False, True):
             reports.append(run_attack(attack_cls, victim_cls, argv, cloaked))
     return reports

@@ -2,18 +2,27 @@
 
 Two jobs, both built on the same :func:`run_once` harness:
 
-**Conformance** (:func:`run_conformance`): every program in
-:data:`repro.apps.registry.ALL_PROGRAMS` is executed natively and
-cloaked, twice each with the same seed, and the oracle asserts
+**The judge** (:func:`judge`): a program runs natively and cloaked
+from the same seed, and the pair gets one verdict, the first of these
+rungs that fails:
 
-* *transparency* — native and cloaked runs agree on architectural
-  state: exit status, console bytes, and the logical contents of every
-  file the program produced (protected files are reconstructed by
-  verify+decrypt from the persistent metadata store);
-* *determinism* — two same-seed runs of the same configuration are
-  byte-identical, down to the cycle counter;
-* *hygiene* — a completed cloaked run leaves no plaintext secret
-  marker anywhere kernel-visible (physical frames or disk blocks).
+* ``genfail`` — the native run did not exit 0 (the program, not the
+  cloaking engine, is at fault);
+* ``exposure`` (*hygiene*) — the secret marker is kernel-visible
+  (physical frames or disk blocks) after the cloaked run;
+* ``violation`` (*hygiene*) — the fault-free cloaked run recorded a
+  typed violation;
+* ``divergence`` (*transparency*) — native and cloaked disagree on
+  architectural state: exit status, console bytes, and the logical
+  contents of every file the program produced (protected files are
+  reconstructed by verify+decrypt from the persistent metadata store);
+* ``nondeterministic`` (*determinism*, optional) — a same-seed re-run
+  of the passing pair is not byte-identical, down to the cycle counter.
+
+:func:`run_conformance` judges every program in
+:data:`repro.apps.registry.ALL_PROGRAMS`, determinism rung on; the fuzz
+campaign, its shrinker and ``python -m repro fuzz --replay`` judge
+generated programs.
 
 **Fault-recovery matrix** (:func:`run_fault_matrix`): for every
 registered injection point, a cloaked workload runs under an armed
@@ -30,12 +39,17 @@ registered injection point, a cloaked workload runs under an armed
 
 The invariant the subsystem exists to demonstrate: every matrix row is
 ``RECOVERED`` or ``DETECTED``.  Availability is sacrificial —
-Overshadow promises privacy and integrity, never progress.
+Overshadow promises privacy and integrity, never progress.  A run that
+deadlocks (every process blocked for good) still ends in a record:
+exit -1 and the console so far, like a violation that escaped every
+process.
 """
 
 import hashlib
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.apps.compute import COMPUTE_SUITE
+from repro.apps.microbench import MICRO_SUITE, EmptyLoop
 from repro.apps.registry import (ALL_PROGRAMS, GEN_EXEC_TARGETS,
                                  make_secure_dirs)
 from repro.apps.secrets import SECRET
@@ -61,7 +75,7 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.hw.params import MachineParams, PAGE_SIZE
-from repro.machine import BootConfig, Machine, ViolationRecord
+from repro.machine import BootConfig, Machine, MachineDeadlock, ViolationRecord
 
 OUTCOME_RECOVERED = "RECOVERED"
 OUTCOME_DETECTED = "DETECTED"
@@ -74,7 +88,7 @@ CONTAINED_OUTCOMES = (OUTCOME_RECOVERED, OUTCOME_DETECTED)
 WEB_DOC = "/www/index.bin"
 
 
-def _pressure_params() -> MachineParams:
+def pressure_params() -> MachineParams:
     """Short timeslices + eager reclaim: swap traffic on small apps."""
     return MachineParams(reclaim_interval_cycles=50_000,
                          reclaim_batch_pages=8,
@@ -146,18 +160,11 @@ class AppSpec:
 
 
 def _build_specs() -> Dict[str, AppSpec]:
-    compute = ("matmul", "qsortk", "rle", "shaloop", "bfsgraph", "stencil",
-               "histogram", "strsearch", "crcsweep", "lzwindow", "kmeans",
-               "recordparse")
-    micro = ("mb-empty", "mb-getpid", "mb-read4k", "mb-write4k",
-             "mb-readsec4k", "mb-openclose", "mb-stat", "mb-mmap", "mb-brk",
-             "mb-fault", "mb-signal", "mb-fork", "mb-forkexec", "mb-thread",
-             "mb-pipe", "mb-ctxsw")
     specs: Dict[str, AppSpec] = {}
-    for name in compute:
-        specs[name] = AppSpec(name)
-    for name in micro:
-        specs[name] = AppSpec(name, ("2",))
+    for program in COMPUTE_SUITE:
+        specs[program.name] = AppSpec(program.name)
+    for program in (EmptyLoop,) + MICRO_SUITE:
+        specs[program.name] = AppSpec(program.name, ("2",))
     specs["filestreamer"] = AppSpec(
         "filestreamer", ("write", "/secure/stream.bin", "4096", "16384"),
         files=("/secure/stream.bin",))
@@ -174,7 +181,7 @@ def _build_specs() -> Dict[str, AppSpec]:
     specs["secretwriter"] = AppSpec("secretwriter", ("4",),
                                     marker=SECRET[:32])
     specs["memwalk"] = AppSpec("memwalk", ("24", "10", "400"),
-                               params=_pressure_params, marker=b"P0000")
+                               params=pressure_params, marker=b"P0000")
     specs["chanpump"] = AppSpec("chanpump", ("/secure/pump", "256", "1024"))
     specs["kvstore"] = AppSpec("kvstore")
     return specs
@@ -325,17 +332,23 @@ def run_once(spec: AppSpec, cloaked: bool,
     if spec.peers is not None:
         spec.peers(machine)
 
-    escaped: Optional[OvershadowError] = None
+    start = machine.cycles.total
+    proc = escaped = None
     try:
-        result = machine.run_program(spec.name, spec.argv,
-                                     max_ops=spec.max_ops)
-        exit_code, console = result.exit_code, result.console
-        cycles = result.cycles_total
-    except OvershadowError as violation:
-        # The fault fired outside any process context (spawn, final
-        # reclaim): still a typed detection, recorded as such.
-        escaped = violation
-        exit_code, console, cycles = -1, b"", machine.cycles.total
+        proc = machine.spawn(spec.name, spec.argv)
+        machine.run(max_ops=spec.max_ops)
+    except (OvershadowError, MachineDeadlock) as error:
+        # A fault fired outside any process context (spawn, final
+        # reclaim), or every process blocked for good: the run ends
+        # here, with exit -1 and the console so far.  Only the former
+        # is a typed detection.
+        escaped = error
+    cycles = machine.cycles.total - start
+    exit_code = -1
+    if escaped is None and proc.exit_code is not None:
+        exit_code = proc.exit_code
+    console = (machine.kernel.console.output_of(proc.pid)
+               if proc is not None else b"")
 
     files: List[Tuple[str, Optional[bytes]]] = []
     for path in spec.files:
@@ -347,7 +360,7 @@ def run_once(spec: AppSpec, cloaked: bool,
             files.append((path, None))
 
     violations = tuple(type(rec.error).__name__ for rec in machine.violations)
-    if escaped is not None:
+    if isinstance(escaped, OvershadowError):
         violations += (type(escaped).__name__,)
     exposed = bool(cloaked and spec.marker
                    and _marker_visible(machine, spec.marker))
@@ -361,27 +374,8 @@ def run_once(spec: AppSpec, cloaked: bool,
 
 
 # ----------------------------------------------------------------------
-# conformance: native vs cloaked, twice each
+# the judge: one native/cloaked pair, one verdict
 # ----------------------------------------------------------------------
-
-class ConformanceResult:
-    __slots__ = ("name", "transparent", "deterministic", "clean", "detail")
-
-    def __init__(self, name, transparent, deterministic, clean, detail=""):
-        self.name = name
-        #: Native and cloaked agree on architectural state.
-        self.transparent = transparent
-        #: Same-seed re-runs are byte-identical (both configurations).
-        self.deterministic = deterministic
-        #: The cloaked run finished with no violations and no marker
-        #: exposure.
-        self.clean = clean
-        self.detail = detail
-
-    @property
-    def ok(self) -> bool:
-        return self.transparent and self.deterministic and self.clean
-
 
 def _diff_state(a: RunRecord, b: RunRecord) -> str:
     if a.exit_code != b.exit_code:
@@ -393,53 +387,48 @@ def _diff_state(a: RunRecord, b: RunRecord) -> str:
     return ""
 
 
-def check_spec(spec: AppSpec, determinism: bool = True,
-               tweak: Optional[Callable[[Machine], None]] = None,
-               ) -> ConformanceResult:
-    """Run one spec's full differential check.
+def judge(spec: AppSpec, determinism: bool = False,
+          cloak_tweak: Optional[Callable[[Machine], None]] = None,
+          run: Callable[..., RunRecord] = run_once,
+          ) -> Tuple[Optional[str], str]:
+    """Run ``spec`` natively and cloaked; return ``(kind, detail)``.
 
-    Four runs (two native, two cloaked) when ``determinism`` is on;
-    two otherwise — the fuzz driver samples determinism rather than
-    paying double on every program.  ``tweak`` is forwarded to every
-    run so comparisons stay apples-to-apples.
+    ``kind`` is the first failing rung of the ladder in the module
+    docstring, or None for a healthy pair.  With ``determinism`` the
+    pair is run a second time, only once it has passed.
+    ``cloak_tweak`` goes to every cloaked run; ``run`` stands in for
+    :func:`run_once` (the fuzz driver attaches its sinks and audit
+    plans there).
     """
-    native = run_once(spec, cloaked=False, tweak=tweak)
-    cloaked = run_once(spec, cloaked=True, tweak=tweak)
-
-    detail = []
-    transparent = native.state() == cloaked.state()
-    if not transparent:
-        detail.append("native/cloaked: " + _diff_state(native, cloaked))
-    deterministic = True
-    if determinism:
-        native2 = run_once(spec, cloaked=False, tweak=tweak)
-        cloaked2 = run_once(spec, cloaked=True, tweak=tweak)
-        deterministic = (native.identical(native2)
-                         and cloaked.identical(cloaked2))
-        if not deterministic:
-            detail.append("same-seed re-run diverged")
-    clean = not cloaked.violations and not cloaked.exposed
-    if cloaked.violations:
-        detail.append(f"violations in fault-free run: {cloaked.violations}")
+    native = run(spec, cloaked=False)
+    cloaked = run(spec, cloaked=True, tweak=cloak_tweak)
+    if native.exit_code != 0:
+        return "genfail", (f"native exit {native.exit_code}: "
+                           f"{native.console[-120:].decode(errors='replace')}")
     if cloaked.exposed:
-        detail.append("marker exposed after cloaked run")
-    return ConformanceResult(spec.name, transparent, deterministic, clean,
-                             "; ".join(detail))
+        return "exposure", "marker kernel-visible after cloaked run"
+    if cloaked.violations:
+        return "violation", f"fault-free violations: {cloaked.violations}"
+    if native.state() != cloaked.state():
+        return "divergence", _diff_state(native, cloaked)
+    if determinism:
+        native2 = run(spec, cloaked=False)
+        cloaked2 = run(spec, cloaked=True, tweak=cloak_tweak)
+        if not (native.identical(native2) and cloaked.identical(cloaked2)):
+            return "nondeterministic", "same-seed re-run diverged"
+    return None, ""
 
 
-def check_app(name: str) -> ConformanceResult:
-    """Run one program's full differential check (4 runs)."""
-    return check_spec(ORACLE_SPECS[name])
-
-
-def run_conformance(names: Optional[Tuple[str, ...]] = None,
-                    verbose: bool = False) -> List[ConformanceResult]:
+def run_conformance(verbose: bool = False
+                    ) -> List[Tuple[str, Optional[str], str]]:
+    """Judge every registered program, determinism rung on (four runs
+    for a healthy program); ``(name, kind, detail)`` per program."""
     results = []
-    for name in names or sorted(ORACLE_SPECS):
-        result = check_app(name)
-        results.append(result)
+    for name in sorted(ORACLE_SPECS):
+        kind, detail = judge(ORACLE_SPECS[name], determinism=True)
+        results.append((name, kind, detail))
         if verbose:
-            status = "ok" if result.ok else f"FAIL ({result.detail})"
+            status = "ok" if kind is None else f"FAIL [{kind}] {detail}"
             print(f"  conformance {name:<14} {status}")
     return results
 

@@ -3,23 +3,23 @@
 A campaign is a pure function of ``(campaign_seed, count, presets)``:
 slot *i* derives its program seed with
 :func:`repro.gen.spec.derive_seed`, generates a self-checking guest
-program, and runs it through the oracle harness
-(:mod:`repro.faults.oracle`):
+program, and hands it to the oracle's judge
+(:func:`repro.faults.oracle.judge`):
 
 * **native sanity** — the generated program must pass its own
   embedded checks natively (exit 0, ``GEN-OK``); anything else is a
   *generator* defect, reported as ``genfail`` rather than blamed on
   the cloaking engine;
+* **hygiene** — the cloaked run must finish with no kernel-visible
+  secret marker (``exposure``) and no violations (``violation``);
 * **transparency** — native and cloaked architectural state must
-  agree byte-for-byte;
-* **hygiene** — the cloaked run must finish with no violations and no
-  kernel-visible secret marker;
+  agree byte-for-byte (``divergence``);
 * **determinism** (sampled every ``determinism_every`` slots) — a
   same-seed re-run of each configuration must be byte-identical down
-  to the cycle counter;
+  to the cycle counter (``nondeterministic``);
 * **fault containment** (opt-in) — a rotating injection site is armed
   for a third cloaked run, whose outcome must classify as
-  ``RECOVERED`` or ``DETECTED``.
+  ``RECOVERED`` or ``DETECTED`` (``fault-escape`` otherwise).
 
 Every cloaked run carries an *audit* :class:`~repro.faults.plan.FaultPlan`
 (all sites armed beyond reach) so the campaign can account which
@@ -35,11 +35,11 @@ import hashlib
 import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.oracle import (AppSpec, CONTAINED_OUTCOMES, _diff_state,
-                                 _pressure_params, classify, run_once)
+from repro.faults.oracle import (AppSpec, CONTAINED_OUTCOMES, RunRecord,
+                                 classify, judge, run_once)
 from repro.faults.plan import INJECTION_POINTS, FaultArm, FaultPlan
-from repro.gen.generator import build_program, generate
-from repro.gen.shrink import FAILURE_KINDS, ShrinkResult, shrink
+from repro.gen.generator import app_spec_for
+from repro.gen.shrink import ShrinkResult, shrink
 from repro.gen.spec import GenSpec, PRESETS, PRESET_ROTATION, derive_seed
 from repro.guestos.uapi import Syscall
 from repro.machine import Machine
@@ -61,38 +61,6 @@ class _ProbeSink:
     def bind(self, name, clock):
         add = self.names.add
         return lambda *args: add(name)
-
-
-def app_spec_for(seed: int, spec: GenSpec) -> Tuple[AppSpec, "OpPlan"]:
-    """Materialize ``(seed, spec)`` into an oracle :class:`AppSpec`."""
-    plan = generate(seed, spec)
-    program = build_program(plan)
-    app = AppSpec(
-        name=plan.name, argv=(), files=plan.files, marker=plan.marker,
-        params=_pressure_params if spec.pressure else None,
-        program=program,
-    )
-    return app, plan
-
-
-def _observed(app: AppSpec, cloaked: bool,
-              plan: Optional[FaultPlan] = None,
-              sink: Optional[_ProbeSink] = None,
-              tweak: Optional[Callable[[Machine], None]] = None):
-    """One oracle run with an optional probe sink attached for its
-    duration (the bus requires one clock per attachment epoch)."""
-
-    def hook(machine: Machine) -> None:
-        if tweak is not None:
-            tweak(machine)
-        if sink is not None:
-            bus.attach(sink, machine.cycles)
-
-    try:
-        return run_once(app, cloaked=cloaked, plan=plan, tweak=hook)
-    finally:
-        if sink is not None:
-            bus.detach(sink)
 
 
 class SlotResult:
@@ -220,15 +188,41 @@ def run_slot(slot: int, seed: int, preset: str, spec: GenSpec,
              shrink_failures: bool = True,
              cloak_tweak: Optional[Callable[[Machine], None]] = None,
              report: Optional[CampaignReport] = None) -> SlotResult:
-    """Run one generated program through the full differential check."""
+    """Run one generated program through the judge, then (if it
+    passed and ``fault_site`` is set) one armed cloaked run."""
     app, plan = app_spec_for(seed, spec)
     result = SlotResult(slot, seed, preset, plan.name, len(plan.ops))
     sink = _ProbeSink()
-    audit = FaultPlan.audit(seed)
+    audited: List[Tuple[RunRecord, FaultPlan]] = []
 
-    native = _observed(app, cloaked=False, sink=sink)
-    cloaked = _observed(app, cloaked=True, plan=audit, sink=sink,
-                        tweak=cloak_tweak)
+    def observed(app: AppSpec, cloaked: bool,
+                 tweak: Optional[Callable[[Machine], None]] = None,
+                 ) -> RunRecord:
+        """A judge run with the probe sink attached for its duration
+        (the bus requires one clock per attachment epoch).  A cloaked
+        run also carries an audit plan, which the coverage accounting
+        reads."""
+        audit = FaultPlan.audit(seed) if cloaked else None
+
+        def hook(machine: Machine) -> None:
+            if tweak is not None:
+                tweak(machine)
+            bus.attach(sink, machine.cycles)
+
+        try:
+            record = run_once(app, cloaked=cloaked, plan=audit, tweak=hook)
+        finally:
+            bus.detach(sink)
+        if cloaked:
+            audited.append((record, audit))
+        return record
+
+    kind, detail = judge(app, determinism, cloak_tweak, run=observed)
+    cloaked, audit = audited[0]
+    # A second cloaked run means the pair passed and was re-run.
+    result.determinism_checked = len(audited) > 1
+    if kind is not None:
+        result.status, result.detail = kind, detail
 
     if report is not None:
         report.syscalls.update(plan.syscalls)
@@ -237,32 +231,10 @@ def run_slot(slot: int, seed: int, preset: str, spec: GenSpec,
             if audit.opportunities(site) > 0)
         report.probes.update(sink.names)
 
-    if native.exit_code != 0:
-        result.status = "genfail"
-        result.detail = (f"native exit {native.exit_code}: "
-                         f"{native.console[-120:].decode(errors='replace')}")
-    elif cloaked.exposed:
-        result.status = "exposure"
-        result.detail = "marker kernel-visible after cloaked run"
-    elif cloaked.violations:
-        result.status = "violation"
-        result.detail = f"fault-free violations: {cloaked.violations}"
-    elif native.state() != cloaked.state():
-        result.status = "divergence"
-        result.detail = _diff_state(native, cloaked)
-    elif determinism:
-        result.determinism_checked = True
-        native2 = _observed(app, cloaked=False, sink=sink)
-        cloaked2 = _observed(app, cloaked=True, plan=FaultPlan.audit(seed),
-                             sink=sink, tweak=cloak_tweak)
-        if not (native.identical(native2) and cloaked.identical(cloaked2)):
-            result.status = "nondeterministic"
-            result.detail = "same-seed re-run diverged"
-
     if result.ok and fault_site is not None:
         armed = FaultPlan(seed=seed,
                           arms=(FaultArm(fault_site, every=3),))
-        faulty = _observed(app, cloaked=True, plan=armed)
+        faulty = run_once(app, cloaked=True, plan=armed)
         result.fault_site = fault_site
         result.fault_outcome = classify(cloaked, faulty)
         if result.fault_outcome not in CONTAINED_OUTCOMES:
@@ -272,7 +244,10 @@ def run_slot(slot: int, seed: int, preset: str, spec: GenSpec,
 
     if not result.ok:
         result.replay = replay_token(seed, spec)
-        if shrink_failures and result.status in FAILURE_KINDS:
+        # The shrinker's predicate is the judge on one pair: a verdict
+        # of a re-run or an armed run does not reproduce under it.
+        if (shrink_failures and not result.determinism_checked
+                and result.fault_site is None):
             result.shrunk = shrink(seed, spec, cloak_tweak=cloak_tweak)
             result.replay = result.shrunk.replay
     return result

@@ -21,7 +21,10 @@ The pipeline behind :func:`generate`:
 
 :func:`build_program` turns the finalized :class:`OpPlan` into a
 :class:`repro.apps.program.Program` subclass that interprets the ops —
-runnable native or cloaked, so the differential oracle can compare.
+runnable native or cloaked, so the differential oracle can compare —
+and :func:`app_spec_for` wraps it in the oracle's
+:class:`~repro.faults.oracle.AppSpec`, the one place a generated
+program's spec is built.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.program import Program, UserContext
+from repro.faults.oracle import AppSpec, pressure_params
 from repro.gen.pool import (KIND_FD, FileModel, ResourcePool, sweep)
 from repro.gen.spec import GenSpec
 from repro.guestos import uapi
@@ -744,13 +748,8 @@ class GeneratedProgram(Program):
 
     def _child_pipe_writer(self, ctx, wfd, data):
         vaddr, __ = yield from ctx.put_bytes(data)
-        sent = 0
-        while sent < len(data):
-            count = yield ctx.write(wfd, vaddr + sent, len(data) - sent)
-            if not isinstance(count, int) or count <= 0:
-                return 12
-            sent += count
-        return 0
+        sent = yield from ctx.write_all(wfd, vaddr, len(data))
+        return 0 if sent == len(data) else 12
 
     def _op_proc_pipe(self, ctx, pos, op):
         data = op.args["data"]
@@ -770,12 +769,9 @@ class GeneratedProgram(Program):
 
     def _child_write_then_hang(self, ctx, wfd, hang_rfd, data):
         vaddr, __ = yield from ctx.put_bytes(data)
-        sent = 0
-        while sent < len(data):
-            count = yield ctx.write(wfd, vaddr + sent, len(data) - sent)
-            if not isinstance(count, int) or count <= 0:
-                return 12
-            sent += count
+        sent = yield from ctx.write_all(wfd, vaddr, len(data))
+        if sent < len(data):
+            return 12
         buf = ctx.scratch(8)
         yield ctx.read(hang_rfd, buf, 1)   # blocks until SIGKILL
         return 13
@@ -852,13 +848,8 @@ class GeneratedProgram(Program):
             return 18
         merged = data + got
         vaddr, __ = yield from ctx.put_bytes(merged)
-        sent = 0
-        while sent < len(merged):
-            count = yield ctx.write(wfd, vaddr + sent, len(merged) - sent)
-            if not isinstance(count, int) or count <= 0:
-                return 19
-            sent += count
-        return 0
+        sent = yield from ctx.write_all(wfd, vaddr, len(merged))
+        return 0 if sent == len(merged) else 19
 
     def _op_proc_tree(self, ctx, pos, op):
         data, data2 = op.args["data"], op.args["data2"]
@@ -1003,3 +994,14 @@ def build_program(plan: OpPlan):
         "name": plan.name,
         "plan": plan,
     })
+
+
+def app_spec_for(seed: int, spec: GenSpec) -> Tuple[AppSpec, OpPlan]:
+    """Materialize ``(seed, spec)`` into an oracle :class:`AppSpec`."""
+    plan = generate(seed, spec)
+    app = AppSpec(
+        name=plan.name, files=plan.files, marker=plan.marker,
+        params=pressure_params if spec.pressure else None,
+        program=build_program(plan),
+    )
+    return app, plan

@@ -13,46 +13,12 @@ The result is locally minimal — no single remaining structural op can
 be dropped — and carries a paste-able replay token.
 """
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.faults.oracle import AppSpec, _diff_state, _pressure_params, \
-    run_once
-from repro.gen.generator import build_program, generate
+from repro.faults.oracle import judge
+from repro.gen.generator import app_spec_for
 from repro.gen.spec import GenSpec
 from repro.machine import Machine
-
-#: Failure kinds the reduced predicate can reproduce (and therefore
-#: shrink).  Nondeterminism and fault-escape need re-runs / armed
-#: plans and are reported unshrunk.
-FAILURE_KINDS = ("genfail", "divergence", "exposure", "violation")
-
-
-def check_failure(seed: int, spec: GenSpec,
-                  cloak_tweak: Optional[Callable[[Machine], None]] = None,
-                  ) -> Tuple[Optional[str], str]:
-    """The reduced failure predicate: one native run, one cloaked run.
-
-    Returns ``(kind, detail)`` with ``kind`` from
-    :data:`FAILURE_KINDS`, or ``(None, "")`` when the pair is healthy.
-    """
-    plan = generate(seed, spec)
-    app = AppSpec(
-        name=plan.name, argv=(), files=plan.files, marker=plan.marker,
-        params=_pressure_params if spec.pressure else None,
-        program=build_program(plan),
-    )
-    native = run_once(app, cloaked=False)
-    if native.exit_code != 0:
-        return "genfail", (f"native exit {native.exit_code}: "
-                           f"{native.console[-120:].decode(errors='replace')}")
-    cloaked = run_once(app, cloaked=True, tweak=cloak_tweak)
-    if cloaked.exposed:
-        return "exposure", "marker kernel-visible after cloaked run"
-    if cloaked.violations:
-        return "violation", f"fault-free violations: {cloaked.violations}"
-    if native.state() != cloaked.state():
-        return "divergence", _diff_state(native, cloaked)
-    return None, ""
 
 
 class ShrinkResult:
@@ -86,15 +52,25 @@ class ShrinkResult:
 def shrink(seed: int, spec: GenSpec,
            cloak_tweak: Optional[Callable[[Machine], None]] = None,
            max_checks: int = 160) -> ShrinkResult:
-    """ddmin over the structural op indices of ``(seed, spec)``."""
-    kind, detail = check_failure(seed, spec, cloak_tweak)
+    """ddmin over the structural op indices of ``(seed, spec)``.
+
+    The predicate is the oracle's judge on one native/cloaked pair
+    (``cloak_tweak`` on the cloaked run), without the determinism rung.
+    """
+
+    def check(trial: GenSpec):
+        app, plan = app_spec_for(seed, trial)
+        kind, detail = judge(app, cloak_tweak=cloak_tweak)
+        return kind, detail, plan
+
+    kind, detail, plan = check(spec)
     if kind is None:
         raise ValueError(
             f"(seed={seed}, spec) does not fail; nothing to shrink")
-    ops_before = len(generate(seed, spec).ops)
+    ops_before = len(plan.ops)
 
     alive: List[int] = sorted(
-        set(range(generate(seed, spec).structural_count)) - set(spec.drop))
+        set(range(plan.structural_count)) - set(spec.drop))
     checks = 1
     chunk = max(len(alive) // 2, 1)
     while True:
@@ -103,10 +79,10 @@ def shrink(seed: int, spec: GenSpec,
             removed = alive[index:index + chunk]
             trial = spec.replace(
                 drop=tuple(sorted(set(spec.drop) | set(removed))))
-            trial_kind, trial_detail = check_failure(seed, trial, cloak_tweak)
+            trial_kind, trial_detail, trial_plan = check(trial)
             checks += 1
             if trial_kind == kind:
-                spec, detail = trial, trial_detail
+                spec, detail, plan = trial, trial_detail, trial_plan
                 del alive[index:index + chunk]
             else:
                 index += chunk
@@ -114,6 +90,5 @@ def shrink(seed: int, spec: GenSpec,
             break
         chunk = max(chunk // 2, 1)
 
-    ops_after = len(generate(seed, spec).ops)
-    return ShrinkResult(seed, spec, kind, detail, ops_before, ops_after,
+    return ShrinkResult(seed, spec, kind, detail, ops_before, len(plan.ops),
                         checks)

@@ -52,6 +52,11 @@ from repro.serve.ring import DEFAULT_VNODES, HashRing
 #: Worker poll interval (seconds) while awaiting results.
 _POLL = 0.05
 
+#: Parent-side watchdog: give up on unresponsive workers after this
+#: many wall seconds (counted in poll ticks, never read from a clock)
+#: and mark their shards dead.
+_WALL_BUDGET = 120.0
+
 #: Every key :func:`run_shard` returns, with the type(s) its value has.
 _RESULT_TYPES = {
     "app": str, "requests": int, "completed": int, "errors": int,
@@ -76,10 +81,6 @@ class ClusterConfig:
     inline: bool = False
     #: Shards whose worker dies before serving (failure injection).
     kill_shards: Tuple[int, ...] = ()
-    #: Parent-side watchdog: give up on unresponsive workers after
-    #: this many wall seconds (counted in poll ticks, never read from
-    #: a clock) and mark their shards dead.
-    wall_budget: float = 120.0
     attach_metrics: bool = True
 
     def validate(self) -> None:
@@ -163,7 +164,7 @@ def _run_forked(config: ClusterConfig,
     results: Dict[int, Dict] = {}
     width = config.workers if config.workers > 0 else config.shards
     shard_ids = sorted(per_shard)
-    budget_polls = max(1, int(config.wall_budget / _POLL))
+    budget_polls = int(_WALL_BUDGET / _POLL)
     for start in range(0, len(shard_ids), width):
         wave = shard_ids[start:start + width]
         # A fresh queue per wave: terminating a worker can leave the

@@ -163,26 +163,6 @@ def build_schedule(spec: LoadSpec) -> List[Row]:
 # generated open-loop client programs
 # ---------------------------------------------------------------------------
 
-def _read_exact(ctx, fd, buf, nbytes):
-    got = 0
-    while got < nbytes:
-        count = yield ctx.read(fd, buf + got, nbytes - got)
-        if not isinstance(count, int) or count <= 0:
-            return got
-        got += count
-    return got
-
-
-def _write_all(ctx, fd, buf, nbytes):
-    sent = 0
-    while sent < nbytes:
-        count = yield ctx.write(fd, buf + sent, nbytes - sent)
-        if not isinstance(count, int) or count <= 0:
-            return sent
-        sent += count
-    return sent
-
-
 class _OpenLoopClient(Program):
     """Base for generated clients: host-side sample bookkeeping.
 
@@ -215,15 +195,14 @@ def make_web_client(rows: List[Row]) -> Type[Program]:
             if rsp_fd < 0:
                 return 1
             for _ in range(count):
-                got = yield from _read_exact(ctx, rsp_fd, header_buf,
-                                             RESPONSE_HEADER.size)
+                got = yield from ctx.read_all(rsp_fd, header_buf,
+                                              RESPONSE_HEADER.size)
                 if got < RESPONSE_HEADER.size:
                     break  # server went away: report what completed
                 header = yield ctx.load(header_buf, RESPONSE_HEADER.size)
                 status, length = RESPONSE_HEADER.unpack(header)
                 if length:
-                    got = yield from _read_exact(ctx, rsp_fd, body_buf,
-                                                 length)
+                    got = yield from ctx.read_all(rsp_fd, body_buf, length)
                     if got < length:
                         break
                 done = yield ctx.gettime()
@@ -257,12 +236,12 @@ def make_web_client(rows: List[Row]) -> Type[Program]:
                 self._pending[cid].append((index, target))
                 yield ctx.store(record_buf,
                                 pack_request(cid, doc_path(key)))
-                sent = yield from _write_all(ctx, req_fd, record_buf,
-                                             REQUEST_SIZE)
+                sent = yield from ctx.write_all(req_fd, record_buf,
+                                                REQUEST_SIZE)
                 if sent < REQUEST_SIZE:
                     break
             yield ctx.store(record_buf, pack_shutdown())
-            yield from _write_all(ctx, req_fd, record_buf, REQUEST_SIZE)
+            yield from ctx.write_all(req_fd, record_buf, REQUEST_SIZE)
             yield ctx.close(req_fd)
             for tid in tids:
                 yield ctx.thread_join(tid)

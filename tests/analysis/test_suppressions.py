@@ -164,3 +164,28 @@ def test_real_tree_suppressions_are_justified():
             if bare.search(line):
                 offenders.append(f"{path}:{lineno}")
     assert offenders == []
+
+
+def test_allow_for_an_unknown_rule_is_collected(tree):
+    """An allow naming a rule id that no registered rule has (a deleted
+    rule, a typo) is judged whenever every rule runs, and fails the
+    CLI."""
+    import io
+
+    from repro.analysis.cli import main
+
+    tree.write("repro/hw/cpu.py", """\
+        # repro: allow(CYC001) — the rule this named has been deleted
+        x = 1
+        """)
+    report = tree.run(get_rules())
+    assert [(line, rule) for _p, line, rule
+            in report.unused_suppressions] == [(1, "CYC001")]
+    assert not report.clean
+    # A partial rule set cannot tell a deleted rule from one that
+    # did not run.
+    assert tree.run(get_rules(["DET001"])).unused_suppressions == []
+
+    out = io.StringIO()
+    assert main([str(tree.root)], out=out) == 1
+    assert "allow for CYC001 names no rule" in out.getvalue()

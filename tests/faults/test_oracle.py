@@ -17,10 +17,83 @@ def test_every_registered_program_has_a_spec():
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_conformance(name):
-    """Native vs cloaked equivalence + same-seed byte-identity + no
-    violations or marker exposure in the fault-free cloaked run."""
-    result = oracle.check_app(name)
-    assert result.ok, f"{name}: {result.detail}"
+    """Native exit 0, no marker exposure or violations in the fault-free
+    cloaked run, native vs cloaked equivalence, same-seed byte-identity."""
+    kind, detail = oracle.judge(oracle.ORACLE_SPECS[name], determinism=True)
+    assert kind is None, f"{name}: [{kind}] {detail}"
+
+
+def _record(**kwargs):
+    base = dict(name="x", cloaked=True, exit_code=0, console=b"ok",
+                files=(), violations=(), cycles=100, fires=0,
+                exposed=False)
+    base.update(kwargs)
+    return oracle.RunRecord(**base)
+
+
+OK = _record()
+SLOW = _record(cycles=101)
+EXPOSED = _record(exposed=True)
+VIOLATED = _record(violations=("IntegrityViolation",))
+DIVERGED = _record(console=b"ko")
+#: A deadlocked run: exit -1, the console so far, no typed violation.
+DEADLOCKED = _record(exit_code=-1, console=b"o")
+
+#: (id, records in run order: native, cloaked[, native, cloaked],
+#: determinism, expected kind, expected detail)
+JUDGE_TABLE = [
+    ("healthy", [OK, OK], False, None, ""),
+    ("healthy-rerun", [OK, OK, OK, OK], True, None, ""),
+    ("genfail", [_record(exit_code=97, console=b"GENFAIL"), OK], False,
+     "genfail", "native exit 97: GENFAIL"),
+    ("exposure", [OK, EXPOSED], False,
+     "exposure", "marker kernel-visible after cloaked run"),
+    ("violation", [OK, VIOLATED], False,
+     "violation", "fault-free violations: ('IntegrityViolation',)"),
+    ("divergence", [OK, DIVERGED], False,
+     "divergence", "console b'ok' != b'ko'"),
+    ("divergence-files", [OK, _record(files=(("/f", b"a"),))], False,
+     "divergence", "file contents differ"),
+    ("nondeterministic-native", [OK, OK, SLOW, OK], True,
+     "nondeterministic", "same-seed re-run diverged"),
+    ("nondeterministic-cloaked", [OK, OK, OK, SLOW], True,
+     "nondeterministic", "same-seed re-run diverged"),
+    # Precedence: the first failing rung wins, and a failing pair is
+    # never re-run.
+    ("genfail-over-exposure", [DEADLOCKED, EXPOSED, OK, OK], True,
+     "genfail", "native exit -1: o"),
+    ("exposure-over-violation-and-divergence",
+     [OK, _record(exposed=True, console=b"ko",
+                  violations=("IntegrityViolation",))], False,
+     "exposure", "marker kernel-visible after cloaked run"),
+    ("violation-over-divergence",
+     [OK, _record(exit_code=139, violations=("IntegrityViolation",))],
+     False, "violation", "fault-free violations: ('IntegrityViolation',)"),
+    ("divergence-skips-rerun", [OK, DIVERGED, OK, OK], True,
+     "divergence", "console b'ok' != b'ko'"),
+    ("deadlocked-cloaked", [OK, DEADLOCKED], False,
+     "divergence", "exit 0 != -1"),
+]
+
+
+@pytest.mark.parametrize("records, determinism, kind, detail",
+                         [row[1:] for row in JUDGE_TABLE],
+                         ids=[row[0] for row in JUDGE_TABLE])
+def test_judge_ladder(records, determinism, kind, detail):
+    """The judge on synthetic runs: one rung per row, precedence, and
+    re-runs only for a passing pair."""
+    spec = oracle.AppSpec("x")
+    calls = []
+
+    def run(app, cloaked, tweak=None):
+        assert app is spec
+        assert cloaked == (len(calls) % 2 == 1)
+        calls.append(cloaked)
+        return records[len(calls) - 1]
+
+    assert oracle.judge(spec, determinism, run=run) == (kind, detail)
+    reran = determinism and kind in (None, "nondeterministic")
+    assert len(calls) == (4 if reran else 2)
 
 
 def test_faulty_runs_replay_byte_identically():
@@ -73,38 +146,41 @@ class TestMarkerExposure:
 
 
 class TestClassify:
-    def _record(self, **kwargs):
-        base = dict(name="x", cloaked=True, exit_code=0, console=b"ok",
-                    files=(), violations=(), cycles=100, fires=0,
-                    exposed=False)
-        base.update(kwargs)
-        return oracle.RunRecord(**base)
-
     def test_recovered(self):
-        clean = self._record()
-        assert oracle.classify(clean, self._record(fires=3)) == \
+        clean = _record()
+        assert oracle.classify(clean, _record(fires=3)) == \
             oracle.OUTCOME_RECOVERED
 
     def test_detected(self):
-        clean = self._record()
-        faulty = self._record(exit_code=139, console=b"",
-                              violations=("IntegrityViolation",))
+        clean = _record()
+        faulty = _record(exit_code=139, console=b"",
+                         violations=("IntegrityViolation",))
         assert oracle.classify(clean, faulty) == oracle.OUTCOME_DETECTED
 
     def test_matching_state_with_violation_is_still_detected(self):
         """A violation absorbed off the app's path (e.g. a failed
         background reclaim) classifies as DETECTED, not RECOVERED."""
-        clean = self._record()
-        faulty = self._record(violations=("IntegrityViolation",))
+        clean = _record()
+        faulty = _record(violations=("IntegrityViolation",))
         assert oracle.classify(clean, faulty) == oracle.OUTCOME_DETECTED
 
     def test_exposed_trumps_everything(self):
-        clean = self._record()
-        faulty = self._record(violations=("IntegrityViolation",),
-                              exposed=True)
+        clean = _record()
+        faulty = _record(violations=("IntegrityViolation",),
+                         exposed=True)
         assert oracle.classify(clean, faulty) == oracle.OUTCOME_EXPOSED
 
     def test_silent_divergence_is_corrupted(self):
-        clean = self._record()
-        faulty = self._record(console=b"wrong")
+        clean = _record()
+        faulty = _record(console=b"wrong")
         assert oracle.classify(clean, faulty) == oracle.OUTCOME_CORRUPTED
+
+    def test_deadlock_after_a_violation_is_detected(self):
+        clean = _record()
+        faulty = _record(exit_code=-1, console=b"o",
+                         violations=("IntegrityViolation",))
+        assert oracle.classify(clean, faulty) == oracle.OUTCOME_DETECTED
+
+    def test_deadlock_without_a_violation_is_corrupted(self):
+        assert oracle.classify(_record(), DEADLOCKED) == \
+            oracle.OUTCOME_CORRUPTED

@@ -10,9 +10,11 @@ injection sites, and a broad probe-bus footprint.
 import pytest
 
 from repro.core.hypercall import Hypercall
+from repro.faults.oracle import judge
+from repro.faults.plan import SITE_MAC_TRUNCATE
 from repro.gen.driver import (parse_replay_token, replay_token, run_campaign,
                               run_slot)
-from repro.gen.shrink import check_failure
+from repro.gen.generator import app_spec_for
 from repro.gen.spec import PRESETS, derive_seed
 
 SMOKE_SEED = 0
@@ -63,6 +65,22 @@ class TestFaultRotation:
             assert slot.fault_site is not None
             assert slot.fault_outcome in ("RECOVERED", "DETECTED")
 
+    def test_deadlocked_armed_run_is_detected(self):
+        """A truncated MAC kills a generated child (exit 139) while its
+        parent still holds the pipe's write end, so every process
+        blocks for good.  The run still ends in a verdict."""
+        result = run_slot(1, derive_seed(0, 1), "default",
+                          PRESETS["default"], fault_site=SITE_MAC_TRUNCATE,
+                          shrink_failures=False)
+        assert result.fault_outcome == "DETECTED"
+        assert result.ok
+
+    def test_campaign_with_a_deadlocking_slot_completes(self):
+        report = run_campaign(0, 6, presets=("default",), fault_sites=True)
+        assert len(report.slots) == 6
+        assert report.ok, [(s.fault_site, s.fault_outcome, s.detail)
+                           for s in report.failures()]
+
 
 def _noop_page_recycle(machine):
     """Engine sabotage: re-introduce the heap-recycle protocol gap."""
@@ -84,10 +102,10 @@ class TestMutationIsCaught:
         # The reproducer is self-contained: parse it back and the
         # shrunk (seed, spec) still fails the same way under the
         # same sabotage, and is healthy without it.
-        seed, spec = parse_replay_token(failure.replay)
-        kind, __ = check_failure(seed, spec, cloak_tweak=_noop_page_recycle)
+        app, __ = app_spec_for(*parse_replay_token(failure.replay))
+        kind, __ = judge(app, cloak_tweak=_noop_page_recycle)
         assert kind == "violation"
-        kind, __ = check_failure(seed, spec)
+        kind, __ = judge(app)
         assert kind is None
 
     def test_generator_sabotage_reported_as_divergence(self):

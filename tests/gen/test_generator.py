@@ -1,7 +1,7 @@
 """Generator: purity, drop semantics, and native self-check health."""
 
-from repro.faults.oracle import AppSpec, _pressure_params, run_once
-from repro.gen.generator import build_program, generate
+from repro.faults.oracle import run_once
+from repro.gen.generator import app_spec_for, generate
 from repro.gen.spec import PRESETS, derive_seed
 from repro.guestos.uapi import Syscall
 
@@ -9,10 +9,7 @@ SYSCALL_NAMES = {sc.name for sc in Syscall}
 
 
 def _native_exit(seed, spec):
-    plan = generate(seed, spec)
-    app = AppSpec(name=plan.name, files=plan.files, marker=plan.marker,
-                  params=_pressure_params if spec.pressure else None,
-                  program=build_program(plan))
+    app, __ = app_spec_for(seed, spec)
     return run_once(app, cloaked=False).exit_code
 
 

@@ -2,13 +2,20 @@
 
 import pytest
 
+from repro.faults.oracle import judge
 from repro.gen.driver import parse_replay_token
-from repro.gen.generator import generate
-from repro.gen.shrink import check_failure, shrink
+from repro.gen.generator import app_spec_for, generate
+from repro.gen.shrink import shrink
 from repro.gen.spec import PRESETS, derive_seed
 
 SEED = derive_seed(0, 0)
 BAD = PRESETS["default"].replace(sabotage="time-print")
+
+
+def verdict(seed, spec):
+    """The shrinker's predicate: the judge on one native/cloaked pair."""
+    app, __ = app_spec_for(seed, spec)
+    return judge(app)
 
 
 def test_healthy_spec_refuses_to_shrink():
@@ -29,7 +36,7 @@ class TestKnownBadDivergence:
     def test_reproducer_replays_from_token_alone(self, result):
         seed, spec = parse_replay_token(result.replay)
         assert seed == SEED
-        kind, detail = check_failure(seed, spec)
+        kind, detail = verdict(seed, spec)
         assert kind == "divergence", detail
 
     def test_shrunk_listing_keeps_the_culprit(self, result):
@@ -44,6 +51,6 @@ class TestKnownBadDivergence:
         for index in alive:
             trial = result.spec.replace(
                 drop=tuple(sorted(set(result.spec.drop) | {index})))
-            kind, __ = check_failure(SEED, trial)
+            kind, __ = verdict(SEED, trial)
             assert kind != "divergence", \
                 f"dropping structural op {index} still diverges"
