@@ -22,9 +22,6 @@ adapter is forwarded unchanged.
 
 from typing import Callable, Optional, Tuple
 
-# repro: allow(TB001) — the shim runs *inside* the application's
-# address space (paper §3.3) and is linked against the program model;
-# it imports the runtime ABI, not application logic.
 from repro.apps.program import BaseRuntime, Program, _Frame
 from repro.core.hypercall import Hypercall
 from repro.core.shim.channels import SealedChannelTable

@@ -40,9 +40,9 @@ registered injection point, a cloaked workload runs under an armed
 The invariant the subsystem exists to demonstrate: every matrix row is
 ``RECOVERED`` or ``DETECTED``.  Availability is sacrificial —
 Overshadow promises privacy and integrity, never progress.  A run that
-deadlocks (every process blocked for good) still ends in a record:
-exit -1 and the console so far, like a violation that escaped every
-process.
+deadlocks (every process blocked for good) or never quiesces (its
+``max_ops`` budget runs out) still ends in a record: exit -1 and the
+console so far, like a violation that escaped every process.
 """
 
 import hashlib
@@ -75,7 +75,8 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.hw.params import MachineParams, PAGE_SIZE
-from repro.machine import BootConfig, Machine, MachineDeadlock, ViolationRecord
+from repro.machine import (BootConfig, Machine, MachineDeadlock,
+                           MachineLivelock, ViolationRecord)
 
 OUTCOME_RECOVERED = "RECOVERED"
 OUTCOME_DETECTED = "DETECTED"
@@ -337,11 +338,11 @@ def run_once(spec: AppSpec, cloaked: bool,
     try:
         proc = machine.spawn(spec.name, spec.argv)
         machine.run(max_ops=spec.max_ops)
-    except (OvershadowError, MachineDeadlock) as error:
+    except (OvershadowError, MachineDeadlock, MachineLivelock) as error:
         # A fault fired outside any process context (spawn, final
-        # reclaim), or every process blocked for good: the run ends
-        # here, with exit -1 and the console so far.  Only the former
-        # is a typed detection.
+        # reclaim), every process blocked for good, or the op budget
+        # ran out: the run ends here, with exit -1 and the console so
+        # far.  Only the first is a typed detection.
         escaped = error
     cycles = machine.cycles.total - start
     exit_code = -1

@@ -62,6 +62,10 @@ class MachineDeadlock(RuntimeError):
     """Every live process is blocked and nothing can wake them."""
 
 
+class MachineLivelock(RuntimeError):
+    """The machine did not quiesce within its op budget."""
+
+
 class ViolationRecord:
     """One cloaking violation observed at runtime (attack detected)."""
 
@@ -317,7 +321,7 @@ class Machine:
                 # budget); cumulative totals at slice boundaries carry
                 # the same information.
                 bus.tlb_hits(self.tlb.hits, self.tlb.misses)
-        raise RuntimeError(f"machine did not quiesce within {max_ops} ops")
+        raise MachineLivelock(f"machine did not quiesce within {max_ops} ops")
 
     def _next_reclaim_deadline(self) -> Optional[int]:
         interval = self.params.reclaim_interval_cycles

@@ -25,8 +25,8 @@ production-style evaluation:
 Layering: ``repro.serve`` sits *above* the simulated world — it may
 import ``repro.apps``, ``repro.machine``, ``repro.obs`` and the guest
 ABI (``repro.guestos.uapi``), and never ``repro.hw`` or ``repro.core``
-internals (TB001 enforces this via
-``repro.analysis.rules.import_boundary.BOUNDARY``).
+internals (TB001 enforces this with the boundary table in
+``tests/analysis/invariants.py``).
 """
 
 from repro.serve.ring import HashRing

@@ -1,76 +1,68 @@
 """The driving test: ``src/repro`` satisfies every invariant, always.
 
-This is what makes the analyzer part of tier-1: any future change
-that crosses the import boundary, reads the wall clock, swallows a
-violation, or writes cloak state outside the lattice fails ``pytest``
-right here.  Skipping the cycle ledger and leaking a secret are caught
-on real runs instead (``tests/integration/test_cost_conservation.py``
-and ``tests/integration/test_key_canaries.py``).
+Any change that crosses the import boundary, reads the wall clock,
+swallows a violation, boots fresh in a harness loop, freezes a probe
+binding, writes cloak state outside the lattice or leaves an import
+unused fails ``pytest`` right here.  Skipping the cycle ledger and
+leaking a secret are caught on real runs instead
+(``tests/integration/test_cost_conservation.py`` and
+``tests/integration/test_key_canaries.py``).
 """
-
-import shutil
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import Analyzer
-from repro.analysis.rules import ALL_RULES, get_rules
-
-import repro
-
-SRC_REPRO = Path(repro.__file__).resolve().parent
-REPO_ROOT = SRC_REPRO.parent.parent
+from tests.analysis.invariants import RULES, SRC, check, real_tree
 
 
-def _run_real_tree():
-    return Analyzer(get_rules()).run([SRC_REPRO], root=REPO_ROOT)
+#: Per rule, a module that must trip it: a check that finds nothing
+#: there is dead, and its clean run over the tree would prove nothing.
+CANARIES = {
+    "TB001": ("repro.guestos.x", "from repro.core import vmm\nvmm.VMM()"),
+    "DET001": ("repro.hw.x", "import time\ntime.time()"),
+    "ERR001": ("repro.core.x", "try:\n    pass\nexcept Exception:\n    pass"),
+    "PERF002": ("repro.gen.x", "from repro.machine import Machine\n"
+                               "for _ in ():\n    Machine.build()"),
+    "OBS001": ("repro.hw.x", "from repro.obs import bus\nbus.attach(0, 0)"),
+    "STATE001": ("repro.guestos.x", "md.state = CloakState.FRESH"),
+    "IMP001": ("repro.x", "import zlib"),
+}
 
 
-def test_codebase_is_clean():
-    report = _run_real_tree()
-    details = "\n".join(f.render() for f in report.findings)
-    assert report.findings == [], f"invariant violations:\n{details}"
-    assert report.parse_errors == []
-    assert report.unused_suppressions == [], (
-        "inline allows that silence nothing must be removed: "
-        + ", ".join(f"{path}:{line} {rule}"
-                    for path, line, rule in report.unused_suppressions))
-    # Sanity: the run actually covered the tree.
-    assert report.files_checked >= 90
+@pytest.mark.parametrize("rule_id", sorted(RULES))
+def test_codebase_is_clean(rule_id):
+    assert check(rule_id, *CANARIES[rule_id]), f"{rule_id} misses its canary"
+    report = [f"{path}:{line}: {rule_id} {message}"
+              for module, (path, tree) in real_tree().items()
+              for line, message in RULES[rule_id](tree, module)]
+    assert report == [], "invariant violations:\n" + "\n".join(report)
 
 
 def test_all_registered_rules_ran():
-    assert sorted(r.rule_id for r in ALL_RULES) == [
-        "DET001", "ERR001", "OBS001", "PERF002", "STATE001", "SUP001",
-        "TB001",
-    ]
+    assert sorted(RULES) == sorted(CANARIES) == [
+        "DET001", "ERR001", "IMP001", "OBS001", "PERF002", "STATE001",
+        "TB001"]
+    # Sanity: the walk covers the whole tree.
+    assert len(real_tree()) >= 100
 
 
 @pytest.mark.parametrize("injection,expected_rule", [
     ("from repro.core.crypto import PageCipher\n", "TB001"),
     ("import time\n_T = time.time()\n", "DET001"),
 ])
-def test_injected_violation_is_caught(tmp_path, injection, expected_rule):
-    """The acceptance check, mechanised: copy the real guest kernel,
-    inject a forbidden line, and watch the right rule catch it."""
-    target = tmp_path / "repro" / "guestos" / "kernel.py"
-    target.parent.mkdir(parents=True)
-    shutil.copy(SRC_REPRO / "guestos" / "kernel.py", target)
-    target.write_text(injection + target.read_text(encoding="utf-8"),
-                      encoding="utf-8")
-    report = Analyzer(get_rules()).run([tmp_path], root=tmp_path)
-    assert any(f.rule == expected_rule for f in report.findings), (
+def test_injected_violation_is_caught(injection, expected_rule):
+    """The acceptance check, mechanised: the real guest kernel with one
+    forbidden line injected, and the right check catches it."""
+    source = injection + (SRC / "guestos" / "kernel.py").read_text(
+        encoding="utf-8")
+    assert check(expected_rule, "repro.guestos.kernel", source), (
         f"{expected_rule} did not fire on the injected violation")
 
 
-def test_injected_parent_package_import_in_core_is_caught(tmp_path):
-    """``import repro.guestos`` names no allowed ABI module: copied into
-    a real core module it is a TB001 finding, not a pass through the
-    ``guestos.uapi`` row."""
-    target = tmp_path / "repro" / "core" / "vmm.py"
-    target.parent.mkdir(parents=True)
-    shutil.copy(SRC_REPRO / "core" / "vmm.py", target)
-    target.write_text("import repro.guestos\n"
-                      + target.read_text(encoding="utf-8"), encoding="utf-8")
-    report = Analyzer(get_rules(["TB001"])).run([tmp_path], root=tmp_path)
-    assert [(f.rule, f.line) for f in report.findings] == [("TB001", 1)]
+def test_injected_parent_package_import_in_core_is_caught():
+    """``import repro.guestos`` names no allowed ABI module: injected
+    into the real core/vmm.py it is a TB001 finding, not a pass through
+    the ``guestos.uapi`` row."""
+    source = "import repro.guestos\n" + (SRC / "core" / "vmm.py").read_text(
+        encoding="utf-8")
+    assert [line for line, _ in check("TB001", "repro.core.vmm", source)] \
+        == [1]

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.analysis.rules.determinism import DeterminismRule
+from tests.analysis.invariants import check
 
-from tests.analysis.conftest import check
 
-RULE = DeterminismRule()
+def det(module, source):
+    return check("DET001", module, source)
 
 
 @pytest.mark.parametrize("snippet,needle", [
@@ -21,38 +21,32 @@ RULE = DeterminismRule()
     ("import uuid\nident = uuid.uuid4()", "uuid.uuid4"),
     ("import secrets\ntoken = secrets.token_bytes(8)", "secrets.token_bytes"),
 ])
-def test_banned_sources_are_flagged(tree, snippet, needle):
-    mod = tree.module("repro/hw/clocky.py", snippet + "\n")
-    findings = check(RULE, mod)
+def test_banned_sources_are_flagged(snippet, needle):
+    findings = det("repro.hw.clocky", snippet + "\n")
     assert len(findings) == 1, snippet
-    assert needle in findings[0].message
+    assert needle in findings[0][1]
 
 
-def test_module_level_random_functions_are_flagged(tree):
-    mod = tree.module("repro/apps/lucky.py", """\
+def test_module_level_random_functions_are_flagged():
+    findings = det("repro.apps.lucky", """\
         import random
         a = random.randrange(10)
         b = random.random()
         random.seed(42)
         random.shuffle([1, 2])
         """)
-    findings = check(RULE, mod)
     assert len(findings) == 4
-    assert all("module-level PRNG" in f.message for f in findings)
+    assert all("module-level PRNG" in message for _, message in findings)
 
 
-def test_unseeded_random_instance_is_flagged(tree):
-    mod = tree.module("repro/apps/unlucky.py", """\
-        import random
-        rng = random.Random()
-        """)
-    findings = check(RULE, mod)
+def test_unseeded_random_instance_is_flagged():
+    findings = det("repro.apps.unlucky", "import random\nrng = random.Random()\n")
     assert len(findings) == 1
-    assert "without a seed" in findings[0].message
+    assert "without a seed" in findings[0][1]
 
 
-def test_seeded_random_instance_is_clean(tree):
-    mod = tree.module("repro/apps/seeded.py", """\
+def test_seeded_random_instance_is_clean():
+    assert det("repro.apps.seeded", """\
         import hashlib
         import random
 
@@ -62,27 +56,19 @@ def test_seeded_random_instance_is_clean(tree):
             return random.Random(seed)
 
         values = [prng("demo").randrange(256) for _ in range(4)]
-        """)
-    assert check(RULE, mod) == []
+        """) == []
 
 
-def test_instance_method_calls_are_clean(tree):
+def test_instance_method_calls_are_clean():
     """Methods on a *seeded instance* must not be confused with the
     module-level singleton."""
-    mod = tree.module("repro/apps/instance.py", """\
+    assert det("repro.apps.instance", """\
         import random
         rng = random.Random(7)
         data = bytes(rng.randrange(256) for _ in range(16))
         rng.shuffle(list(data))
-        """)
-    assert check(RULE, mod) == []
+        """) == []
 
 
 def test_real_compute_module_is_clean():
-    from pathlib import Path
-
-    from repro.analysis.engine import ModuleInfo
-
-    path = Path("src/repro/apps/compute.py")
-    mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))
-    assert check(RULE, mod) == []
+    assert check("DET001", "repro.apps.compute") == []

@@ -1,64 +1,60 @@
 """ERR001: broad handlers and the security-exception hierarchy."""
 
-from repro.analysis.rules.exceptions import ExceptionDisciplineRule
-
-from tests.analysis.conftest import check
-
-RULE = ExceptionDisciplineRule()
+from tests.analysis.invariants import check
 
 
-def test_bare_except_is_flagged(tree):
-    mod = tree.module("repro/guestos/sloppy.py", """\
+def err(module, source):
+    return check("ERR001", module, source)
+
+
+def test_bare_except_is_flagged():
+    findings = err("repro.guestos.sloppy", """\
         def run(step):
             try:
                 step()
             except:
                 return None
         """)
-    findings = check(RULE, mod)
     assert len(findings) == 1
-    assert "bare 'except:'" in findings[0].message
+    assert "bare 'except:'" in findings[0][1]
 
 
-def test_broad_except_exception_is_flagged(tree):
-    mod = tree.module("repro/core/swallow.py", """\
+def test_broad_except_exception_is_flagged():
+    findings = err("repro.core.swallow", """\
         def guard(step):
             try:
                 step()
             except Exception as exc:
                 return str(exc)
         """)
-    findings = check(RULE, mod)
     assert len(findings) == 1
-    assert "except Exception" in findings[0].message
+    assert "except Exception" in findings[0][1]
 
 
-def test_broad_except_in_tuple_is_flagged(tree):
-    mod = tree.module("repro/core/tupled.py", """\
+def test_broad_except_in_tuple_is_flagged():
+    assert len(err("repro.core.tupled", """\
         def guard(step):
             try:
                 step()
             except (ValueError, BaseException):
                 return None
-        """)
-    assert len(check(RULE, mod)) == 1
+        """)) == 1
 
 
-def test_reraising_broad_handler_is_clean(tree):
+def test_reraising_broad_handler_is_clean():
     """A handler that re-raises cannot swallow a violation."""
-    mod = tree.module("repro/core/cleanup.py", """\
+    assert err("repro.core.cleanup", """\
         def guard(step, undo):
             try:
                 step()
             except Exception:
                 undo()
                 raise
-        """)
-    assert check(RULE, mod) == []
+        """) == []
 
 
-def test_specific_handlers_are_clean(tree):
-    mod = tree.module("repro/guestos/fine.py", """\
+def test_specific_handlers_are_clean():
+    assert err("repro.guestos.fine", """\
         from repro.hw.phys import OutOfMemoryError
 
         def alloc(allocator):
@@ -68,22 +64,20 @@ def test_specific_handlers_are_clean(tree):
                 return None
             except (ValueError, KeyError):
                 return None
-        """)
-    assert check(RULE, mod) == []
+        """) == []
 
 
-def test_rogue_violation_class_is_flagged(tree):
-    mod = tree.module("repro/attacks/rogue.py", """\
+def test_rogue_violation_class_is_flagged():
+    findings = err("repro.attacks.rogue", """\
         class SneakyViolation(RuntimeError):
             pass
         """)
-    findings = check(RULE, mod)
     assert len(findings) == 1
-    assert "core.errors hierarchy" in findings[0].message
+    assert "core.errors hierarchy" in findings[0][1]
 
 
-def test_violation_derived_from_core_errors_is_clean(tree):
-    mod = tree.module("repro/core/extra.py", """\
+def test_violation_derived_from_core_errors_is_clean():
+    assert err("repro.core.extra", """\
         from repro.core.errors import IntegrityViolation
 
         class ChannelViolation(IntegrityViolation):
@@ -91,15 +85,8 @@ def test_violation_derived_from_core_errors_is_clean(tree):
 
         class NestedViolation(ChannelViolation):
             pass
-        """)
-    assert check(RULE, mod) == []
+        """) == []
 
 
 def test_errors_module_itself_is_exempt():
-    from pathlib import Path
-
-    from repro.analysis.engine import ModuleInfo
-
-    path = Path("src/repro/core/errors.py")
-    mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))
-    assert check(RULE, mod) == []
+    assert check("ERR001", "repro.core.errors") == []

@@ -1,14 +1,14 @@
 """PERF002: fresh boots are banned inside harness per-run loops."""
 
-from repro.analysis.rules.perf import FreshBootLoopRule
-
-from tests.analysis.conftest import check
-
-BOOT_RULE = FreshBootLoopRule()
+from tests.analysis.invariants import check
 
 
-def test_boot_in_for_loop_is_flagged(tree):
-    mod = tree.module("repro/bench/sweep.py", """\
+def perf(module, source):
+    return check("PERF002", module, source)
+
+
+def test_boot_in_for_loop_is_flagged():
+    findings = perf("repro.bench.sweep", """\
         from repro.machine import Machine
 
         def sweep(configs):
@@ -18,14 +18,12 @@ def test_boot_in_for_loop_is_flagged(tree):
                 results.append(run(machine))
             return results
         """)
-    findings = check(BOOT_RULE, mod)
     assert len(findings) == 1
-    assert findings[0].rule == "PERF002"
-    assert "Machine.boot" in findings[0].message
+    assert "Machine.boot" in findings[0][1]
 
 
-def test_boot_constructor_in_while_loop_is_flagged(tree):
-    mod = tree.module("repro/faults/retry.py", """\
+def test_boot_constructor_in_while_loop_is_flagged():
+    assert len(perf("repro.faults.retry", """\
         from repro.machine import Machine
 
         def retry(plan):
@@ -33,13 +31,12 @@ def test_boot_constructor_in_while_loop_is_flagged(tree):
                 machine = Machine(fault_plan=plan)
                 if run(machine):
                     return machine
-        """)
-    assert len(check(BOOT_RULE, mod)) == 1
+        """)) == 1
 
 
-def test_boot_outside_loop_is_clean(tree):
+def test_boot_outside_loop_is_clean():
     # The sanctioned shape: boot in a helper, restore per iteration.
-    mod = tree.module("repro/bench/harness.py", """\
+    assert perf("repro.bench.harness", """\
         from repro.machine import Machine
 
         def _boot(params):
@@ -51,11 +48,10 @@ def test_boot_outside_loop_is_clean(tree):
         def repeat(config, runs):
             for _ in range(runs):
                 run(Machine.boot(config))
-        """)
-    assert check(BOOT_RULE, mod) == []
+        """) == []
 
 
-def test_boot_rule_scoped_to_harness_packages(tree):
+def test_boot_rule_scoped_to_harness_packages():
     # Apps, core, and tests may boot wherever they like.
     source = """\
         from repro.machine import Machine
@@ -63,33 +59,11 @@ def test_boot_rule_scoped_to_harness_packages(tree):
         def boot_all(n):
             return [Machine.build() for _ in range(n)]
         """
-    assert check(BOOT_RULE, tree.module("repro/attacks/many.py", source)) == []
-    assert check(BOOT_RULE, tree.module("repro/core/selftest.py", source)) == []
-
-
-def test_boot_suppression_honoured(tree):
-    mod = tree.module("repro/bench/paramsweep.py", """\
-        from repro.machine import Machine
-
-        def sweep(param_sets):
-            out = []
-            for params in param_sets:
-                # repro: allow(PERF002) — params differ per iteration;
-                # no golden snapshot can cover a parameter sweep
-                out.append(run(Machine.build(params=params)))
-            return out
-        """)
-    assert check(BOOT_RULE, mod) == []
+    assert perf("repro.attacks.many", source) == []
+    assert perf("repro.core.selftest", source) == []
 
 
 def test_real_harness_modules_are_clean():
-    from pathlib import Path
-
-    from repro.analysis.engine import ModuleInfo
-
-    for rel in ("src/repro/bench/runner.py", "src/repro/faults/oracle.py",
-                "src/repro/gen/driver.py"):
-        path = Path(rel)
-        mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))
-        assert check(BOOT_RULE, mod) == [], rel
-
+    for module in ("repro.bench.runner", "repro.faults.oracle",
+                   "repro.gen.driver"):
+        assert check("PERF002", module) == [], module

@@ -1,10 +1,14 @@
 """The differential-conformance oracle over the full program suite."""
 
+import time
+
 import pytest
 
+from repro.apps.program import Program
 from repro.apps.registry import ALL_PROGRAMS
 from repro.faults import oracle
 from repro.faults.plan import SITE_SWAPIN_CORRUPT, FaultPlan
+from repro.guestos import uapi
 from repro.hw import snapshot as snapshot_mod
 from repro.machine import BootConfig, Machine
 
@@ -94,6 +98,48 @@ def test_judge_ladder(records, determinism, kind, detail):
     assert oracle.judge(spec, determinism, run=run) == (kind, detail)
     reran = determinism and kind in (None, "nondeterministic")
     assert len(calls) == (4 if reran else 2)
+
+
+class _Spinner(Program):
+    """Prints, then yields the CPU forever if ``/spin`` exists."""
+
+    name = "spinner"
+
+    def main(self, ctx):
+        yield from ctx.print("spin\n")
+        fd = yield from ctx.open_path("/spin", uapi.O_RDONLY)
+        while fd >= 0:
+            yield ctx.sched_yield()
+        return 0
+
+
+def _make_spin_file(machine):
+    machine.kernel.vfs.create_file("/spin")
+
+
+class TestLivelock:
+    """A run that never quiesces ends in a record, not an exception."""
+
+    SPEC = oracle.AppSpec("spinner", max_ops=20_000, program=_Spinner)
+
+    def test_spinning_run_records_exit_minus_one(self):
+        spec = oracle.AppSpec("spinner", max_ops=20_000, program=_Spinner,
+                              setup=_make_spin_file)
+        started = time.monotonic()
+        record = oracle.run_once(spec, cloaked=True)
+        assert time.monotonic() - started < 1.0
+        assert (record.exit_code, record.console) == (-1, b"spin\n")
+        assert record.violations == ()
+
+    def test_spinning_native_half_is_genfail(self):
+        spec = oracle.AppSpec("spinner", max_ops=20_000, program=_Spinner,
+                              setup=_make_spin_file)
+        assert oracle.judge(spec) == ("genfail", "native exit -1: spin\n")
+
+    def test_spinning_cloaked_half_is_divergence(self):
+        assert oracle.judge(self.SPEC) == (None, "")
+        assert oracle.judge(self.SPEC, cloak_tweak=_make_spin_file) == (
+            "divergence", "exit 0 != -1")
 
 
 def test_faulty_runs_replay_byte_identically():
