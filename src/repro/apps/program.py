@@ -14,6 +14,7 @@ shim runtime (:mod:`repro.core.shim`) interposes on syscalls exactly
 like Overshadow's in-process shim.
 """
 
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.guestos import layout, uapi
@@ -272,9 +273,13 @@ class UserContext:
         yield from self.write_bytes(uapi.STDOUT_FD, text.encode())
 
 
-#: Memoised synthetic program images, keyed by (identity seed, size).
-#: Bounded in practice by the number of registered Program classes.
-_IMAGE_CACHE: Dict[Tuple[str, int], bytes] = {}
+#: Memoised synthetic program images, keyed by (identity seed, size),
+#: least recently used first.  Every generated fuzz program is a class
+#: of its own, so without a bound a long campaign would keep 8 KiB for
+#: each program it ever ran.
+_IMAGE_CACHE: "OrderedDict[Tuple[str, int], bytes]" = OrderedDict()
+#: Well above the registered suite, so a warm workload always hits.
+_IMAGE_CACHE_LIMIT = 256
 
 
 class Program:
@@ -309,8 +314,10 @@ class Program:
         import hashlib
 
         seed = f"{type(self).__module__}.{type(self).__qualname__}:{self.name}"
-        cached = _IMAGE_CACHE.get((seed, image_size))
+        key = (seed, image_size)
+        cached = _IMAGE_CACHE.get(key)
         if cached is not None:
+            _IMAGE_CACHE.move_to_end(key)
             return cached
         out = bytearray()
         counter = 0
@@ -318,7 +325,9 @@ class Program:
             out.extend(hashlib.sha256(f"{seed}:{counter}".encode()).digest())
             counter += 1
         image = bytes(out[:image_size])
-        _IMAGE_CACHE[(seed, image_size)] = image
+        _IMAGE_CACHE[key] = image
+        if len(_IMAGE_CACHE) > _IMAGE_CACHE_LIMIT:
+            _IMAGE_CACHE.popitem(last=False)
         return image
 
 

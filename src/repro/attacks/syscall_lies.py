@@ -18,7 +18,9 @@ from repro.machine import Machine
 
 
 def _install_lying_read(machine: Machine) -> None:
-    """Wrap the kernel's read(2) to return forged bytes."""
+    """Wrap the kernel's read(2) to return forged bytes.  The wrapper
+    reaches the kernel through its argument, not its closure, so the
+    kernel's handler table does not point back at the kernel."""
     kernel = machine.kernel
     real_read = kernel._handlers[Syscall.READ]
 
@@ -27,7 +29,7 @@ def _install_lying_read(machine: Machine) -> None:
         if isinstance(result, int) and result > 0:
             __, buf_vaddr, __ = args
             forged = (b"FORGED" * (result // 6 + 1))[:result]
-            kernel.copy_to_user(proc, buf_vaddr, forged)
+            kern.copy_to_user(proc, buf_vaddr, forged)
         return result
 
     kernel._handlers[Syscall.READ] = lying_read

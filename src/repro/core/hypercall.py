@@ -34,11 +34,16 @@ class Hypercall(enum.Enum):
 class HypercallDispatcher:
     """Validates and routes hypercalls to VMM handlers.
 
-    Handlers are registered per number with the caller's domain id
-    prepended to the arguments.  Authorization rule: ``CLOAK_INIT`` is
-    only meaningful from the uncloaked world (that is how a shim
-    bootstraps cloaking); every other call must come from a cloaked
-    context and acts on the caller's own domain.
+    Handlers are registered per number as plain functions and called
+    with the dispatching VMM and the caller's domain id prepended to
+    the arguments.  Holding no bound methods keeps the VMM → dispatcher
+    edge one-way, so a dropped machine is freed by reference counting
+    rather than left for the cyclic collector.
+
+    Authorization rule: ``CLOAK_INIT`` is only meaningful from the
+    uncloaked world (that is how a shim bootstraps cloaking); every
+    other call must come from a cloaked context and acts on the
+    caller's own domain.
     """
 
     def __init__(self) -> None:
@@ -61,7 +66,8 @@ class HypercallDispatcher:
         self._handlers[number._value_] = handler
         return previous
 
-    def dispatch(self, caller_domain: int, number: Hypercall, args: Tuple) -> Any:
+    def dispatch(self, vmm: Any, caller_domain: int, number: Hypercall,
+                 args: Tuple) -> Any:
         handler = self._handlers.get(number._value_)
         if handler is None:
             raise HypercallError(f"unimplemented hypercall {number}")
@@ -70,4 +76,4 @@ class HypercallDispatcher:
                 raise HypercallError("CLOAK_INIT from an already-cloaked context")
         elif caller_domain == 0:
             raise HypercallError(f"{number.name} requires a cloaked caller")
-        return handler(caller_domain, *args)
+        return handler(vmm, caller_domain, *args)

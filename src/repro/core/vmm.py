@@ -444,30 +444,30 @@ class VMM(TranslationAuthority):
                 self._cycles.charge("vmm", self._costs.hypercall
                                     + self._costs.world_switch)
                 self.stats.bump("vmm.hypercalls_duplicated")
-                self._dispatcher.dispatch(caller, number, args)
+                self._dispatcher.dispatch(self, caller, number, args)
             elif mode == "retry":
                 # Dropped, then re-issued by the shim: one extra trap's
                 # worth of cost, a single execution.
                 self._cycles.charge("vmm", self._costs.hypercall
                                     + self._costs.world_switch)
                 self.stats.bump("vmm.hypercalls_retried")
-        return self._dispatcher.dispatch(caller, number, args)
+        return self._dispatcher.dispatch(self, caller, number, args)
 
     def _register_hypercalls(self) -> None:
         reg = self._dispatcher.register
-        reg(Hypercall.CLOAK_INIT, self._hc_cloak_init)
-        reg(Hypercall.CLOAK_RANGE, self._hc_cloak_range)
-        reg(Hypercall.UNCLOAK_RANGE, self._hc_uncloak_range)
-        reg(Hypercall.FILE_BIND, self._hc_file_bind)
-        reg(Hypercall.FILE_FORGET, self._hc_file_forget)
-        reg(Hypercall.FILE_UNBIND, self._hc_file_unbind)
-        reg(Hypercall.REGISTER_ENTRY, self._hc_register_entry)
-        reg(Hypercall.DOMAIN_EXIT, self._hc_domain_exit)
-        reg(Hypercall.GET_IDENTITY, self._hc_get_identity)
-        reg(Hypercall.ADOPT_IMAGE, self._hc_adopt_image)
-        reg(Hypercall.CHANNEL_SEAL, self._hc_channel_seal)
-        reg(Hypercall.CHANNEL_OPEN, self._hc_channel_open)
-        reg(Hypercall.PAGE_RECYCLE, self._hc_page_recycle)
+        reg(Hypercall.CLOAK_INIT, VMM._hc_cloak_init)
+        reg(Hypercall.CLOAK_RANGE, VMM._hc_cloak_range)
+        reg(Hypercall.UNCLOAK_RANGE, VMM._hc_uncloak_range)
+        reg(Hypercall.FILE_BIND, VMM._hc_file_bind)
+        reg(Hypercall.FILE_FORGET, VMM._hc_file_forget)
+        reg(Hypercall.FILE_UNBIND, VMM._hc_file_unbind)
+        reg(Hypercall.REGISTER_ENTRY, VMM._hc_register_entry)
+        reg(Hypercall.DOMAIN_EXIT, VMM._hc_domain_exit)
+        reg(Hypercall.GET_IDENTITY, VMM._hc_get_identity)
+        reg(Hypercall.ADOPT_IMAGE, VMM._hc_adopt_image)
+        reg(Hypercall.CHANNEL_SEAL, VMM._hc_channel_seal)
+        reg(Hypercall.CHANNEL_OPEN, VMM._hc_channel_open)
+        reg(Hypercall.PAGE_RECYCLE, VMM._hc_page_recycle)
 
     def _hc_cloak_init(self, caller: int, name: str, image: bytes,
                        pid: int) -> int:

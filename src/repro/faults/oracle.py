@@ -342,8 +342,9 @@ def run_once(spec: AppSpec, cloaked: bool,
         # A fault fired outside any process context (spawn, final
         # reclaim), every process blocked for good, or the op budget
         # ran out: the run ends here, with exit -1 and the console so
-        # far.  Only the first is a typed detection.
-        escaped = error
+        # far.  Only the first is a typed detection.  The type alone is
+        # kept: the error's traceback holds this frame.
+        escaped = type(error)
     cycles = machine.cycles.total - start
     exit_code = -1
     if escaped is None and proc.exit_code is not None:
@@ -361,8 +362,8 @@ def run_once(spec: AppSpec, cloaked: bool,
             files.append((path, None))
 
     violations = tuple(type(rec.error).__name__ for rec in machine.violations)
-    if isinstance(escaped, OvershadowError):
-        violations += (type(escaped).__name__,)
+    if escaped is not None and issubclass(escaped, OvershadowError):
+        violations += (escaped.__name__,)
     exposed = bool(cloaked and spec.marker
                    and _marker_visible(machine, spec.marker))
     return RunRecord(

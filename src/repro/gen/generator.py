@@ -45,6 +45,12 @@ SCRATCH_BUDGET = 12 * 1024 * 1024      # DATA_MAX_PAGES is 16 MiB
 MMAP_PAGE_BUDGET = 8192                # MMAP_MAX_PAGES is 16384
 MAX_LIVE_FDS = 12
 
+#: A generated program's op budget, per op of its plan.  The seed-0
+#: 256-slot campaign peaks at 20.2 executed ops per plan op, so this
+#: leaves about 50x headroom; a preset-sized program that spins ends as a
+#: verdict (exit -1) after some 30 000 ops, not 20 million.
+OPS_PER_PLAN_OP = 1000
+
 _SIGS = (uapi.SIGUSR1, uapi.SIGUSR2)
 
 
@@ -1002,6 +1008,7 @@ def app_spec_for(seed: int, spec: GenSpec) -> Tuple[AppSpec, OpPlan]:
     app = AppSpec(
         name=plan.name, files=plan.files, marker=plan.marker,
         params=pressure_params if spec.pressure else None,
+        max_ops=OPS_PER_PLAN_OP * max(1, len(plan.ops)),
         program=build_program(plan),
     )
     return app, plan

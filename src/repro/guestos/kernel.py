@@ -109,11 +109,12 @@ class Kernel:
         self.vfs = VFS(self.fs)
         self.scheduler = Scheduler()
         self.console = Console()
-        from repro.guestos.swap import PageReclaimer
-
-        self.reclaimer = PageReclaimer(self)
 
         self.processes: Dict[int, Process] = {}
+        from repro.guestos.swap import PageReclaimer
+
+        self.reclaimer = PageReclaimer(self.processes, alloc, stats,
+                                       self.cache)
         self._registry: Dict[str, RegistryEntry] = {}
         self._next_pid = 1
         self._next_asid = 1

@@ -15,10 +15,12 @@ round-robin and evicting anonymous pages FIFO — deliberately dumb, as
 a pressure generator should be.
 """
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.guestos.blockcache import BlockCache
 from repro.guestos.process import Process, ProcessState, VMA
+from repro.hw.cycles import StatCounters
+from repro.hw.phys import FrameAllocator
 from repro.obs import bus
 
 
@@ -54,11 +56,19 @@ class SwapSpace:
 
 
 class PageReclaimer:
-    """Picks and evicts resident anonymous pages."""
+    """Picks and evicts resident anonymous pages.
 
-    def __init__(self, kernel):
-        self._kernel = kernel
-        self.swap = SwapSpace(kernel.cache)
+    Holds the kernel's process table, frame allocator, counters and
+    block cache, not the kernel itself: the kernel owns the reclaimer,
+    and a back-reference would make every machine a reference cycle.
+    """
+
+    def __init__(self, processes: Dict[int, Process], alloc: FrameAllocator,
+                 stats: StatCounters, cache: BlockCache):
+        self._processes = processes
+        self._alloc = alloc
+        self._stats = stats
+        self.swap = SwapSpace(cache)
         #: Rotates across processes so no single victim starves.
         self._next_pid_index = 0
         self.pages_evicted = 0
@@ -78,8 +88,7 @@ class PageReclaimer:
 
     def reclaim(self, target_pages: int) -> int:
         """Evict up to ``target_pages`` anonymous pages; returns count."""
-        kernel = self._kernel
-        procs = [p for p in kernel.processes.values()
+        procs = [p for p in self._processes.values()
                  if p.state in (ProcessState.READY, ProcessState.BLOCKED,
                                 ProcessState.RUNNING)]
         if not procs:
@@ -97,18 +106,17 @@ class PageReclaimer:
                 evicted += 1
         self._next_pid_index += 1
         self.pages_evicted += evicted
-        kernel.stats.bump("kernel.pages_evicted", evicted)
+        self._stats.bump("kernel.pages_evicted", evicted)
         return evicted
 
     def _evict_one(self, proc: Process, vpn: int, pfn: int) -> None:
-        kernel = self._kernel
         # The write-out DMAs through the IOMMU interposition, which
         # encrypts cloaked plaintext in place before the device (and
         # this kernel) ever sees the bytes.
         self.swap.write_out(proc.asid, vpn, pfn)
         bus.swap_out(proc.asid, vpn, pfn)
         proc.aspace.unmap_page(vpn)
-        kernel.alloc.free(pfn)
+        self._alloc.free(pfn)
 
     # -- swap-in (called from the page-fault handler) ----------------------------
 
@@ -117,13 +125,12 @@ class PageReclaimer:
         None when the page was never swapped."""
         if not self.swap.has_slot(proc.asid, vpn):
             return None
-        kernel = self._kernel
-        pfn = kernel.alloc.alloc()
+        pfn = self._alloc.alloc()
         self.swap.read_in(proc.asid, vpn, pfn)
         bus.swap_in(proc.asid, vpn, pfn)
         vma = proc.aspace.find_vma(vpn)
         writable = vma.writable if vma is not None else True
         proc.aspace.map_page(vpn, pfn, writable=writable)
         self.pages_swapped_in += 1
-        kernel.stats.bump("kernel.pages_swapped_in")
+        self._stats.bump("kernel.pages_swapped_in")
         return pfn

@@ -13,6 +13,7 @@ switches and kernel entries, not a per-call argument: that mirrors how
 a CPU's CR3/CPL select translations implicitly.
 """
 
+import weakref
 from typing import List, Optional, Tuple
 
 from repro.hw.cycles import CycleAccount
@@ -53,6 +54,12 @@ class TranslationAuthority:
         raise NotImplementedError
 
 
+def _no_authority() -> None:
+    """Stands in for the authority's weak reference until one is
+    attached: called on a miss, it names no authority."""
+    return None
+
+
 class MMU:
     """Translates and performs guest memory accesses."""
 
@@ -67,7 +74,12 @@ class MMU:
         self._tlb = tlb
         self._cycles = cycles
         self._costs = costs
-        self._authority: Optional[TranslationAuthority] = None
+        #: A weak reference, called on a miss.  The VMM holds the MMU
+        #: (and the CPU that holds it), so a strong back-edge would
+        #: make every machine a reference cycle that only the cyclic
+        #: collector frees; the machine and its kernel keep the VMM
+        #: alive for as long as the MMU is in use.
+        self._authority = _no_authority
         # The access context (see module docstring).  This is the only
         # copy in the machine: the VMM's world switches write it, the
         # kernel sets it before touching user memory, and the CPU reads
@@ -79,7 +91,7 @@ class MMU:
     # -- wiring ------------------------------------------------------------
 
     def attach_authority(self, authority: TranslationAuthority) -> None:
-        self._authority = authority
+        self._authority = weakref.ref(authority)
 
     @property
     def tlb(self) -> SoftwareTLB:
@@ -118,7 +130,7 @@ class MMU:
         view = self.view
         entry = self._tlb.lookup(asid, view, vpn)
         if entry is None or (access is _WRITE and not entry.dirty):
-            authority = self._authority
+            authority = self._authority()
             if authority is None:
                 raise RuntimeError("MMU has no translation authority attached")
             if entry is not None:

@@ -40,6 +40,10 @@ What is shared vs. copied:
   translation returned, the metadata record two cloak paths share)
   *inside* a restore and never leaks it *across* restores.  A machine
   that cannot be pickled fails loudly at capture (:class:`SnapshotError`).
+  The machine graph has no reference cycles (its one upward edge, the
+  MMU's translation authority, is a weak reference that capture
+  pickles as such), so a dropped restore is freed by reference
+  counting at once, not by the cyclic garbage collector.
 
 Restrictions, by construction:
 
@@ -68,6 +72,7 @@ import enum
 import io
 import pickle
 import random
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict
 
@@ -174,6 +179,11 @@ class _SnapPickler(pickle.Pickler):
             plain = self._plain[cls] = _plain_class(cls)
         if plain:
             return copyreg.__newobj__, (cls,), (None, obj.__dict__)
+        if cls is weakref.ReferenceType:
+            # The machine graph's upward edges are weak (the MMU's
+            # translation authority); the referent is pickled with the
+            # machine, so a restore re-creates the edge to its copy.
+            return weakref.ref, (obj(),)
         return NotImplemented
 
     def persistent_id(self, obj):

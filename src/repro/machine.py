@@ -73,7 +73,10 @@ class ViolationRecord:
 
     def __init__(self, pid: int, error: OvershadowError):
         self.pid = pid
-        self.error = error
+        # A record of a detection, not a crash report: the error's
+        # traceback holds frames of the machine that keeps this
+        # record, a reference cycle.
+        self.error = error.with_traceback(None)
 
     def __repr__(self) -> str:
         return f"ViolationRecord(pid={self.pid}, {type(self.error).__name__})"

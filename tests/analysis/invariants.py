@@ -209,13 +209,15 @@ _ERRORS_MODULE = "repro.core.errors"
 
 
 def exception_discipline(tree: ast.Module, module: str) -> Findings:
-    """Bare or broad handlers must re-raise; ``*Violation`` classes
-    outside ``repro.core.errors`` derive from its hierarchy (or from a
-    local ``*Violation``, itself checked)."""
+    """Bare or broad handlers must re-raise on every path, which means
+    a bare ``raise`` as the handler's last top-level statement (one
+    under an ``if`` leaves the other branch swallowing);
+    ``*Violation`` classes outside ``repro.core.errors`` derive from
+    its hierarchy (or from a local ``*Violation``, itself checked)."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ExceptHandler) or any(
-                isinstance(sub, ast.Raise) and sub.exc is None
-                for sub in ast.walk(node)):
+        if not isinstance(node, ast.ExceptHandler) or (
+                isinstance(node.body[-1], ast.Raise)
+                and node.body[-1].exc is None):
             continue
         if node.type is None:
             yield node.lineno, ("bare 'except:' swallows every exception, "

@@ -140,12 +140,12 @@ def _exercise() -> None:
     from repro.core.shim.marshal import MarshalArena
 
     dispatcher = HypercallDispatcher()
-    dispatcher.register(Hypercall.GET_IDENTITY, lambda domain: domain)
+    dispatcher.register(Hypercall.GET_IDENTITY, lambda vmm, domain: domain)
     for bad_call in (
         lambda: dispatcher.register(Hypercall.GET_IDENTITY, lambda d: d),
-        lambda: dispatcher.dispatch(1, Hypercall.CHANNEL_SEAL, ()),
-        lambda: dispatcher.dispatch(1, Hypercall.CLOAK_INIT, ()),
-        lambda: dispatcher.dispatch(0, Hypercall.GET_IDENTITY, ()),
+        lambda: dispatcher.dispatch(None, 1, Hypercall.CHANNEL_SEAL, ()),
+        lambda: dispatcher.dispatch(None, 1, Hypercall.CLOAK_INIT, ()),
+        lambda: dispatcher.dispatch(None, 0, Hypercall.GET_IDENTITY, ()),
     ):
         try:
             bad_call()

@@ -53,6 +53,21 @@ def test_reraising_broad_handler_is_clean():
         """) == []
 
 
+def test_conditional_reraise_is_flagged():
+    """A bare ``raise`` on one path only: the other path swallows."""
+    findings = err("repro.core.strictish", """\
+        def guard(step, strict):
+            try:
+                step()
+            except Exception:
+                if strict:
+                    raise
+                return None
+        """)
+    assert len(findings) == 1
+    assert "except Exception" in findings[0][1]
+
+
 def test_specific_handlers_are_clean():
     assert err("repro.guestos.fine", """\
         from repro.hw.phys import OutOfMemoryError

@@ -394,20 +394,21 @@ class TestForkAndTeardown:
 class TestHypercallDispatcher:
     def test_replace_swaps_and_returns_the_previous_handler(self):
         dispatcher = HypercallDispatcher()
-        original = lambda caller: "original"    # noqa: E731
+        original = lambda vmm, caller: "original"    # noqa: E731
         dispatcher.register(Hypercall.GET_IDENTITY, original)
         previous = dispatcher.replace(Hypercall.GET_IDENTITY,
-                                      lambda caller: "replaced")
+                                      lambda vmm, caller: "replaced")
         assert previous is original
-        assert dispatcher.dispatch(1, Hypercall.GET_IDENTITY, ()) == "replaced"
+        assert dispatcher.dispatch(None, 1, Hypercall.GET_IDENTITY,
+                                   ()) == "replaced"
 
     def test_replace_of_an_unregistered_number_raises(self):
         dispatcher = HypercallDispatcher()
         with pytest.raises(ValueError, match="PAGE_RECYCLE"):
-            dispatcher.replace(Hypercall.PAGE_RECYCLE, lambda caller: 0)
+            dispatcher.replace(Hypercall.PAGE_RECYCLE, lambda vmm, caller: 0)
         with pytest.raises(HypercallError,
                            match="unimplemented hypercall Hypercall.PAGE_RECYCLE"):
-            dispatcher.dispatch(1, Hypercall.PAGE_RECYCLE, ())
+            dispatcher.dispatch(None, 1, Hypercall.PAGE_RECYCLE, ())
 
     def test_duplicate_registration_names_the_member(self):
         dispatcher = HypercallDispatcher()

@@ -7,14 +7,19 @@ surface: every syscall in the guest ABI, at least 12 of the 14 fault
 injection sites, and a broad probe-bus footprint.
 """
 
+import time
+from collections import OrderedDict
+
 import pytest
 
+from repro.apps import program
 from repro.core.hypercall import Hypercall
 from repro.faults.oracle import judge
 from repro.faults.plan import SITE_MAC_TRUNCATE
 from repro.gen.driver import (parse_replay_token, replay_token, run_campaign,
                               run_slot)
-from repro.gen.generator import app_spec_for
+from repro.gen import generator
+from repro.gen.generator import OPS_PER_PLAN_OP, app_spec_for
 from repro.gen.spec import PRESETS, derive_seed
 
 SMOKE_SEED = 0
@@ -85,7 +90,7 @@ class TestFaultRotation:
 def _noop_page_recycle(machine):
     """Engine sabotage: re-introduce the heap-recycle protocol gap."""
     machine.vmm._dispatcher.replace(Hypercall.PAGE_RECYCLE,
-                                    lambda caller, start_vpn, npages: 0)
+                                    lambda vmm, caller, start_vpn, npages: 0)
 
 
 class TestMutationIsCaught:
@@ -114,3 +119,48 @@ class TestMutationIsCaught:
         result = run_slot(0, seed, "default", spec, shrink_failures=False)
         assert result.status == "divergence"
         assert result.replay == replay_token(seed, spec)
+
+
+class TestOpBudget:
+    """A generated run ends in a verdict, a spinning one included."""
+
+    def test_generated_spec_carries_a_plan_sized_budget(self):
+        app, plan = app_spec_for(derive_seed(SMOKE_SEED, 0),
+                                 PRESETS["default"])
+        assert app.max_ops == OPS_PER_PLAN_OP * len(plan.ops)
+
+    def test_spinning_slot_ends_as_a_verdict_quickly(self, monkeypatch):
+        build = generator.build_program
+
+        def spinning(plan):
+            class Spinning(build(plan)):
+                def main(self, ctx):
+                    yield from super().main(ctx)
+                    while True:
+                        yield ctx.sched_yield()
+            return Spinning
+
+        monkeypatch.setattr(generator, "build_program", spinning)
+        started = time.monotonic()
+        result = run_slot(0, derive_seed(SMOKE_SEED, 0), "default",
+                          PRESETS["default"], shrink_failures=False)
+        assert time.monotonic() - started < 5.0
+        assert result.status == "genfail"
+        assert result.detail.startswith("native exit -1:")
+        assert result.detail.endswith("GEN-OK\n")
+
+
+class TestImageCache:
+    """Every generated program is a class with an image of its own;
+    the image memo stays bounded and eviction changes no result."""
+
+    def test_cache_stays_within_its_bound_across_a_campaign(
+            self, monkeypatch):
+        assert program._IMAGE_CACHE_LIMIT >= 256
+        assert len(program._IMAGE_CACHE) <= program._IMAGE_CACHE_LIMIT
+        expected = run_campaign(campaign_seed=SMOKE_SEED, count=12).digest()
+        monkeypatch.setattr(program, "_IMAGE_CACHE", OrderedDict())
+        monkeypatch.setattr(program, "_IMAGE_CACHE_LIMIT", 4)
+        report = run_campaign(campaign_seed=SMOKE_SEED, count=12)
+        assert len(program._IMAGE_CACHE) == 4
+        assert report.digest() == expected

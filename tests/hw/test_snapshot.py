@@ -277,6 +277,17 @@ class TestCaptureRestore:
         assert restored.console == fresh.console
         assert restored.cycles_total == fresh.cycles_total
 
+    def test_restored_mmu_answers_to_the_restored_vmm(self):
+        """The MMU's weak authority edge is rebuilt to the copy, so a
+        restore outlives the machine it was captured from."""
+        machine = _booted()
+        snap = machine.snapshot()
+        del machine
+        gc.collect()
+        restored = Machine.from_snapshot(snap)
+        assert restored.mmu._authority() is restored.vmm
+        assert measure_program(restored, "mb-readsec4k", ("2",)).console
+
     def test_live_process_rejects_capture(self):
         machine = _booted(cloaked=False)
         machine.spawn("mb-readsec4k", ("1",))
