@@ -20,8 +20,12 @@ bytes and the same units from C-level builtins, and each of those is
 checked against its original loop in ``tests/apps/reference_kernels.py``.
 Inputs are fixed the same way: they are the bytes one ``randrange``
 call per value would draw, and the kernels draw them in bulk
-(``_randbelow_many``, ``_randbytes``), checked against the per-value
-loops kept in the same file.
+(``_randbelow_many``, ``_randbytes``) in rounds of bounded size,
+checked against the per-value loops kept in the same file.  A kernel's
+input and result are pure functions of its identity, so ``main``
+remembers the last run's and reuses them, when the bytes loaded back
+match, for the next run of the same kernel (its cloaked twin): every
+guest op and charge is the same, only the host's recomputation goes.
 """
 
 import hashlib
@@ -30,8 +34,8 @@ import random
 import re
 import struct
 import zlib
-from itertools import compress
-from typing import List, Tuple
+from itertools import chain, compress
+from typing import Iterator, List, Optional, Tuple
 
 from repro.apps.program import Program, UserContext
 
@@ -51,6 +55,14 @@ def _prng(seed: str) -> random.Random:
                                         "little"))
 
 
+#: The most words one bulk draw takes.  Drawing in rounds of at most
+#: this many keeps every temporary of an input's draw small, whatever
+#: the input's size, and changes no value: ``getrandbits(32 * a)``
+#: followed by ``getrandbits(32 * b)`` gives the words of one
+#: ``getrandbits(32 * (a + b))``.
+_ROUND_WORDS = 1024
+
+
 def _words(rng: random.Random, count: int) -> bytes:
     """The next ``count`` 32-bit outputs of ``rng``, 4 little-endian
     bytes each, in draw order.
@@ -63,25 +75,33 @@ def _words(rng: random.Random, count: int) -> bytes:
     return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
 
 
-def _randbelow_many(rng: random.Random, count: int, bound: int) -> List[int]:
-    """Exactly ``[rng.randrange(bound) for _ in range(count)]``, leaving
-    ``rng`` in the same state; ``bound`` must be below ``2**32``.
+def _randbelow_rounds(rng: random.Random, count: int,
+                      bound: int) -> Iterator[Tuple[int, ...]]:
+    """The values of ``[rng.randrange(bound) for _ in range(count)]``,
+    one round's worth at a time; ``bound`` must be below ``2**32``.
 
     ``randrange(bound)`` retries ``getrandbits(bound.bit_length())``
     until the value is below ``bound``, one word per try, so the values
     are the accepted words in order.  Each round draws one word per
-    value still missing: that many words accept at most that many
-    values, so no round draws past the word that ends the last call.
+    value still missing, at most ``_ROUND_WORDS``: that many words
+    accept at most that many values, so no round draws past the word
+    that ends the last call, and ``rng`` ends where the loop leaves it.
     """
     if not 0 < bound < 1 << 32:
         raise ValueError(f"bound must be in (0, 2**32), got {bound}")
     shift = 32 - bound.bit_length()
-    out: List[int] = []
-    while len(out) < count:
-        missing = count - len(out)
-        words = struct.unpack(f"<{missing}I", _words(rng, missing))
-        out += filter(bound.__gt__, map(shift.__rrshift__, words))
-    return out
+    while count:
+        drawn = min(count, _ROUND_WORDS)
+        words = struct.unpack(f"<{drawn}I", _words(rng, drawn))
+        values = tuple(filter(bound.__gt__, map(shift.__rrshift__, words)))
+        count -= len(values)
+        yield values
+
+
+def _randbelow_many(rng: random.Random, count: int, bound: int) -> List[int]:
+    """Exactly ``[rng.randrange(bound) for _ in range(count)]``, leaving
+    ``rng`` in the same state; ``bound`` must be below ``2**32``."""
+    return list(chain.from_iterable(_randbelow_rounds(rng, count, bound)))
 
 
 #: ``randrange(256)`` is ``getrandbits(9)``: bits 23-31 of a word, so
@@ -94,17 +114,25 @@ _ACCEPT = bytes(b < 0x80 for b in range(256))
 
 def _randbytes(rng: random.Random, count: int) -> bytes:
     """``bytes(rng.randrange(256) for _ in range(count))``, in C: the
-    rounds of ``_randbelow_many`` with each word decoded by table."""
+    rounds of ``_randbelow_rounds`` with each word decoded by table."""
     out = bytearray()
     while len(out) < count:
-        missing = count - len(out)
-        raw = _words(rng, missing)
+        drawn = min(count - len(out), _ROUND_WORDS)
+        raw = _words(rng, drawn)
         top = raw[3::4]
         values = (int.from_bytes(top.translate(_HI_BITS), "little")
                   | int.from_bytes(raw[2::4].translate(_LO_BIT), "little"))
-        out.extend(compress(values.to_bytes(missing, "little"),
+        out.extend(compress(values.to_bytes(drawn, "little"),
                             top.translate(_ACCEPT)))
     return bytes(out)
+
+
+#: The most recent kernel run whose load matched its input:
+#: ``(memo_key, payload, (output, alu_units))``.  A native run and its
+#: cloaked twin, or a run of identical kernels, generate and transform
+#: once; every guest op and charge is the same on a hit.  One entry at
+#: most, dropped before a different kernel generates its input.
+_last_run: Optional[Tuple[Tuple, bytes, Tuple[bytes, int]]] = None
 
 
 def _checksum(data: bytes) -> str:
@@ -133,8 +161,22 @@ class ComputeKernel(Program):
         """Pure computation: returns (output, alu_units_charged)."""
         raise NotImplementedError
 
+    def _memo_key(self) -> Tuple:
+        """What this kernel's input and result depend on: its class and
+        size, and the ``generate_input`` and ``transform`` in effect, so
+        a patched method, on the class or on the instance, is a miss."""
+        return (type(self), self.size,
+                getattr(self.generate_input, "__func__", self.generate_input),
+                getattr(self.transform, "__func__", self.transform))
+
     def main(self, ctx: UserContext):
-        payload = self.generate_input()
+        global _last_run
+        key = self._memo_key()
+        if _last_run is not None and _last_run[0] == key:
+            payload = _last_run[1]
+        else:
+            _last_run = None  # dropped before the new input exists
+            payload = self.generate_input()
         src = ctx.scratch(len(payload))
         dst = ctx.scratch(len(payload) * 2)
 
@@ -149,7 +191,13 @@ class ComputeKernel(Program):
             loaded.append((yield ctx.load(src + offset,
                                           min(CHUNK, len(payload) - offset))))
         data = b"".join(loaded)
-        output, alu_units = self.transform(data)
+        last = _last_run
+        if last is not None and last[0] == key and last[1] == data:
+            output, alu_units = last[2]
+        else:
+            output, alu_units = self.transform(data)
+            if data == payload:
+                _last_run = (key, payload, (output, alu_units))
         yield ctx.alu(alu_units)
         for offset in range(0, len(output), CHUNK):
             yield ctx.store(dst + offset, output[offset : offset + CHUNK])
@@ -253,6 +301,10 @@ class ShaLoop(ComputeKernel):
         return digest, 18 * 64 * self.size
 
 
+#: One node's four peers in ``bfsgraph``'s adjacency list.
+_PEERS = struct.Struct("<4I")
+
+
 class BFSGraph(ComputeKernel):
     """Breadth-first search over a random graph (pointer chasing)."""
 
@@ -261,12 +313,12 @@ class BFSGraph(ComputeKernel):
 
     def generate_input(self) -> bytes:
         n = self.size
-        return struct.pack(f"<{4 * n}I",
-                           *_randbelow_many(self.rng(), 4 * n, n))
+        return b"".join(struct.pack(f"<{len(values)}I", *values)
+                        for values in _randbelow_rounds(self.rng(), 4 * n, n))
 
     def transform(self, data: bytes):
         n = self.size
-        adj = struct.unpack(f"<{4 * n}I", data)  # v's peers: adj[4v:4v+4]
+        peers_of = _PEERS.unpack_from  # v's peers: bytes 16v to 16v + 16
         depth = [-1] * n
         depth[0] = 0
         frontier = [0]
@@ -275,7 +327,7 @@ class BFSGraph(ComputeKernel):
             nxt = []
             for node in frontier:
                 peer_depth = depth[node] + 1
-                for peer in adj[4 * node : 4 * node + 4]:
+                for peer in peers_of(data, 16 * node):
                     if depth[peer] < 0:
                         depth[peer] = peer_depth
                         nxt.append(peer)

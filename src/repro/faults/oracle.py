@@ -127,6 +127,15 @@ def _spawn_webserver(machine: Machine) -> None:
     machine.spawn("webserver", ("4",))
 
 
+#: The op budget of a hand-written spec (``Machine.run``'s ``max_ops``).
+#: Over the conformance sweep with its determinism rung, the fault
+#: matrix and the key-canary and cost-conservation tests, no run of a
+#: hand-written spec executes more than 1 041 ops (``histogram``), so
+#: this leaves 96x headroom, and a spinning program reaches its
+#: verdict in about a second.
+SPEC_MAX_OPS = 100_000
+
+
 class AppSpec:
     """How the oracle drives one registered program."""
 
@@ -139,7 +148,7 @@ class AppSpec:
                  peers: Optional[Callable[[Machine], None]] = None,
                  params: Optional[Callable[[], MachineParams]] = None,
                  marker: Optional[bytes] = None,
-                 max_ops: int = 20_000_000,
+                 max_ops: int = SPEC_MAX_OPS,
                  program: Optional[type] = None):
         self.name = name
         self.argv = argv

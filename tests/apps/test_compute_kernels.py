@@ -20,6 +20,7 @@ from repro.apps.compute import (
     ShaLoop,
     Stencil,
     StrSearch,
+    _ROUND_WORDS,
     _randbelow_many,
     _randbytes,
 )
@@ -293,6 +294,28 @@ def test_randbytes_is_randrange_256(count):
     assert _randbytes(bulk, count) == \
         bytes(single.randrange(256) for __ in range(count))
     assert bulk.random() == single.random()
+
+
+#: Just below, at and above one round's draw, and several rounds.
+_ROUND_COUNTS = (_ROUND_WORDS - 1, _ROUND_WORDS, _ROUND_WORDS + 1,
+                 3 * _ROUND_WORDS + 5)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 256, 12000, 2**31 + 1])
+@pytest.mark.parametrize("count", _ROUND_COUNTS)
+def test_randbelow_many_is_randrange_across_rounds(bound, count):
+    bulk, single = random.Random(bound ^ count), random.Random(bound ^ count)
+    assert _randbelow_many(bulk, count, bound) == \
+        [single.randrange(bound) for __ in range(count)]
+    assert bulk.getstate() == single.getstate()
+
+
+@pytest.mark.parametrize("count", _ROUND_COUNTS)
+def test_randbytes_is_randrange_256_across_rounds(count):
+    bulk, single = random.Random(count), random.Random(count)
+    assert _randbytes(bulk, count) == \
+        bytes(single.randrange(256) for __ in range(count))
+    assert bulk.getstate() == single.getstate()
 
 
 @pytest.mark.parametrize("bound", [0, -1, 2**32])

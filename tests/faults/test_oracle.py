@@ -142,6 +142,43 @@ class TestLivelock:
             "divergence", "exit 0 != -1")
 
 
+class TestSpecBudget:
+    """Every hand-written spec ends in a verdict within seconds, and its
+    op budget is at least 50 times what any of its runs executes."""
+
+    HEADROOM = 50
+    SPECS = {**oracle.ORACLE_SPECS,
+             **{f"{name}-matrix": spec
+                for name, spec in oracle._MATRIX_SPECS.items()}}
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_every_run_stays_well_within_its_budget(self, monkeypatch, name):
+        spec = self.SPECS[name]
+        executed = []
+        real_run = Machine.run
+
+        def run(machine, *args, **kwargs):
+            executed.append(real_run(machine, *args, **kwargs))
+            return executed[-1]
+
+        monkeypatch.setattr(Machine, "run", run)
+        for cloaked in (False, True):
+            assert oracle.run_once(spec, cloaked=cloaked).exit_code == 0
+        assert len(executed) == 2
+        assert max(executed) * self.HEADROOM <= spec.max_ops, executed
+
+    def test_every_hand_written_spec_has_the_default_budget(self):
+        for spec in self.SPECS.values():
+            assert spec.max_ops == oracle.SPEC_MAX_OPS
+
+    def test_spinning_spec_with_the_default_budget_is_a_verdict(self):
+        spec = oracle.AppSpec("spinner", program=_Spinner,
+                              setup=_make_spin_file)
+        started = time.monotonic()
+        assert oracle.judge(spec) == ("genfail", "native exit -1: spin\n")
+        assert time.monotonic() - started < 10.0
+
+
 def test_faulty_runs_replay_byte_identically():
     """The determinism claim extends to *faulty* runs: the same plan
     spec reproduces the identical degraded execution."""
