@@ -10,15 +10,6 @@ twice (the second pass silent) and the harness fails on any drift in
 the produced numbers — cycle counters included.  Nondeterminism in an
 experiment would invalidate every comparison the suite prints, so it
 is treated as a harness error, not noise.
-
-The two passes deliberately use *different boot modes*: the first
-runs with golden-snapshot reuse (the default), the replay under
-:func:`repro.hw.snapshot.force_fresh` boots every machine from
-scratch.  Any divergence between a restored machine and a fresh boot
-therefore fails the same drift check, so snapshot equivalence is
-re-proven by every experiment at zero extra cost — the replay ran
-anyway, and the snapshot-backed first pass is strictly cheaper than
-the fresh pass it replaced.
 """
 
 from typing import Any
@@ -26,7 +17,6 @@ from typing import Any
 import pytest
 
 from repro.bench.tables import Series, Table
-from repro.hw import snapshot as snapshot_mod
 
 
 def _comparable(value: Any) -> Any:
@@ -61,16 +51,12 @@ def _drift(first: Any, second: Any) -> str:
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment under pytest-benchmark, then replay it and
-    fail on any drift in the results (the determinism guard).
-
-    The timed pass rides golden snapshots; the replay boots fresh —
-    see the module docstring for why the asymmetry is the point."""
+    fail on any drift in the results (the determinism guard)."""
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs,
                                 rounds=1, iterations=1)
     replay_kwargs = dict(kwargs)
     replay_kwargs.setdefault("verbose", False)
-    with snapshot_mod.force_fresh():
-        replay = fn(*args, **replay_kwargs)
+    replay = fn(*args, **replay_kwargs)
     drift = _drift(result, replay)
     assert not drift, (
         f"experiment {getattr(fn, '__module__', fn)!s} drifted across "

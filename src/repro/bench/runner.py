@@ -3,9 +3,8 @@
 Measurements are *virtual cycles* from the machine's deterministic
 ledger; wall-clock timing (pytest-benchmark) only gauges the harness
 itself.  Every comparison runs on a private machine so no state (page
-cache, metadata, TLB) bleeds between configurations; machines come
-from :meth:`Machine.boot`'s golden snapshots (cycle- and
-state-identical to a fresh boot, restored in O(dirty pages)).
+cache, metadata, TLB) bleeds between configurations; each one is
+booted fresh by :meth:`Machine.boot`.
 """
 
 from typing import Optional, Tuple

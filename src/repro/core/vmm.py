@@ -42,7 +42,7 @@ _WRITE = AccessKind.WRITE
 @dataclass(frozen=True)
 class VMMConfig:
     """VMM policy knobs (the ablation benchmarks vary these).  Frozen:
-    configs key :meth:`repro.machine.Machine.boot`'s golden cache."""
+    one config is shared by every machine booted with it."""
 
     shadow_policy: str = POLICY_TAGGED
     #: Re-encrypt all of a domain's plaintext on every switch out of it

@@ -309,7 +309,7 @@ def _booted_machine(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],
     """A machine at the post-setup boot point (see :meth:`Machine.boot`).
 
     ``tweak`` runs after the boot, so an attached sink never sees
-    boot-time probe traffic, whichever way the machine was booted.
+    boot-time probe traffic.
     """
     setup = (make_secure_dirs,)
     if spec.setup is not None:
@@ -332,7 +332,7 @@ def _booted_machine(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],
 def run_once(spec: AppSpec, cloaked: bool,
              plan: Optional[FaultPlan] = None,
              tweak: Optional[Callable[[Machine], None]] = None) -> RunRecord:
-    """Boot (or restore) a machine, run one spec, capture its state.
+    """Boot a machine, run one spec, capture its state.
 
     ``tweak`` runs right before processes are spawned — the hook the
     fuzz driver uses to attach observability sinks (coverage

@@ -1,4 +1,4 @@
-"""Copy-on-write machine snapshots: boot once, restore per run.
+"""Copy-on-write machine snapshots: capture once, restore per run.
 
 A snapshot clones a quiescent booted machine the way a hypervisor
 forks a VM: guest-physical memory is captured **once** as a
@@ -7,17 +7,15 @@ restore (COW — see :class:`repro.hw.phys.PhysicalMemory`), and the
 small mutable state (allocator free stacks, pagetables/TLB, cloak
 metadata, ramfs, written disk blocks, scheduler, RNG streams, the
 cycle ledger) is pickled once at capture and unpickled per restore.
-A restored machine is therefore
-*architecturally indistinguishable* from the machine that was
-captured — same cycle total, same register file, same free-stack
-order, same fault-plan substream positions — so a run started from a
-restore is cycle- and state-identical to the same run started from a
-fresh boot that reached the capture point.
-The snapshot equivalence property test proves this for all registered
-guest programs, native and cloaked.  Every memory- or disk-sized
-structure holds only what was touched, so a restore, and every pass
-of the garbage collector over the restored machine, costs O(touched
-frames and blocks), not O(configured memory).
+A restored machine is therefore *architecturally indistinguishable*
+from the machine that was captured — same cycle total, same register
+file, same free-stack order — so a run started from a restore is
+cycle- and state-identical to the same run started on the captured
+machine.  The snapshot equivalence property test proves this for all
+registered guest programs, native and cloaked.  Every memory- or
+disk-sized structure holds only what was touched, so a restore, and
+every pass of the garbage collector over the restored machine, costs
+O(touched frames and blocks), not O(configured memory).
 
 What is shared vs. copied:
 
@@ -27,11 +25,9 @@ What is shared vs. copied:
   tombstone, and the pure memoized derivations in
   ``repro.core.crypto``.  The crypto memos cache pure functions of
   immutable keys with immutable values, so a hit or an eviction in
-  one restore never changes what another computes.  The golden cache
-  that holds snapshots (:meth:`repro.machine.Machine.boot`) is
-  module-scope, so forked workers inherit it; the snapshots in it are
-  immutable from the caller's view, so restores from one share
-  nothing mutable with each other.
+  one restore never changes what another computes.  A snapshot is
+  immutable from the caller's view, so restores from one share nothing
+  mutable with each other.
 * **copied** — everything else reachable from the machine object
   graph: kernel, VMM, MMU/TLB, CPU, allocator, disk, cycle ledger.
   Capture pickles the live machine once with the shared objects
@@ -52,28 +48,19 @@ Restrictions, by construction:
   which cannot be cloned.  This mirrors the fork limitation
   documented in ``docs/PERFORMANCE.md`` — snapshots capture machine
   state, not guest control flow.
-* **Fault plans.** A snapshot captured under a fault plan can only be
-  restored under a fault plan (the injector wrappers are part of the
-  machine structure), and vice versa.  Restore rebinds every wrapper
-  to the *caller's* plan and fast-forwards it over the boot window's
-  opportunity stream; if the caller's arms would have fired inside
-  that window, the snapshot is declared unusable
-  (:class:`SnapshotUnusable`) and the caller falls back to a fresh
-  boot — never a silently different fault schedule.
-
-Kill switch: the :func:`force_fresh` context manager makes
-:func:`snapshots_enabled` return False; :meth:`Machine.boot` then
-builds every machine from scratch (the reference path the
-equivalence tests compare against).
+* **No fault plan.** A machine built under a fault plan cannot be
+  captured: its injector wrappers share the plan's opportunity
+  counters and RNG substreams, which a restore could not hand to
+  another run without changing that run's fault schedule.  A planned
+  machine is booted fresh under its own plan
+  (:meth:`repro.machine.Machine.boot`).
 """
 
 import copyreg
 import enum
 import io
 import pickle
-import random
 import weakref
-from contextlib import contextmanager
 from typing import Any, Dict
 
 from repro.hw.phys import PhysicalMemory
@@ -82,40 +69,10 @@ from repro.obs import bus
 #: Process states a capturable machine may contain (quiescence).
 _QUIESCENT_STATES = frozenset({"ZOMBIE", "DEAD"})
 
-#: Session-level kill switch (see :func:`force_fresh`).
-_enabled = True
-
 
 class SnapshotError(RuntimeError):
     """The machine cannot be captured (not quiescent, live runtimes,
-    not picklable)."""
-
-
-class SnapshotUnusable(SnapshotError):
-    """This snapshot cannot honour the requested restore (plan
-    mismatch, or an arm would have fired inside the captured boot
-    window).  Callers fall back to a fresh boot."""
-
-
-def snapshots_enabled() -> bool:
-    """False inside :func:`force_fresh`."""
-    return _enabled
-
-
-@contextmanager
-def force_fresh():
-    """Context manager: disable snapshot reuse (fresh boots only).
-
-    The determinism guard in ``benchmarks/conftest.py`` replays
-    experiments under this to prove both boot modes agree.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = False
-    try:
-        yield
-    finally:
-        _enabled = previous
+    built under a fault plan, not picklable)."""
 
 
 class _InertRuntime:
@@ -209,22 +166,14 @@ class SnapshotState:
     the single-thread sense (restores share only immutable state).
     """
 
-    __slots__ = ("base", "total_frames", "frames_captured", "planned",
-                 "capture_armed", "boot_opportunities", "boot_fires",
-                 "_blob", "_shared")
+    __slots__ = ("base", "total_frames", "frames_captured", "_blob",
+                 "_shared")
 
     def __init__(self, machine):
         _check_quiescent(machine)
-        plan = machine.faults
         self.base = machine.phys.freeze_base()
         self.total_frames = machine.phys.total_frames
         self.frames_captured = len(self.base)
-        self.planned = plan is not None
-        self.capture_armed = (frozenset(plan._arms) if plan is not None
-                              else frozenset())
-        self.boot_opportunities = (dict(plan._opportunities)
-                                   if plan is not None else {})
-        self.boot_fires = plan.total_fires() if plan is not None else 0
         self._serialize(machine)
         if bus.ACTIVE:
             bus.snapshot_capture(self.frames_captured,
@@ -237,8 +186,7 @@ class SnapshotState:
         Shared/per-restore objects become persistent references:
         the COW physical memory (fresh :meth:`PhysicalMemory.from_base`
         per restore), the frozen params/costs, the registry entries and
-        one shared runtime tombstone, and the fault plan (rebound to
-        the caller's plan).
+        one shared runtime tombstone.
         """
         kernel = machine.kernel
         shared: Dict[tuple, Any] = {
@@ -252,8 +200,6 @@ class SnapshotState:
         for proc in kernel.processes.values():
             pids[id(proc.runtime)] = ("runtime",)
         pids[id(machine.phys)] = ("phys",)
-        if machine.faults is not None:
-            pids[id(machine.faults)] = ("plan",)
         buf = io.BytesIO()
         dynamic: Dict[tuple, Any] = {}
         try:
@@ -268,88 +214,26 @@ class SnapshotState:
 
     # -- restore -----------------------------------------------------------
 
-    def restore(self, plan=None):
+    def restore(self):
         """A fresh machine, architecturally identical to the captured
-        one, with COW physical memory over the shared frozen frames.
-
-        ``plan`` must be given iff the snapshot was captured under a
-        fault plan; every injector wrapper in the restored machine is
-        rebound to it, and the plan is fast-forwarded over the boot
-        window (see module docstring).  Raises
-        :class:`SnapshotUnusable` when that cannot be done faithfully.
-        """
-        if self.planned != (plan is not None):
-            raise SnapshotUnusable(
-                "snapshot captured %s a fault plan; restore requested %s one"
-                % ("under" if self.planned else "without",
-                   "under" if plan is not None else "without"))
-        if plan is not None:
-            self._check_plan(plan)
+        one, with COW physical memory over the shared frozen frames."""
         resolve = dict(self._shared)
         resolve[("phys",)] = PhysicalMemory.from_base(self.base,
                                                       self.total_frames)
-        resolve[("plan",)] = plan
         unpickler = pickle.Unpickler(io.BytesIO(self._blob))
         unpickler.persistent_load = resolve.__getitem__
         machine = unpickler.load()
-        if plan is not None:
-            self._seed_plan(plan)
         if bus.ACTIVE:
             bus.snapshot_restore(self.frames_captured)
         return machine
 
-    # -- fault-plan fast-forward -------------------------------------------
-
-    def _check_plan(self, plan) -> None:
-        """Would restoring under ``plan`` replay the boot faithfully?"""
-        if self.boot_fires:
-            raise SnapshotUnusable(
-                f"{self.boot_fires} fault(s) fired before capture; the "
-                "payload RNG draws cannot be replayed into a new plan")
-        for site, arm in plan._arms.items():
-            if site not in self.capture_armed:
-                raise SnapshotUnusable(
-                    f"site {site!r} was not armed at capture, so its boot "
-                    "opportunity count is unknown")
-            count = self.boot_opportunities.get(site, 0)
-            if count == 0:
-                continue
-            if arm.nth is not None:
-                would_fire = arm.nth < count
-            elif arm.every is not None:
-                would_fire = count >= arm.every
-            else:
-                # Replay the decide() draws the boot would have made
-                # on this arm's substream, without touching the plan.
-                probe = random.Random(f"{plan.seed}:{site}")
-                would_fire = any(probe.random() < arm.probability
-                                 for _ in range(count))
-            if would_fire:
-                raise SnapshotUnusable(
-                    f"arm {arm.spec()} would have fired within the captured "
-                    f"boot window ({count} opportunities)")
-
-    def _seed_plan(self, plan) -> None:
-        """Fast-forward ``plan`` over the captured boot window.
-
-        After this, the plan's opportunity counters and probability
-        substreams sit exactly where a fresh boot under the same plan
-        would have left them (``_check_plan`` proved no arm fires in
-        the window, so no payload draws are owed).
-        """
-        for site, arm in plan._arms.items():
-            count = self.boot_opportunities.get(site, 0)
-            if count == 0:
-                continue
-            plan._opportunities[site] = \
-                plan._opportunities.get(site, 0) + count
-            if arm.probability is not None:
-                rng = plan.rng(site)
-                for _ in range(count):
-                    rng.random()
-
 
 def _check_quiescent(machine) -> None:
+    if machine.faults is not None:
+        raise SnapshotError(
+            "cannot snapshot: the machine was built under a fault plan, "
+            "whose opportunity counters a restore cannot replay; boot "
+            "it fresh under its plan")
     for proc in machine.kernel.processes.values():
         if proc.state.name not in _QUIESCENT_STATES:
             raise SnapshotError(

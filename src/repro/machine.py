@@ -47,7 +47,7 @@ from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import MachineParams, default_params
 from repro.hw.phys import FrameAllocator, PhysicalMemory
 from repro.hw.tlb import SoftwareTLB
-from repro.faults.plan import SITE_EVICT_UNDER_USE, FaultPlan
+from repro.faults.plan import SITE_EVICT_UNDER_USE
 from repro.guestos import uapi
 from repro.obs import bus
 
@@ -106,10 +106,10 @@ class ProcessResult:
 
 @dataclass(frozen=True)
 class BootConfig:
-    """Everything that shapes a booted machine, as a hashable value.
+    """Everything that shapes a booted machine, as a frozen value.
 
-    Equal configs boot cycle- and state-identical machines, which is
-    what lets :meth:`Machine.boot` share one golden snapshot per config.
+    Equal configs boot cycle- and state-identical machines
+    (:meth:`Machine.boot`).
     """
 
     cloaked: bool = False
@@ -119,12 +119,6 @@ class BootConfig:
     vmm_config: Optional[VMMConfig] = None
     #: Hooks run in order after registration (directories, seed files).
     setup: Tuple[Callable[["Machine"], None], ...] = ()
-
-
-#: Golden boot snapshots, keyed by (config, booted under a fault plan).
-#: Module scope, so forked workers inherit every golden captured
-#: before the fork.
-_GOLDEN: Dict[Tuple[BootConfig, bool], snapshot_mod.SnapshotState] = {}
 
 
 class _VMMDma(DMAGateway):
@@ -194,31 +188,8 @@ class Machine:
 
     @classmethod
     def boot(cls, config: BootConfig, fault_plan=None) -> "Machine":
-        """A machine booted to ``config``, restored from the golden
-        snapshot captured on the first boot of ``(config, planned)``.
-
-        A planned golden boots under :meth:`FaultPlan.audit` (never
-        fires, but counts each site's boot opportunities, so restore
-        can fast-forward the caller's plan over the boot window).  When
-        the plan cannot be replayed (:class:`SnapshotUnusable`) or
-        reuse is off (:func:`repro.hw.snapshot.force_fresh`), the same
-        config boots from scratch under the caller's plan.
-        """
-        if not snapshot_mod.snapshots_enabled():
-            return cls._boot_fresh(config, fault_plan)
-        key = (config, fault_plan is not None)
-        golden = _GOLDEN.get(key)
-        if golden is None:
-            boot_plan = FaultPlan.audit(0) if fault_plan is not None else None
-            golden = cls._boot_fresh(config, boot_plan).snapshot()
-            _GOLDEN[key] = golden
-        try:
-            return cls.from_snapshot(golden, fault_plan)
-        except snapshot_mod.SnapshotUnusable:
-            return cls._boot_fresh(config, fault_plan)
-
-    @classmethod
-    def _boot_fresh(cls, config: BootConfig, fault_plan) -> "Machine":
+        """A machine booted to ``config``: built under ``fault_plan``,
+        the suite programs registered, then the setup hooks run."""
         # Local import: the program suite itself imports this module.
         from repro.apps.registry import register_all
 
@@ -229,11 +200,11 @@ class Machine:
         return machine
 
     # ------------------------------------------------------------------
-    # snapshots (boot once, restore per run)
+    # snapshots (capture once, restore per run)
     # ------------------------------------------------------------------
 
     def snapshot(self):
-        """Capture this quiescent machine as a COW snapshot.
+        """Capture this quiescent, unplanned machine as a COW snapshot.
 
         See :mod:`repro.hw.snapshot` for what is shared vs. copied and
         the quiescence/fault-plan restrictions.
@@ -241,17 +212,13 @@ class Machine:
         return snapshot_mod.SnapshotState(self)
 
     @classmethod
-    def from_snapshot(cls, snapshot, fault_plan=None) -> "Machine":
+    def from_snapshot(cls, snapshot) -> "Machine":
         """A fresh machine restored from ``snapshot``.
 
-        Cycle- and state-identical to a fresh boot that reached the
-        capture point; physical frames are copy-on-write against the
-        snapshot.  ``fault_plan`` must be given iff the snapshot was
-        captured under one (raises
-        :class:`repro.hw.snapshot.SnapshotUnusable` when the plan
-        cannot be replayed faithfully — fall back to a fresh boot).
+        Cycle- and state-identical to the machine that was captured;
+        physical frames are copy-on-write against the snapshot.
         """
-        return snapshot.restore(fault_plan)
+        return snapshot.restore()
 
     # ------------------------------------------------------------------
     # program registration / spawning

@@ -16,8 +16,8 @@ production-style evaluation:
   routing keys across shards with minimal remapping on membership
   change.
 * :mod:`repro.serve.cluster` — N :class:`repro.machine.Machine`
-  shards across ``multiprocessing`` workers, each restored from one
-  shared COW snapshot (:meth:`repro.machine.Machine.boot`), with
+  shards across ``multiprocessing`` workers, each booted by
+  :meth:`repro.machine.Machine.boot`, with
   per-shard ``repro.obs`` metrics merged into a single deterministic
   cluster-wide report.  A single-process ``inline`` mode produces a
   byte-identical report.

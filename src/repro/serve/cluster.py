@@ -1,4 +1,4 @@
-"""Sharded cluster serving: N machines, one snapshot, one report.
+"""Sharded cluster serving: N machines, one schedule, one report.
 
 A *cluster run* routes one open-loop schedule
 (:mod:`repro.serve.loadgen`) across N independent
@@ -11,10 +11,8 @@ Execution modes, byte-identical by construction:
 
 * ``inline`` — every shard runs sequentially in the calling process;
 * multiprocess — one **forked** worker per shard (bounded by
-  ``workers`` concurrent processes), each restored from one shared
-  COW snapshot: the parent boots the server config once through
-  :meth:`repro.machine.Machine.boot` *before* forking, and every
-  worker inherits its golden cache.
+  ``workers`` concurrent processes), each booting its own shard
+  through :meth:`repro.machine.Machine.boot`.
 
 Byte-identity holds because each shard is a closed world: its machine,
 sub-schedule, and virtual clock are independent of every other shard,
@@ -316,9 +314,6 @@ def run_cluster(config: ClusterConfig) -> Dict:
         except ValueError:
             use_fork = False  # platform without fork: degrade to inline
     if use_fork:
-        # Boot the shard config before forking, so every worker
-        # inherits its golden instead of capturing its own.
-        boot_server(config.spec, config.cloaked)
         results = _run_forked(config, per_shard)
     else:
         results = _run_inline(config, per_shard)

@@ -336,8 +336,8 @@ def server_class(app: str) -> Type[Program]:
 
 
 def boot_server(spec: LoadSpec, cloaked: bool) -> Machine:
-    """A machine with the server program alone registered (no
-    directories), restored from its golden snapshot."""
+    """A machine booted with the server program alone registered (no
+    directories)."""
     return Machine.boot(BootConfig(
         cloaked=cloaked, programs=(server_class(spec.app).name,)))
 

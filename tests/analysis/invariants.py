@@ -249,26 +249,6 @@ def exception_discipline(tree: ast.Module, module: str) -> Findings:
                                 "will miss it")
 
 
-# -- PERF002: no fresh boot inside a harness loop ------------------------------
-
-_BOOT_CALLS = ("repro.machine.Machine", "repro.machine.Machine.build")
-
-
-def fresh_boot_in_loop(tree: ast.Module, module: str) -> Findings:
-    if not module.startswith(("repro.bench", "repro.faults", "repro.gen")):
-        return
-    aliases = _aliases(tree)
-    for loop in ast.walk(tree):
-        if isinstance(loop, (ast.For, ast.While)):
-            for stmt in loop.body + loop.orelse:
-                for node, path in _calls(stmt, aliases):
-                    if path in _BOOT_CALLS:
-                        yield node.lineno, (
-                            "fresh machine boot inside a per-run loop; use "
-                            "Machine.boot(BootConfig(...)), which boots "
-                            "once per config and restores per iteration")
-
-
 # -- OBS001: probes only through module indirection ----------------------------
 
 _BUS = "repro.obs.bus"
@@ -394,7 +374,6 @@ RULES = {
     "TB001": import_boundary,
     "DET001": determinism,
     "ERR001": exception_discipline,
-    "PERF002": fresh_boot_in_loop,
     "OBS001": probe_indirection,
     "STATE001": cloak_state_writer,
     "IMP001": unused_imports,

@@ -36,6 +36,7 @@ from repro.faults.plan import (
 from repro.guestos.blockcache import PassthroughDMA
 from repro.hw.phys import PhysicalMemory
 from repro.hw.tlb import TLBEntry
+from repro.machine import BootConfig, Machine
 
 BLOCK = 4096
 
@@ -125,6 +126,28 @@ class TestBlockCacheInjector:
         assert disk.read_block(lba) == bytes(BLOCK)  # device never wrote
         cache.writeback_page(7, 0, 1)              # retry (unarmed) works
         assert disk.read_block(lba) == b"\x55" * BLOCK
+
+
+def _write_two_blocks(machine):
+    machine.disk.write_block(5, b"\x55" * machine.disk.block_size)
+    machine.disk.write_block(6, b"\x66" * machine.disk.block_size)
+
+
+class TestBootWindow:
+    def test_boot_time_fault_fires_from_opportunity_zero(self):
+        """Setup hooks run under the caller's plan, so an arm at
+        opportunity 0 fires inside the boot, the same way every time."""
+        config = BootConfig(programs=(), setup=(_write_two_blocks,))
+        boots = []
+        for __ in range(2):
+            plan = FaultPlan.once(SITE_DISK_WRITE_LOST, nth=0)
+            machine = Machine.boot(config, plan)
+            log = [(d.site, d.opportunity, d.fire_index) for d in plan.log]
+            boots.append((dict(machine.disk._blocks), log))
+        blocks, log = boots[0]
+        assert sorted(blocks) == [6]                # the first write was lost
+        assert log == [(SITE_DISK_WRITE_LOST, 0, 0)]
+        assert boots[1] == boots[0]
 
 
 # ----------------------------------------------------------------------

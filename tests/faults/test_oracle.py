@@ -9,7 +9,6 @@ from repro.apps.registry import ALL_PROGRAMS
 from repro.faults import oracle
 from repro.faults.plan import SITE_SWAPIN_CORRUPT, FaultPlan
 from repro.guestos import uapi
-from repro.hw import snapshot as snapshot_mod
 from repro.machine import BootConfig, Machine
 
 ALL_NAMES = sorted(cls.name for cls in ALL_PROGRAMS)
@@ -201,8 +200,8 @@ class TestMarkerExposure:
     CONFIG = BootConfig(cloaked=True, programs=())
 
     def test_clean_restored_machine_is_not_exposed(self):
-        assert not oracle._marker_visible(Machine.boot(self.CONFIG),
-                                          self.MARKER)
+        restored = Machine.from_snapshot(Machine.boot(self.CONFIG).snapshot())
+        assert not oracle._marker_visible(restored, self.MARKER)
 
     def test_marker_in_a_private_frame_is_visible(self):
         machine = Machine.boot(self.CONFIG)
@@ -210,8 +209,7 @@ class TestMarkerExposure:
         assert oracle._marker_visible(machine, self.MARKER)
 
     def test_marker_in_an_unmaterialised_base_frame_is_visible(self):
-        with snapshot_mod.force_fresh():
-            source = Machine.boot(self.CONFIG)
+        source = Machine.boot(self.CONFIG)
         pfn = source.phys.total_frames // 2
         source.phys.write(pfn, 0, self.MARKER)
         restored = Machine.from_snapshot(source.snapshot())

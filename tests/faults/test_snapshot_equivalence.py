@@ -1,12 +1,13 @@
-"""Snapshot equivalence property: restore ≡ fresh boot, for every
-registered guest program, native and cloaked.
+"""Snapshot equivalence property: restore ≡ the captured machine, for
+every registered guest program, native and cloaked.
 
-The whole snapshot optimisation rests on one claim: a run started
-from a golden-snapshot restore is **byte-identical** — architectural
-state, violations, fault fires, and the virtual-cycle total — to the
-same run started from a fresh boot.  This file is the proof
-obligation: :func:`repro.faults.oracle.run_once` executes each oracle
-spec through both boot modes and compares the full
+The snapshot API (:meth:`Machine.snapshot`,
+:meth:`Machine.from_snapshot`) rests on one claim: a run started from
+a restore is **byte-identical** — architectural state, violations,
+fault fires, and the virtual-cycle total — to the same run started on
+the machine that was captured.  This file is the proof obligation:
+:func:`repro.faults.oracle.run_once` executes each oracle spec on a
+booted machine and on a restore of it, and compares the full
 :class:`~repro.faults.oracle.RunRecord`.
 
 A second group proves the mid-workload case — capture *after* a
@@ -18,8 +19,8 @@ the machine it was captured from.
 import pytest
 
 from repro.bench.runner import fresh_machine, measure_program
+from repro.faults import oracle
 from repro.faults.oracle import ORACLE_SPECS, run_once
-from repro.hw import snapshot as snapshot_mod
 from repro.machine import Machine
 
 ALL_SPECS = sorted(ORACLE_SPECS)
@@ -27,11 +28,17 @@ ALL_SPECS = sorted(ORACLE_SPECS)
 
 @pytest.mark.parametrize("cloaked", [False, True], ids=["native", "cloaked"])
 @pytest.mark.parametrize("name", ALL_SPECS)
-def test_restored_run_is_byte_identical_to_fresh_boot(name, cloaked):
+def test_restored_run_is_byte_identical_to_fresh_boot(name, cloaked,
+                                                      monkeypatch):
     spec = ORACLE_SPECS[name]
-    restored = run_once(spec, cloaked)           # golden-snapshot path
-    with snapshot_mod.force_fresh():
-        fresh = run_once(spec, cloaked)          # full boot
+    fresh = run_once(spec, cloaked)
+    booted_machine = oracle._booted_machine
+
+    def restored_machine(*args):
+        return Machine.from_snapshot(booted_machine(*args).snapshot())
+
+    monkeypatch.setattr(oracle, "_booted_machine", restored_machine)
+    restored = run_once(spec, cloaked)
     assert restored.identical(fresh), (
         f"{name} cloaked={cloaked}: restored run diverged from fresh "
         f"boot\n  restored: {restored!r}\n  fresh:    {fresh!r}")
@@ -49,9 +56,8 @@ class TestMidWorkloadSnapshot:
     @pytest.mark.parametrize("cloaked", [False, True],
                              ids=["native", "cloaked"])
     def test_restored_continuation_matches_the_source_machine(self, cloaked):
-        with snapshot_mod.force_fresh():
-            source = fresh_machine(cloaked=cloaked)
-            baseline = fresh_machine(cloaked=cloaked)
+        source = fresh_machine(cloaked=cloaked)
+        baseline = fresh_machine(cloaked=cloaked)
         first = measure_program(source, "mb-readsec4k", ("2",))
         measure_program(baseline, "mb-readsec4k", ("2",))
 

@@ -1,15 +1,13 @@
 """The COW snapshot layer: phys semantics, capture/restore.
 
-Two groups of guarantees:
+Three groups of guarantees:
 
 * **COW physical memory** — restored machines share the snapshot's
   immutable frame bytes until first write; zeroing an unmaterialised
   frame is an O(1) base-entry drop; no restore can perturb another.
 * **capture/restore discipline** — only quiescent, picklable machines
-  capture; fault plans must match across capture and restore, and a
-  plan whose arms would have fired inside the captured boot window is
-  rejected rather than silently rescheduled; :meth:`Machine.boot`
-  keeps one golden per boot config, shared by every harness.
+  built without a fault plan capture; restores run byte-identically
+  and independently of each other.
 * **raw inspection** — ``frames_containing``/``blocks_containing``
   agree with a brute-force read of every frame and block, across all
   three memory layers, and leave no trace on the machine.
@@ -26,20 +24,15 @@ from collections import deque
 
 import pytest
 
-from repro import machine as machine_mod
 from repro.bench.runner import fresh_machine, measure_program
-from repro.faults.oracle import ORACLE_SPECS, run_once
 from repro.faults.injector import FaultyDisk
-from repro.faults.plan import (INJECTION_POINTS, FaultPlan,
-                               SITE_DISK_WRITE_LOST, SITE_IV_REUSE)
+from repro.faults.plan import INJECTION_POINTS, FaultPlan
 from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import PAGE_SIZE
 from repro.hw.phys import FrameAllocator, PhysicalMemory
 from repro.machine import BootConfig, Machine
 from repro.obs import bus
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.cluster import ClusterConfig, run_cluster
-from repro.serve.loadgen import LoadSpec
 
 
 PATTERN = (bytes(range(256)) * (PAGE_SIZE // 256))[:PAGE_SIZE]
@@ -201,16 +194,16 @@ class TestRawScan:
     @pytest.mark.parametrize("restored", [False, True],
                              ids=["fresh", "restored"])
     def test_machine_scan_matches_and_leaves_no_trace(self, restored):
-        plan = FaultPlan.audit(3)
-        with snapshot_mod.force_fresh():
-            machine = Machine.boot(BootConfig(cloaked=True), plan)
+        # A fresh machine scans through the fault injector; snapshots
+        # capture only unplanned machines.
+        plan = None if restored else FaultPlan.audit(3)
+        machine = Machine.boot(BootConfig(cloaked=True), plan)
         measure_program(machine, "mb-write4k", ("2",))
         needles = [b"\x00" * 4, b"never-anywhere"]
         if restored:
             # Restore mid-workload, then mix the layers: base-only
             # frames, a COW-faulted one and one first touched now.
-            plan = FaultPlan.audit(3)
-            machine = Machine.from_snapshot(machine.snapshot(), plan)
+            machine = Machine.from_snapshot(machine.snapshot())
             phys = machine.phys
             faulted, shared = sorted(phys._base)[:2]
             phys.write(faulted, 0, b"cow")
@@ -218,7 +211,7 @@ class TestRawScan:
             assert phys.cow_faults == 1
             needles.append(phys._base[shared][-16:])
         disk = machine.disk
-        assert isinstance(disk, FaultyDisk)
+        assert isinstance(disk, FaultyDisk) == (plan is not None)
         written = next(iter(disk._blocks.values()))
         frame = next(iter(machine.phys._frames.values()))
         needles += [written[:12], bytes(frame[:16])]
@@ -226,8 +219,8 @@ class TestRawScan:
         def trace():
             return (machine.cycles.total, disk.reads, disk.writes,
                     machine.phys.cow_faults, dict(machine.phys._frames),
-                    {site: plan.opportunities(site)
-                     for site in INJECTION_POINTS})
+                    plan and {site: plan.opportunities(site)
+                              for site in INJECTION_POINTS})
 
         before = trace()
         metrics = MetricsRegistry()
@@ -251,14 +244,9 @@ class TestRawScan:
 # -- capture / restore ---------------------------------------------------
 
 
-def _booted(cloaked=True):
-    with snapshot_mod.force_fresh():
-        return fresh_machine(cloaked=cloaked)
-
-
 class TestCaptureRestore:
     def test_two_restores_run_byte_identically_and_independently(self):
-        snap = _booted().snapshot()
+        snap = fresh_machine(cloaked=True).snapshot()
         a = Machine.from_snapshot(snap)
         b = Machine.from_snapshot(snap)
         ra = measure_program(a, "mb-readsec4k", ("2",))
@@ -269,7 +257,7 @@ class TestCaptureRestore:
         assert a.cycles.total == b.cycles.total
 
     def test_restore_matches_a_fresh_boot_exactly(self):
-        machine = _booted()
+        machine = fresh_machine(cloaked=True)
         snap = machine.snapshot()
         restored = measure_program(Machine.from_snapshot(snap),
                                    "mb-readsec4k", ("2",))
@@ -280,7 +268,7 @@ class TestCaptureRestore:
     def test_restored_mmu_answers_to_the_restored_vmm(self):
         """The MMU's weak authority edge is rebuilt to the copy, so a
         restore outlives the machine it was captured from."""
-        machine = _booted()
+        machine = fresh_machine(cloaked=True)
         snap = machine.snapshot()
         del machine
         gc.collect()
@@ -289,14 +277,14 @@ class TestCaptureRestore:
         assert measure_program(restored, "mb-readsec4k", ("2",)).console
 
     def test_live_process_rejects_capture(self):
-        machine = _booted(cloaked=False)
+        machine = fresh_machine()
         machine.spawn("mb-readsec4k", ("1",))
         with pytest.raises(snapshot_mod.SnapshotError,
                            match="live runtimes"):
             machine.snapshot()
 
     def test_resuming_an_inert_runtime_is_a_loud_error(self):
-        machine = _booted(cloaked=False)
+        machine = fresh_machine()
         measure_program(machine, "mb-getpid", ())
         restored = Machine.from_snapshot(machine.snapshot())
         zombies = [p for p in restored.kernel.processes.values()]
@@ -305,17 +293,16 @@ class TestCaptureRestore:
             zombies[0].runtime.next_op(None)
 
     def test_unpicklable_machine_fails_loudly_at_capture(self):
-        machine = _booted(cloaked=False)
+        machine = fresh_machine()
         machine._test_hook = lambda: None     # local: defeats pickle
         with pytest.raises(snapshot_mod.SnapshotError,
                            match="not picklable"):
             machine.snapshot()
 
-    def test_force_fresh_disables_and_restores_snapshot_reuse(self):
-        assert snapshot_mod.snapshots_enabled()
-        with snapshot_mod.force_fresh():
-            assert not snapshot_mod.snapshots_enabled()
-        assert snapshot_mod.snapshots_enabled()
+    def test_planned_machine_rejects_capture(self):
+        machine = Machine.boot(BootConfig(cloaked=True), FaultPlan.audit(0))
+        with pytest.raises(snapshot_mod.SnapshotError, match="fault plan"):
+            machine.snapshot()
 
 
 #: Objects the machine graph refers to without owning: following them
@@ -345,7 +332,7 @@ class TestSparseState:
         """Regression: frames, free stacks and disk blocks hold only what
         was touched, so a restore (and every collector pass over the
         restored machine) costs O(touched state), not O(memory)."""
-        machine = Machine.from_snapshot(_booted().snapshot())
+        machine = Machine.from_snapshot(fresh_machine(cloaked=True).snapshot())
         measure_program(machine, "mb-write4k", ("2",))
         restored = Machine.from_snapshot(machine.snapshot())
         params = restored.params
@@ -355,100 +342,12 @@ class TestSparseState:
         assert sizes[-1] < limit
 
 
-def count_captures(fn):
-    """``fn()``'s result and the ``snapshot.capture`` probes it fired."""
-    metrics = MetricsRegistry()
-    bus.attach(metrics, lambda: 0)
-    try:
-        result = fn()
-    finally:
-        bus.detach(metrics)
-    return result, metrics.counters.get("snapshot.capture", 0)
-
-
-class TestGoldenCache:
-    def test_runner_and_oracle_share_one_golden(self, monkeypatch):
-        monkeypatch.setattr(machine_mod, "_GOLDEN", {})
-        spec = ORACLE_SPECS["mb-getpid"]
-        assert (spec.setup, spec.params, spec.program) == (None, None, None)
-
-        def boot_both():
-            fresh_machine(cloaked=True)
-            run_once(spec, cloaked=True)
-
-        assert count_captures(boot_both)[1] == 1
-        assert len(machine_mod._GOLDEN) == 1
-
-    def test_inline_four_shard_cluster_captures_once(self, monkeypatch):
-        monkeypatch.setattr(machine_mod, "_GOLDEN", {})
-        config = ClusterConfig(
-            spec=LoadSpec(app="webserver", requests=12, mean_gap=8_000,
-                          connections=3, keys=8, file_size=512, seed=2),
-            shards=4, inline=True, attach_metrics=False)
-        report, captures = count_captures(lambda: run_cluster(config))
-        assert captures == 1
-        assert len(report["per_shard"]) == 4
-
-
-class TestFaultPlanDiscipline:
-    def test_unplanned_restore_of_planned_snapshot_is_unusable(self):
-        snap = Machine(fault_plan=FaultPlan.audit(0)).snapshot()
-        with pytest.raises(snapshot_mod.SnapshotUnusable):
-            snap.restore(None)
-
-    def test_planned_restore_of_unplanned_snapshot_is_unusable(self):
-        snap = Machine().snapshot()
-        with pytest.raises(snapshot_mod.SnapshotUnusable):
-            snap.restore(FaultPlan.audit(0))
-
-    def test_planned_restore_rebinds_to_the_callers_plan(self):
-        snap = Machine(fault_plan=FaultPlan.audit(0)).snapshot()
-        plan = FaultPlan.audit(1)
-        restored = snap.restore(plan)
-        assert restored.faults is plan
-
-    def test_site_unarmed_at_capture_is_unusable(self):
-        snap = Machine(
-            fault_plan=FaultPlan.once(SITE_DISK_WRITE_LOST, nth=999),
-        ).snapshot()
-        with pytest.raises(snapshot_mod.SnapshotUnusable,
-                           match="not armed at capture"):
-            snap.restore(FaultPlan.once(SITE_IV_REUSE, nth=999))
-
-    def test_arm_firing_inside_the_boot_window_is_unusable(self):
-        snap = Machine(fault_plan=FaultPlan.audit(0)).snapshot()
-        # White-box: pretend the captured boot saw three opportunities
-        # at this site (a bare boot sees none — real boots with disk
-        # setup do; the oracle's goldens hit this path).
-        snap.boot_opportunities[SITE_DISK_WRITE_LOST] = 3
-        with pytest.raises(snapshot_mod.SnapshotUnusable,
-                           match="would have fired"):
-            snap.restore(FaultPlan.once(SITE_DISK_WRITE_LOST, nth=1))
-
-    def test_restore_fast_forwards_the_plan_over_the_boot_window(self):
-        snap = Machine(fault_plan=FaultPlan.audit(0)).snapshot()
-        snap.boot_opportunities[SITE_DISK_WRITE_LOST] = 3
-        plan = FaultPlan.once(SITE_DISK_WRITE_LOST, nth=7)
-        snap.restore(plan)
-        # The plan's counter sits where a fresh boot would have left
-        # it: nth counts from the true start of the run, not from the
-        # restore point.
-        assert plan.opportunities(SITE_DISK_WRITE_LOST) == 3
-
-    def test_boot_window_fires_make_the_snapshot_unusable(self):
-        snap = Machine(fault_plan=FaultPlan.audit(0)).snapshot()
-        snap.boot_fires = 1
-        with pytest.raises(snapshot_mod.SnapshotUnusable,
-                           match="fired before capture"):
-            snap.restore(FaultPlan.once(SITE_DISK_WRITE_LOST, nth=999))
-
-
 # -- observability -------------------------------------------------------
 
 
 class TestSnapshotProbes:
     def test_capture_restore_and_cow_faults_are_probed(self):
-        machine = _booted()
+        machine = fresh_machine(cloaked=True)
         # A boot-only machine has no materialised frames (everything
         # is lazy); run a program first so the snapshot carries pages.
         measure_program(machine, "mb-readsec4k", ("2",))
@@ -471,7 +370,7 @@ class TestSnapshotProbes:
     def test_attached_sink_leaves_restored_run_cycles_identical(self):
         """Satellite of the sink-neutrality rule: probing the snapshot
         lifecycle must not move a single virtual cycle."""
-        snap = _booted().snapshot()
+        snap = fresh_machine(cloaked=True).snapshot()
         bare_machine = Machine.from_snapshot(snap)
         bare = measure_program(bare_machine, "mb-readsec4k", ("2",))
         metrics = MetricsRegistry()

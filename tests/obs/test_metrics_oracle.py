@@ -12,7 +12,6 @@ import pytest
 
 from repro.apps.microbench import MICRO_SUITE
 from repro.bench.runner import fresh_machine, measure_program
-from repro.hw import snapshot as snapshot_mod
 from repro.machine import Machine
 from repro.obs import bus
 from repro.obs.export import TraceRecorder
@@ -90,8 +89,7 @@ def test_cloaked_micro_suite_and_file_io_fire_every_cloak_cost_probe():
 
 
 def test_snapshot_capture_restore_with_a_cow_fault():
-    with snapshot_mod.force_fresh():
-        machine = fresh_machine(cloaked=True)
+    machine = fresh_machine(cloaked=True)
     measure_program(machine, "mb-readsec4k", ("2",))
 
     def run():
