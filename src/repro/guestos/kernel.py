@@ -344,8 +344,7 @@ class Kernel:
         """Wake every sleeper whose deadline has passed."""
         now = self.cycles.total
         due = [p for p in self._sleepers
-               if getattr(p, "sleep_until", None) is not None
-               and p.sleep_until <= now]
+               if p.sleep_until is not None and p.sleep_until <= now]
         for proc in due:
             self._sleepers.remove(proc)
             self.scheduler.wake(proc)
@@ -354,7 +353,7 @@ class Kernel:
 
     def earliest_sleep_deadline(self) -> Optional[int]:
         deadlines = [p.sleep_until for p in self._sleepers
-                     if getattr(p, "sleep_until", None) is not None]
+                     if p.sleep_until is not None]
         return min(deadlines) if deadlines else None
 
     # ------------------------------------------------------------------
@@ -428,6 +427,10 @@ class Kernel:
         proc.exit_code = code
         proc.exited_at = self.cycles.total
         proc.state = ProcessState.ZOMBIE
+        if proc in self._sleepers:
+            # A killed sleeper must not hold the idle clock to its
+            # deadline.
+            self._sleepers.remove(proc)
         self.scheduler.block(proc)
         proc.state = ProcessState.ZOMBIE  # block() does not override zombie
         parent = self.processes.get(proc.ppid)

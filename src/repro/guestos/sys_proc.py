@@ -183,7 +183,7 @@ def sys_nanosleep(kernel, proc: Process, args, extra):
     if duration < 0:
         return -uapi.EINVAL
     now = kernel.cycles.total
-    wake_at = getattr(proc, "sleep_until", None)
+    wake_at = proc.sleep_until
     if wake_at is None:
         proc.sleep_until = now + duration
         kernel.add_sleeper(proc)

@@ -6,31 +6,18 @@ with machine pages: a given frame holds either plaintext (visible to
 the owning cloaked application) or ciphertext (what the OS sees).
 
 Only touched frames exist.  A machine's frames live in a dict keyed
-by pfn, filled when a frame is first written or viewed, so booting or restoring a machine and
-every pass of Python's garbage collector cost O(touched frames), not
-O(configured memory).  Snapshots add a second lazy layer under the
-lazy-zero one: a restored machine's :class:`PhysicalMemory` starts with
-**no private frames at all** — every pfn resolves, in order, to (1) a
-private ``bytearray`` if the restored machine has written the frame,
-(2) the snapshot's shared immutable ``bytes`` image of the frame, if
-it captured one, or (3) zeros.  Reads are served from whichever layer
-holds the frame; the first write materialises a private copy (a COW
-fault, counted and probed).  The shared base entries are immutable
-``bytes``, so no restored machine can ever damage another's view of
-the snapshot.
+by pfn, filled when a frame is first written or viewed, so booting a
+machine, snapshotting or restoring it, and every pass of Python's
+garbage collector cost O(touched frames), not O(configured memory).
+A frame that was never touched reads as zeros.
 """
 
 from typing import Dict, List
 
 from repro.hw.params import PAGE_SIZE
-from repro.obs import bus
 
-#: Base layer type: pfn -> immutable contents of each captured frame.
-#: A pfn with no entry reads as zeros.
-BaseFrames = Dict[int, bytes]
-
-#: What every frame in neither layer reads as: one shared immutable
-#: page, handed out by ``read_frame`` instead of a fresh allocation.
+#: What every untouched frame reads as: one shared immutable page,
+#: handed out by ``read_frame`` instead of a fresh allocation.
 ZERO_PAGE = bytes(PAGE_SIZE)
 
 
@@ -45,12 +32,13 @@ class PhysicalMemory:
     zero-copy path: ``frame_view`` hands out a cached *read-only*
     memoryview of a frame, so page-sized consumers (the cloak engine's
     encrypt input, page-table scans) can hash/XOR/unpack in place
-    without first materialising a 4 KiB ``bytes`` copy.  Views of
-    *materialised* frames stay valid for the machine's lifetime —
-    frames are mutated only in place, never resized.  A view of a
-    still-COW-shared frame is a view of the immutable snapshot bytes;
-    consumers must (and do) use it immediately, before any write to
-    the frame can shadow it with a private copy.
+    without first materialising a 4 KiB ``bytes`` copy.  Views stay
+    valid for the machine's lifetime — frames are mutated only in
+    place, never resized.
+
+    Pickling carries the touched frames by value (a machine snapshot
+    is one pickle, :mod:`repro.hw.snapshot`); the views are rebuilt on
+    unpickling.
     """
 
     def __init__(self, total_frames: int):
@@ -62,61 +50,31 @@ class PhysicalMemory:
         # and a never-written frame reads as zeros either way.
         self._frames: Dict[int, bytearray] = {}
         self._views: Dict[int, memoryview] = {}
-        #: COW base layer (restored machines only): pfn -> immutable
-        #: snapshot contents of each captured frame this instance has
-        #: neither written nor zeroed.
-        self._base: BaseFrames = {}
-        #: Private frames materialised from the base layer (restored
-        #: machines only; stays 0 on ordinary machines).
-        self.cow_faults = 0
 
-    @classmethod
-    def from_base(cls, base: BaseFrames,
-                  total_frames: int) -> "PhysicalMemory":
-        """A COW memory of ``total_frames`` frames over ``base``.
+    def __getstate__(self):
+        return self._total, self._frames
 
-        The per-instance base *dict* is copied (so a write or
-        ``zero_frame`` can drop entries locally) but the frame
-        ``bytes`` objects are shared — restoring from a snapshot is
-        O(captured frames) pointers, not O(frames) pages.
-        """
-        mem = cls(total_frames)
-        mem._base = dict(base)
-        return mem
-
-    def freeze_base(self) -> BaseFrames:
-        """The current contents of every touched frame as immutable
-        ``bytes``.
-
-        Composes with an existing base layer: a frame this instance
-        never wrote is carried as the *same* shared object, so
-        snapshot-of-restored-machine costs only the dirty pages.
-        """
-        frozen = dict(self._base)
-        for pfn, frame in self._frames.items():
-            frozen[pfn] = bytes(frame)
-        return frozen
+    def __setstate__(self, state) -> None:
+        self._total, self._frames = state
+        self._views = {pfn: memoryview(frame).toreadonly()
+                       for pfn, frame in self._frames.items()}
 
     @property
     def total_frames(self) -> int:
         return self._total
+
+    @property
+    def touched_frames(self) -> int:
+        """How many frames have materialised (and a snapshot carries)."""
+        return len(self._frames)
 
     def _check(self, pfn: int) -> None:
         if not 0 <= pfn < self._total:
             raise IndexError(f"bad pfn {pfn}")
 
     def _materialize(self, pfn: int) -> bytearray:
-        """A private frame for unmaterialised ``pfn`` (checked by the
-        caller), copied out of the base layer if it has an entry."""
-        contents = self._base.pop(pfn, None)
-        if contents is not None:
-            frame = bytearray(contents)
-            self.cow_faults += 1
-            if bus.ACTIVE:
-                bus.snapshot_cow_fault(pfn)
-        else:
-            frame = bytearray(PAGE_SIZE)
-        self._frames[pfn] = frame
+        """A zeroed frame for untouched ``pfn`` (checked by the caller)."""
+        frame = self._frames[pfn] = bytearray(PAGE_SIZE)
         self._views[pfn] = memoryview(frame).toreadonly()
         return frame
 
@@ -152,12 +110,6 @@ class PhysicalMemory:
         except KeyError:
             pass
         self._check(pfn)
-        contents = self._base.get(pfn)
-        if contents is not None:
-            # Don't materialise for a read: a fresh view of the shared
-            # snapshot bytes, not cached (the first write replaces it
-            # with the private frame's view).
-            return memoryview(contents)
         self._materialize(pfn)
         return self._views[pfn]
 
@@ -169,7 +121,7 @@ class PhysicalMemory:
         except KeyError:
             pass
         self._check(pfn)
-        return self._base.get(pfn, ZERO_PAGE)[offset : offset + size]
+        return ZERO_PAGE[offset : offset + size]
 
     def write(self, pfn: int, offset: int, data: bytes) -> None:
         end = offset + len(data)
@@ -189,7 +141,7 @@ class PhysicalMemory:
         except KeyError:
             pass
         self._check(pfn)
-        return self._base.get(pfn, ZERO_PAGE)
+        return ZERO_PAGE
 
     def write_frame(self, pfn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
@@ -199,20 +151,16 @@ class PhysicalMemory:
     def frames_containing(self, needle: bytes) -> List[int]:
         """Pfns, ascending, whose current contents contain ``needle``.
 
-        Raw inspection, layer by layer as :meth:`read_frame` resolves
-        them: a private frame is searched in place, a live base entry
-        as the shared bytes, and every other frame reads as zeros, so
-        whether those match is decided once.  Nothing is materialised,
-        copied, counted or probed.  For a needle that is not all zeros
-        the cost is a search of the touched frames only.
+        Raw inspection: each touched frame is searched in place, and
+        every other frame reads as zeros, so whether those match is
+        decided once.  Nothing is materialised, copied or probed.  For
+        a needle that is not all zeros the cost is a search of the
+        touched frames only.
         """
         frames = self._frames
-        base = self._base
         hits = [pfn for pfn, frame in frames.items() if needle in frame]
-        hits += [pfn for pfn, contents in base.items() if needle in contents]
         if needle in ZERO_PAGE:
-            hits += [pfn for pfn in range(self._total)
-                     if pfn not in frames and pfn not in base]
+            hits += [pfn for pfn in range(self._total) if pfn not in frames]
         hits.sort()
         return hits
 
@@ -221,12 +169,6 @@ class PhysicalMemory:
         frame = self._frames.get(pfn)
         if frame is not None:
             frame[:] = ZERO_PAGE
-        else:
-            # O(1): an unmaterialised frame zeroes by *dropping* its
-            # base entry — no 4 KiB allocation, and only this
-            # instance's base dict changes (the snapshot's shared
-            # bytes are untouched).
-            self._base.pop(pfn, None)
 
 
 class FreeStack:
@@ -271,12 +213,10 @@ class FrameAllocator:
     marshalling buffers are guest-allocated, so the VMM needs almost
     nothing).
 
-    The allocator never touches frame *contents*: freeing a frame —
-    including a COW-shared frame of a restored machine — only moves
-    the pfn between the free stack and the allocated set.  Contents
-    remain readable until the next owner zeroes or overwrites them
-    (which, on a restored machine, drops or shadows only that
-    machine's private copy; the snapshot base is immutable).
+    The allocator never touches frame *contents*: freeing a frame only
+    moves the pfn between the free stack and the allocated set.
+    Contents remain readable until the next owner zeroes or overwrites
+    them.
     """
 
     def __init__(self, total_frames: int, reserved_low: int = 0):

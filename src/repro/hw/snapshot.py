@@ -1,45 +1,43 @@
-"""Copy-on-write machine snapshots: capture once, restore per run.
+"""Machine snapshots by value: capture once, restore per run.
 
 A snapshot clones a quiescent booted machine the way a hypervisor
-forks a VM: guest-physical memory is captured **once** as a
-``pfn -> bytes`` mapping of the touched frames, shared by every
-restore (COW — see :class:`repro.hw.phys.PhysicalMemory`), and the
-small mutable state (allocator free stacks, pagetables/TLB, cloak
-metadata, ramfs, written disk blocks, scheduler, RNG streams, the
-cycle ledger) is pickled once at capture and unpickled per restore.
-A restored machine is therefore *architecturally indistinguishable*
-from the machine that was captured — same cycle total, same register
-file, same free-stack order — so a run started from a restore is
-cycle- and state-identical to the same run started on the captured
-machine.  The snapshot equivalence property test proves this for all
-registered guest programs, native and cloaked.  Every memory- or
-disk-sized structure holds only what was touched, so a restore, and
-every pass of the garbage collector over the restored machine, costs
-O(touched frames and blocks), not O(configured memory).
+forks a VM.  Capture pickles the whole machine once — guest-physical
+memory (its touched frames, by value), allocator free stacks,
+pagetables/TLB, cloak metadata, ramfs, written disk blocks, scheduler,
+RNG streams, the cycle ledger — and each restore is one C-speed
+unpickle.  A restored machine is therefore *architecturally
+indistinguishable* from the machine that was captured — same cycle
+total, same register file, same free-stack order — so a run started
+from a restore is cycle- and state-identical to the same run started
+on the captured machine.  The snapshot equivalence property test
+proves this for all registered guest programs, native and cloaked.
+Every memory- or disk-sized structure holds only what was touched, so
+a capture, a restore, and every pass of the garbage collector over the
+restored machine, cost O(touched frames and blocks), not O(configured
+memory).
 
 What is shared vs. copied:
 
-* **shared** — frozen frame contents (immutable ``bytes``), program
-  images and factories (the kernel registry entries), cost tables /
-  machine params (frozen dataclasses), enum members, the runtime
-  tombstone, and the pure memoized derivations in
+* **shared** — program images and factories (the kernel registry
+  entries), cost tables / machine params (frozen dataclasses), the
+  runtime tombstone, and the pure memoized derivations in
   ``repro.core.crypto``.  The crypto memos cache pure functions of
   immutable keys with immutable values, so a hit or an eviction in
   one restore never changes what another computes.  A snapshot is
   immutable from the caller's view, so restores from one share nothing
-  mutable with each other.
+  mutable with each other or with the captured machine.
 * **copied** — everything else reachable from the machine object
-  graph: kernel, VMM, MMU/TLB, CPU, allocator, disk, cycle ledger.
-  Capture pickles the live machine once with the shared objects
-  written as persistent references; each restore is one C-speed
-  unpickle, which preserves interior aliasing (e.g. the TLB entry a
-  translation returned, the metadata record two cloak paths share)
-  *inside* a restore and never leaks it *across* restores.  A machine
-  that cannot be pickled fails loudly at capture (:class:`SnapshotError`).
-  The machine graph has no reference cycles (its one upward edge, the
-  MMU's translation authority, is a weak reference that capture
-  pickles as such), so a dropped restore is freed by reference
-  counting at once, not by the cyclic garbage collector.
+  graph: physical memory, kernel, VMM, MMU/TLB, CPU, allocator, disk,
+  cycle ledger.  The shared objects are written as persistent
+  references; one unpickle preserves interior aliasing (e.g. the TLB
+  entry a translation returned, the metadata record two cloak paths
+  share) *inside* a restore and never leaks it *across* restores.  A
+  machine that cannot be pickled fails loudly at capture
+  (:class:`SnapshotError`).  The machine graph has no reference cycles
+  (its one upward edge, the MMU's translation authority, is a weak
+  reference that capture pickles as such), so a dropped restore is
+  freed by reference counting at once, not by the cyclic garbage
+  collector.
 
 Restrictions, by construction:
 
@@ -57,13 +55,11 @@ Restrictions, by construction:
 """
 
 import copyreg
-import enum
 import io
 import pickle
 import weakref
 from typing import Any, Dict
 
-from repro.hw.phys import PhysicalMemory
 from repro.obs import bus
 
 #: Process states a capturable machine may contain (quiescence).
@@ -109,19 +105,17 @@ def _plain_class(cls: type) -> bool:
 class _SnapPickler(pickle.Pickler):
     """Pickler that externalises the snapshot's shared objects.
 
-    Objects tagged in ``pids`` (the physical memory, frozen params and
-    cost tables, exited runtimes, registry entries — whose runtime
-    factories are closures and could not be pickled anyway) are written
-    as persistent references; :meth:`SnapshotState.restore` swaps in the
-    per-restore replacements.  Everything else round-trips through
-    pickle's C implementation.
+    Objects tagged in ``pids`` (frozen params and cost tables, exited
+    runtimes, registry entries — whose runtime factories are closures
+    and could not be pickled anyway) are written as persistent
+    references; :meth:`SnapshotState.restore` resolves them to the same
+    shared objects.  Everything else round-trips through pickle's C
+    implementation.
     """
 
-    def __init__(self, file, pids: Dict[int, tuple],
-                 dynamic: Dict[tuple, Any]):
+    def __init__(self, file, pids: Dict[int, tuple]):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._pids = pids
-        self._dynamic = dynamic
         self._plain: Dict[type, bool] = {}
 
     def reducer_override(self, obj):
@@ -144,36 +138,26 @@ class _SnapPickler(pickle.Pickler):
         return NotImplemented
 
     def persistent_id(self, obj):
-        pid = self._pids.get(id(obj))
-        if pid is None and isinstance(obj, enum.Enum):
-            # Enum members are process-wide singletons; sharing them
-            # skips the slow EnumType.__call__ reconstruction that
-            # pickle would otherwise run on every restore.
-            pid = ("enum", type(obj).__qualname__, obj.name)
-            self._dynamic[pid] = obj
-        return pid
+        return self._pids.get(id(obj))
 
 
 class SnapshotState:
-    """One captured machine: shared frozen frames + a pickled image.
+    """One captured machine: a pickled image of the whole machine.
 
     Constructing one captures a quiescent machine (see module
     docstring); clone machines with :meth:`restore`.  The source
-    machine remains usable — its frame contents are frozen by value —
-    but the cheap pattern is boot → capture → discard, then restore per
+    machine remains usable — capture copies its state by value — but
+    the cheap pattern is boot → capture → discard, then restore per
     run.  The object is immutable from the caller's point of view — any
     number of machines can be restored from it, concurrently safe in
     the single-thread sense (restores share only immutable state).
     """
 
-    __slots__ = ("base", "total_frames", "frames_captured", "_blob",
-                 "_shared")
+    __slots__ = ("frames_captured", "_blob", "_shared")
 
     def __init__(self, machine):
         _check_quiescent(machine)
-        self.base = machine.phys.freeze_base()
-        self.total_frames = machine.phys.total_frames
-        self.frames_captured = len(self.base)
+        self.frames_captured = machine.phys.touched_frames
         self._serialize(machine)
         if bus.ACTIVE:
             bus.snapshot_capture(self.frames_captured,
@@ -183,10 +167,8 @@ class SnapshotState:
         """Pickle the live machine so each restore is one C-speed
         ``loads``.
 
-        Shared/per-restore objects become persistent references:
-        the COW physical memory (fresh :meth:`PhysicalMemory.from_base`
-        per restore), the frozen params/costs, the registry entries and
-        one shared runtime tombstone.
+        The frozen params/costs, the registry entries and one shared
+        runtime tombstone become persistent references.
         """
         kernel = machine.kernel
         shared: Dict[tuple, Any] = {
@@ -199,16 +181,13 @@ class SnapshotState:
         pids = {id(obj): tag for tag, obj in shared.items()}
         for proc in kernel.processes.values():
             pids[id(proc.runtime)] = ("runtime",)
-        pids[id(machine.phys)] = ("phys",)
         buf = io.BytesIO()
-        dynamic: Dict[tuple, Any] = {}
         try:
-            _SnapPickler(buf, pids, dynamic).dump(machine)
+            _SnapPickler(buf, pids).dump(machine)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise SnapshotError(
                 f"cannot snapshot: the machine object graph is not "
                 f"picklable ({exc})") from exc
-        shared.update(dynamic)
         self._blob = buf.getvalue()
         self._shared = shared
 
@@ -216,12 +195,9 @@ class SnapshotState:
 
     def restore(self):
         """A fresh machine, architecturally identical to the captured
-        one, with COW physical memory over the shared frozen frames."""
-        resolve = dict(self._shared)
-        resolve[("phys",)] = PhysicalMemory.from_base(self.base,
-                                                      self.total_frames)
+        one."""
         unpickler = pickle.Unpickler(io.BytesIO(self._blob))
-        unpickler.persistent_load = resolve.__getitem__
+        unpickler.persistent_load = self._shared.__getitem__
         machine = unpickler.load()
         if bus.ACTIVE:
             bus.snapshot_restore(self.frames_captured)
@@ -240,7 +216,7 @@ def _check_quiescent(machine) -> None:
                 f"cannot snapshot: process {proc.pid} ({proc.name}) is "
                 f"{proc.state.name} — live runtimes are generators and "
                 "cannot be cloned; snapshot at a quiescent point")
-    if getattr(machine.kernel, "_sleepers", ()):
+    if machine.kernel._sleepers:
         raise SnapshotError("cannot snapshot: sleepers are pending")
-    if getattr(machine.kernel.scheduler, "_ready", ()):
+    if machine.kernel.scheduler._ready:
         raise SnapshotError("cannot snapshot: the run queue is not empty")

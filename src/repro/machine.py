@@ -204,7 +204,8 @@ class Machine:
     # ------------------------------------------------------------------
 
     def snapshot(self):
-        """Capture this quiescent, unplanned machine as a COW snapshot.
+        """Capture this quiescent, unplanned machine as a snapshot: one
+        pickle of the whole machine, guest memory included.
 
         See :mod:`repro.hw.snapshot` for what is shared vs. copied and
         the quiescence/fault-plan restrictions.
@@ -215,8 +216,8 @@ class Machine:
     def from_snapshot(cls, snapshot) -> "Machine":
         """A fresh machine restored from ``snapshot``.
 
-        Cycle- and state-identical to the machine that was captured;
-        physical frames are copy-on-write against the snapshot.
+        Cycle- and state-identical to the machine that was captured,
+        and sharing no mutable state with it or with other restores.
         """
         return snapshot.restore()
 

@@ -100,13 +100,11 @@ PROBES: Dict[str, Tuple[str, ...]] = {
     "sync.access": ("state", "cpu"),
     # faults/plan: an armed injection site fired
     "fault.fire": ("site",),
-    # hw/snapshot + hw/phys: machine snapshot lifecycle.  "capture"
-    # and "restore" bracket the host-side cost of cloning a booted
-    # machine; "cow_fault" fires when a restored machine materialises
-    # a private copy of a snapshot-shared frame on first write.
+    # hw/snapshot: machine snapshot lifecycle.  "capture" and
+    # "restore" bracket the host-side cost of cloning a booted machine;
+    # "frames" is how many touched frames the snapshot carries.
     "snapshot.capture": ("frames", "procs"),
     "snapshot.restore": ("frames",),
-    "snapshot.cow_fault": ("pfn",),
 }
 
 #: True iff at least one sink is attached.  Hot sites read this before

@@ -145,11 +145,6 @@ class MetricsRegistry:
     def total_events(self) -> int:
         return sum(tally.events for tally in self._tallies.values())
 
-    @property
-    def cow_faults(self) -> int:
-        """COW frame materialisations observed on restored machines."""
-        return self.counters.get("snapshot.cow_fault", 0)
-
     def snapshot(self) -> Dict:
         """Plain-dict snapshot; deterministic given a deterministic run."""
         counters = self.counters

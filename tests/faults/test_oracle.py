@@ -208,16 +208,15 @@ class TestMarkerExposure:
         machine.phys.write(machine.phys.total_frames - 1, 7, self.MARKER)
         assert oracle._marker_visible(machine, self.MARKER)
 
-    def test_marker_in_an_unmaterialised_base_frame_is_visible(self):
+    def test_marker_in_a_captured_frame_is_visible_after_restore(self):
         source = Machine.boot(self.CONFIG)
         pfn = source.phys.total_frames // 2
         source.phys.write(pfn, 0, self.MARKER)
-        restored = Machine.from_snapshot(source.snapshot())
-        assert pfn not in restored.phys._frames
+        snap = source.snapshot()
+        source.phys.zero_frame(pfn)
+        assert not oracle._marker_visible(source, self.MARKER)
+        restored = Machine.from_snapshot(snap)
         assert oracle._marker_visible(restored, self.MARKER)
-        # Seeing it did not pull the frame into the restored machine.
-        assert pfn not in restored.phys._frames
-        assert restored.phys.cow_faults == 0
 
     def test_marker_in_a_raw_disk_block_is_visible(self):
         machine = Machine.boot(self.CONFIG)

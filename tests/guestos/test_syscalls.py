@@ -279,3 +279,20 @@ class TestTimeAndSleep:
             return t1, t2
         (t1, t2), __ = run_body(body)
         assert t2 - t1 >= 50_000
+
+    def test_killed_sleeper_does_not_hold_the_clock(self):
+        """Regression: a sleeper killed before its deadline left the
+        sleep list, so the idle machine charged ``sched`` cycles up to
+        a dead process's wake-up time."""
+        def sleeper(ctx):
+            yield ctx.nanosleep(10_000_000)
+            return 0
+
+        def body(ctx):
+            pid = yield ctx.fork(sleeper)
+            yield ctx.sched_yield()         # the child goes to sleep
+            yield ctx.kill(pid, uapi.SIGKILL)
+            yield ctx.waitpid(pid)
+            return pid
+        __, machine = run_body(body)
+        assert machine.cycles.total < 1_000_000

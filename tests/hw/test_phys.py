@@ -41,6 +41,12 @@ class TestPhysicalMemory:
         mem.zero_frame(0)
         assert mem.read_frame(0) == bytes(PAGE_SIZE)
 
+    def test_zero_frame_of_an_untouched_frame_materialises_nothing(self):
+        mem = PhysicalMemory(2)
+        mem.zero_frame(1)
+        assert 1 not in mem._frames
+        assert mem.read_frame(1) is ZERO_PAGE
+
     def test_frame_mutable_view_aliases_storage(self):
         mem = PhysicalMemory(2)
         frame = mem.frame(1)
@@ -97,6 +103,18 @@ class TestFrameAllocator:
         alloc.free(pfn)
         with pytest.raises(ValueError):
             alloc.free(pfn)
+
+    def test_free_never_touches_frame_contents(self):
+        """The allocator moves pfns; the memory layer owns contents,
+        which stay readable until the next owner zeroes the frame."""
+        mem = PhysicalMemory(2)
+        alloc = FrameAllocator(2)
+        pfn = alloc.alloc()
+        mem.write(pfn, 0, b"still here")
+        alloc.free(pfn)
+        assert mem.read(pfn, 0, 10) == b"still here"
+        mem.zero_frame(pfn)
+        assert mem.read_frame(pfn) == bytes(PAGE_SIZE)
 
     def test_free_foreign_frame_rejected(self):
         alloc = FrameAllocator(4)

@@ -1,16 +1,13 @@
-"""The COW snapshot layer: phys semantics, capture/restore.
+"""Machine snapshots by value: capture/restore and raw inspection.
 
-Three groups of guarantees:
+Two groups of guarantees:
 
-* **COW physical memory** — restored machines share the snapshot's
-  immutable frame bytes until first write; zeroing an unmaterialised
-  frame is an O(1) base-entry drop; no restore can perturb another.
 * **capture/restore discipline** — only quiescent, picklable machines
   built without a fault plan capture; restores run byte-identically
-  and independently of each other.
+  and independently of each other and of the captured machine.
 * **raw inspection** — ``frames_containing``/``blocks_containing``
-  agree with a brute-force read of every frame and block, across all
-  three memory layers, and leave no trace on the machine.
+  agree with a brute-force read of every frame and block, on fresh and
+  restored memory, and leave no trace on the machine.
 
 The full restored-vs-fresh equivalence property (every registered
 program, native and cloaked) lives in
@@ -18,6 +15,7 @@ program, native and cloaked) lives in
 """
 
 import gc
+import pickle
 import random
 import types
 from collections import deque
@@ -29,113 +27,18 @@ from repro.faults.injector import FaultyDisk
 from repro.faults.plan import INJECTION_POINTS, FaultPlan
 from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import PAGE_SIZE
-from repro.hw.phys import FrameAllocator, PhysicalMemory
+from repro.hw.phys import PhysicalMemory
 from repro.machine import BootConfig, Machine
 from repro.obs import bus
+from repro.obs.export import TraceRecorder
 from repro.obs.metrics import MetricsRegistry
-
-
-PATTERN = (bytes(range(256)) * (PAGE_SIZE // 256))[:PAGE_SIZE]
-
-
-def _cow_memory():
-    base = {1: PATTERN, 3: PATTERN}
-    return base, PhysicalMemory.from_base(base, 4)
-
-
-# -- COW physical memory -------------------------------------------------
-
-
-class TestPhysCow:
-    def test_reads_are_served_from_the_base_without_materialising(self):
-        base, mem = _cow_memory()
-        assert mem.read(1, 0, 16) == PATTERN[:16]
-        # read_frame of a shared frame hands back the base bytes object
-        # itself — zero copies, zero materialisation.
-        assert mem.read_frame(1) is base[1]
-        assert mem.cow_faults == 0
-        assert 1 not in mem._frames
-
-    def test_first_write_is_a_counted_cow_fault(self):
-        base, mem = _cow_memory()
-        mem.write(1, 4, b"!!!!")
-        assert mem.cow_faults == 1
-        merged = PATTERN[:4] + b"!!!!" + PATTERN[8:]
-        assert mem.read_frame(1) == merged
-        # The shared base is immutable: the snapshot still holds the
-        # original contents for every other restore.
-        assert base[1] == PATTERN
-        mem.write(1, 0, b"x")          # second write: already private
-        assert mem.cow_faults == 1
-
-    def test_restores_from_one_base_are_isolated(self):
-        base = {0: PATTERN, 1: PATTERN}
-        a = PhysicalMemory.from_base(base, 2)
-        b = PhysicalMemory.from_base(base, 2)
-        a.write(0, 0, b"A" * PAGE_SIZE)
-        assert b.read_frame(0) == PATTERN
-        b.zero_frame(0)
-        assert a.read_frame(0) == b"A" * PAGE_SIZE
-
-    def test_zero_frame_on_unmaterialised_frame_is_an_o1_drop(self):
-        base, mem = _cow_memory()
-        mem.zero_frame(1)
-        # No 4 KiB allocation happened: the frame stays unmaterialised
-        # and no COW fault was charged — the base *entry* was dropped.
-        assert 1 not in mem._frames
-        assert mem.cow_faults == 0
-        assert mem.read_frame(1) == bytes(PAGE_SIZE)
-        # Only this instance's view changed; the shared mapping the
-        # snapshot owns still carries the frozen contents.
-        assert base[1] == PATTERN
-
-    def test_frame_view_of_a_shared_frame_is_readonly_and_exact(self):
-        __, mem = _cow_memory()
-        view = mem.frame_view(1)
-        assert view.readonly
-        assert bytes(view) == PATTERN
-        assert 1 not in mem._frames        # still not materialised
-
-    def test_freeze_base_composes_and_shares_untouched_frames(self):
-        base, mem = _cow_memory()
-        mem.write(2, 0, b"dirty")
-        frozen = mem.freeze_base()
-        # The untouched frame is carried as the *same* bytes object —
-        # snapshot-of-restored-machine costs only the dirty pages.
-        assert frozen[1] is base[1]
-        assert frozen[2][:5] == b"dirty"
-        assert 0 not in frozen             # never touched: not captured
-
-
-class TestAllocatorCow:
-    def test_free_never_touches_frame_contents(self):
-        """Regression: freeing a COW-shared frame must not zero it —
-        the allocator moves pfns, the memory layer owns contents."""
-        base = {0: PATTERN, 1: PATTERN}
-        mem = PhysicalMemory.from_base(base, 2)
-        alloc = FrameAllocator(2)
-        pfn = alloc.alloc()
-        alloc.free(pfn)
-        assert mem.read_frame(pfn) == PATTERN
-        assert mem.cow_faults == 0
-        # The next owner zeroes before use — locally, in O(1).
-        mem.zero_frame(pfn)
-        assert mem.read_frame(pfn) == bytes(PAGE_SIZE)
-        assert base[pfn] == PATTERN
-
-    def test_double_free_still_raises(self):
-        alloc = FrameAllocator(2)
-        pfn = alloc.alloc()
-        alloc.free(pfn)
-        with pytest.raises(ValueError):
-            alloc.free(pfn)
 
 
 class TestRawScan:
     """``frames_containing``/``blocks_containing`` ≡ brute force."""
 
     ALPHABET = b"\x00abc"
-    PLANTED = b"ONLY-IN-THE-BASE"
+    PLANTED = b"ONLY-IN-THE-SNAPSHOT"
 
     @staticmethod
     def _brute_frames(mem, needle):
@@ -160,11 +63,11 @@ class TestRawScan:
         needles = [b"\x00", b"\x00" * 8, b"", self.PLANTED, b"absent!",
                    bytes(rng.choice(self.ALPHABET) for __ in range(2))]
         for needle in needles:
-            frames = dict(mem._frames)
-            faults = mem.cow_faults
+            frames = {pfn: bytes(frame) for pfn, frame in mem._frames.items()}
             found = mem.frames_containing(needle)
-            assert mem._frames == frames      # nothing materialised
-            assert mem.cow_faults == faults
+            # Nothing materialised or changed.
+            assert {pfn: bytes(frame)
+                    for pfn, frame in mem._frames.items()} == frames
             assert found == self._brute_frames(mem, needle), needle
 
     @pytest.mark.parametrize("seed", range(12))
@@ -173,23 +76,19 @@ class TestRawScan:
         fresh = PhysicalMemory(24)
         self._random_ops(rng, fresh, 30)
         # Plant a needle no later op can reach: after the restore it
-        # lives only in an unmaterialised base frame.
+        # lives only in the frame the pickle carried.
         fresh.write(23, 100, self.PLANTED)
         self._assert_scans_match(rng, fresh)
 
-        restored = PhysicalMemory.from_base(fresh.freeze_base(), 24)
-        for __ in range(30):
-            pfn = rng.randrange(23)
-            if rng.random() < 0.3:
-                restored.zero_frame(pfn)       # materialised or base-only
-            else:
-                restored.write(pfn, rng.randrange(PAGE_SIZE - 4),
-                               bytes(rng.choice(self.ALPHABET)
-                                     for __ in range(4)))
-        assert restored.cow_faults > 0
-        assert 23 not in restored._frames
+        restored = pickle.loads(pickle.dumps(fresh))
+        self._random_ops(rng, restored, 30)
+        restored.write(23, 100, self.PLANTED)
         assert restored.frames_containing(self.PLANTED) == [23]
         self._assert_scans_match(rng, restored)
+        # The restore is a copy: the source saw none of its writes.
+        assert fresh.frames_containing(self.PLANTED) == [23]
+        assert all(fresh.frame_view(pfn) == fresh._frames[pfn]
+                   for pfn in fresh._frames)
 
     @pytest.mark.parametrize("restored", [False, True],
                              ids=["fresh", "restored"])
@@ -201,15 +100,14 @@ class TestRawScan:
         measure_program(machine, "mb-write4k", ("2",))
         needles = [b"\x00" * 4, b"never-anywhere"]
         if restored:
-            # Restore mid-workload, then mix the layers: base-only
-            # frames, a COW-faulted one and one first touched now.
+            # Restore mid-workload, then mix captured frames, one of
+            # them rewritten, with one first touched now.
             machine = Machine.from_snapshot(machine.snapshot())
             phys = machine.phys
-            faulted, shared = sorted(phys._base)[:2]
-            phys.write(faulted, 0, b"cow")
+            rewritten, captured = sorted(phys._frames)[:2]
+            phys.write(rewritten, 0, b"rewritten")
             phys.write(phys.total_frames - 1, 0, b"late")
-            assert phys.cow_faults == 1
-            needles.append(phys._base[shared][-16:])
+            needles.append(phys.read_frame(captured)[-16:])
         disk = machine.disk
         assert isinstance(disk, FaultyDisk) == (plan is not None)
         written = next(iter(disk._blocks.values()))
@@ -218,7 +116,7 @@ class TestRawScan:
 
         def trace():
             return (machine.cycles.total, disk.reads, disk.writes,
-                    machine.phys.cow_faults, dict(machine.phys._frames),
+                    dict(machine.phys._frames),
                     plan and {site: plan.opportunities(site)
                               for site in INJECTION_POINTS})
 
@@ -245,6 +143,26 @@ class TestRawScan:
 
 
 class TestCaptureRestore:
+    def test_restores_are_isolated_by_value(self):
+        source = fresh_machine(cloaked=True)
+        measure_program(source, "mb-write4k", ("2",))
+        pfn = min(source.phys._frames)
+        captured = source.phys.read_frame(pfn)
+        snap = source.snapshot()
+        assert snap.frames_captured == source.phys.touched_frames > 0
+        a = Machine.from_snapshot(snap)
+        a.phys.write(pfn, 0, b"A" * 64)
+        source.phys.write(pfn, 0, b"S" * 64)
+        b = Machine.from_snapshot(snap)
+        # A write to one restore reaches neither the other restore nor
+        # the source; a write to the source after capture reaches no
+        # later restore.
+        assert b.phys.read_frame(pfn) == captured
+        assert source.phys.read(pfn, 0, 64) == b"S" * 64
+        assert a.phys.read(pfn, 0, 64) == b"A" * 64
+        assert a.phys.frame_view(pfn).readonly
+        assert a.phys.frame_view(pfn) == a.phys.read_frame(pfn)
+
     def test_two_restores_run_byte_identically_and_independently(self):
         snap = fresh_machine(cloaked=True).snapshot()
         a = Machine.from_snapshot(snap)
@@ -346,26 +264,24 @@ class TestSparseState:
 
 
 class TestSnapshotProbes:
-    def test_capture_restore_and_cow_faults_are_probed(self):
+    def test_capture_and_restore_are_probed_with_the_frame_count(self):
         machine = fresh_machine(cloaked=True)
         # A boot-only machine has no materialised frames (everything
         # is lazy); run a program first so the snapshot carries pages.
         measure_program(machine, "mb-readsec4k", ("2",))
-        metrics = MetricsRegistry()
-        bus.attach(metrics, machine.cycles)
+        recorder = TraceRecorder()
+        bus.attach(recorder, machine.cycles)
         try:
             snap = machine.snapshot()
-            restored = Machine.from_snapshot(snap)
-            # Dirty a boot-written frame: the first write to a frame
-            # the snapshot carries is the COW fault being probed.
-            pfn = min(snap.base)
-            restored.phys.write(pfn, 0, b"\x00")
+            Machine.from_snapshot(snap)
         finally:
-            bus.detach(metrics)
-        assert metrics.counters["snapshot.capture"] == 1
-        assert metrics.counters["snapshot.restore"] == 1
-        assert metrics.cow_faults == 1
-        assert metrics.cow_faults == restored.phys.cow_faults
+            bus.detach(recorder)
+        frames = machine.phys.touched_frames
+        assert frames > 0 and snap.frames_captured == frames
+        procs = len(machine.kernel.processes)
+        assert [(name, args) for name, __, args in recorder.events] == [
+            ("snapshot.capture", (frames, procs)),
+            ("snapshot.restore", (frames,))]
 
     def test_attached_sink_leaves_restored_run_cycles_identical(self):
         """Satellite of the sink-neutrality rule: probing the snapshot
